@@ -5,7 +5,8 @@ live backend speaks the common ``/v1/chat/completions`` wire protocol; the
 scripted backend turns a constant or a callable into a deterministic stand-in;
 the recording wrapper captures request/response pairs into a transcript and
 the replay backend serves them back by request digest, so whole optimization
-runs can be reproduced byte-for-byte without model access.
+runs can be reproduced byte-for-byte without model access. ``fan_out`` is the
+one ordered way callers spread independent calls across threads.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -108,6 +110,33 @@ def request_digest(turns: Sequence[ChatTurn], params: GenerationParams) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def fan_out(
+    fn: Callable, items: Iterable, width: int, stop: Callable[[list], bool] | None = None
+) -> list:
+    """Apply ``fn`` to every item, at most ``width`` at a time, in item order.
+
+    Width 1 maps inline on the calling thread; wider fan-outs use a thread
+    pool. Results are consumed in item order either way, and after each one
+    ``stop(results_so_far)`` may end the run early, so the returned prefix
+    and the point where an exception from ``fn`` surfaces never depend on
+    the width. Stopping or raising cancels the work not yet started; results
+    of items past that point are dropped.
+    """
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
+    try:
+        results: list = []
+        for result in map(fn, items) if pool is None else pool.map(fn, items):
+            results.append(result)
+            if stop is not None and stop(results):
+                break
+        return results
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 class CriticBackend(ABC):

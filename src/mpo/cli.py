@@ -204,19 +204,18 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         config.out_dir = Path(args.out)
     if getattr(args, "record", False):
         config.record = True
-    if getattr(args, "iterations", None) is not None:
-        config.iterations = args.iterations
+    for key in ("iterations", "concurrency", "limit", "seed"):
+        if getattr(args, key, None) is not None:
+            setattr(config, key, getattr(args, key))
     if getattr(args, "dedup", None) is not None:
         config.dedup = _parse_dedup(args.dedup)
-    if getattr(args, "limit", None) is not None:
-        config.limit = args.limit
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
     if getattr(args, "format", None) is not None:
         config.dataset_format = args.format
     if getattr(args, "split", None) is not None:
         config.split = args.split
 
+    if config.concurrency < 1:
+        raise CLIError(f"concurrency must be >= 1, got {config.concurrency}")
     if config.dataset_format not in DATASET_FORMATS:
         raise CLIError(
             f"dataset format must be one of {DATASET_FORMATS}, got {config.dataset_format!r}"
@@ -523,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--limit", type=int, metavar="N", help="evaluate at most N sampled items")
     shared.add_argument("--seed", type=int, metavar="N", help="seed for dataset sampling")
     shared.add_argument("--iterations", type=int, metavar="N", help="refinement iterations")
+    shared.add_argument("--concurrency", type=int, metavar="N", help="updates or items run at once")
     shared.add_argument(
         "--dedup",
         choices=[mode.value for mode in DedupMode],

@@ -14,13 +14,12 @@ import hashlib
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .backends import SOLVER_PARAMS, BackendError, ChatTurn, CriticBackend, GenerationParams
+from .backends import SOLVER_PARAMS, BackendError, ChatTurn, CriticBackend, GenerationParams, fan_out
 from .schema import PromptState, render_prompt
 from .templating import PromptTemplate, default_template
 
@@ -310,9 +309,12 @@ def pose_question(
 ) -> str:
     """Assemble the full solver input: rendered prompt plus question block."""
     template = template or default_template("question")
+    return render_prompt(state) + "\n" + _question_block(item, template)
+
+
+def _question_block(item: MCQItem, template: PromptTemplate) -> str:
     choices = "\n".join(f"{letter}. {text}" for letter, text in item.choices)
-    block = template.fill(QUESTION=item.question, CHOICES=choices)
-    return render_prompt(state) + "\n" + block
+    return template.fill(QUESTION=item.question, CHOICES=choices)
 
 
 def extract_answer(response: str, valid: frozenset[str] | set[str]) -> str | None:
@@ -493,17 +495,20 @@ def evaluate(
     """Score a prompt on a dataset with exact-match accuracy.
 
     Per-item solver failures are recorded as unparseable (hence incorrect)
-    with a note; if failures exceed half the dataset the run aborts with the
-    partial result attached. Record order follows dataset order.
+    with a note; once failures exceed half the dataset, counted in dataset
+    order, the run aborts with the partial result attached, so the abort
+    point is the same at any ``concurrency``. Record order follows dataset
+    order.
     """
     if not dataset.items:
         raise DatasetError(f"dataset {dataset.name} has no items")
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
     template = template or default_template("question")
+    rendered = render_prompt(state) + "\n"  # the prompt is the same for every item
 
     def solve(item: MCQItem) -> ItemRecord:
-        posed = pose_question(state, item, template)
+        posed = rendered + _question_block(item, template)
         try:
             response = solver.complete((ChatTurn("user", posed),), params)
         except BackendError as exc:
@@ -528,29 +533,18 @@ def evaluate(
         )
 
     total = len(dataset.items)
-    records: list[ItemRecord] = []
-    if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            records = list(pool.map(solve, dataset.items))
-    else:
-        failed = 0
-        for item in dataset.items:
-            record = solve(item)
-            records.append(record)
-            failed += bool(record.note)
-            if failed * 2 > total:
-                partial = EvalResult.from_records(
-                    dataset.name, dataset.split, state.digest, records
-                )
-                raise EvaluationAborted(
-                    f"{failed} of {total} items failed; aborting", partial
-                )
+    failed = 0
 
-    failed = sum(1 for record in records if record.note)
+    def too_many_failures(records: list[ItemRecord]) -> bool:
+        nonlocal failed
+        failed += bool(records[-1].note)
+        return failed * 2 > total
+
+    records = fan_out(solve, dataset.items, concurrency, stop=too_many_failures)
+    result = EvalResult.from_records(dataset.name, dataset.split, state.digest, records)
     if failed * 2 > total:
-        partial = EvalResult.from_records(dataset.name, dataset.split, state.digest, records)
-        raise EvaluationAborted(f"{failed} of {total} items failed; aborting", partial)
-    return EvalResult.from_records(dataset.name, dataset.split, state.digest, records)
+        raise EvaluationAborted(f"{failed} of {total} items failed; aborting", result)
+    return result
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import enum
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .backends import CONSOLIDATION_PARAMS, BackendError, ChatTurn, CriticBackend
+from .backends import CONSOLIDATION_PARAMS, BackendError, ChatTurn, CriticBackend, fan_out
 from .critic import (
     ConsolidationRejected,
     LIST_MARKER,
@@ -64,6 +63,9 @@ class DedupMode(enum.Enum):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Run settings. ``concurrency_width`` bounds how many whole section
+    updates (critique plus dedup, consolidation included) run at once."""
+
     iterations: int = 3
     dedup_mode: DedupMode = DedupMode.LEXICAL
     concurrency_width: int = 1
@@ -175,8 +177,10 @@ def _truncate_to_token_budget(section: Section, budget: int) -> Section:
 class StepResult:
     """Outcome of one refinement step.
 
-    ``gradients`` is in section order; failed sections get an empty sentinel
-    gradient and an entry in ``failures`` explaining why they carried over.
+    ``gradients`` is in section order; a section whose critique failed gets
+    an empty sentinel gradient. Every section that carried over because of a
+    failure has an entry in ``failures``, ordered by the step's
+    ``process_order`` (one entry per section, critique or update).
     """
 
     state: PromptState
@@ -196,80 +200,52 @@ def step(
 ) -> StepResult:
     """Advance the prompt by one refinement round.
 
-    All critiques are computed against the incoming state before any section
-    changes, so the result is independent of processing order;
-    ``process_order`` exists to let tests check exactly that.
+    Each section's update (critique, append, dedup, truncate) is one job, and
+    up to ``config.concurrency_width`` jobs run at once, so a section's
+    consolidation starts as soon as its own critique returns. All critiques
+    read the incoming state, so the result is independent of processing
+    order and width; ``process_order`` exists to let tests check exactly that.
     """
     config = config or OptimizerConfig()
     order = process_order or config.section_order
     if sorted(order, key=list(CANONICAL_ORDER).index) != list(CANONICAL_ORDER):
         raise ValueError("process_order must be a permutation of the section kinds")
 
-    failures: list[tuple[SectionKind, str]] = []
-    gradients: dict[SectionKind, TextualGradient] = {}
-
-    def fetch(kind: SectionKind) -> TextualGradient:
-        return request_gradient(
-            critic,
-            state.section(kind),
-            section_context(state, kind),
-            template=gradient_template,
-            failure_examples=failure_examples,
-        )
-
-    if config.concurrency_width > 1:
-        with ThreadPoolExecutor(max_workers=config.concurrency_width) as pool:
-            pending = {kind: pool.submit(fetch, kind) for kind in order}
-            outcomes = {kind: _settle(future) for kind, future in pending.items()}
-    else:
-        outcomes = {}
-        for kind in order:
-            try:
-                outcomes[kind] = (fetch(kind), None)
-            except BackendError as exc:
-                outcomes[kind] = (None, exc)
-
-    for kind, (gradient, error) in outcomes.items():
-        if error is not None:
-            logger.warning("critique failed for %s: %s", kind.display_name, error)
-            failures.append((kind, f"critique failed: {error}"))
-            gradients[kind] = TextualGradient.empty(kind, critic_identity=critic.identity)
-        else:
-            gradients[kind] = gradient
-
-    updated: dict[SectionKind, Section] = {}
-    for kind in order:
+    def update(kind: SectionKind) -> tuple[Section, TextualGradient, str | None]:
         section = state.section(kind)
-        gradient = gradients[kind]
+        try:
+            gradient = request_gradient(
+                critic,
+                section,
+                section_context(state, kind),
+                template=gradient_template,
+                failure_examples=failure_examples,
+            )
+        except BackendError as exc:
+            logger.warning("critique failed for %s: %s", kind.display_name, exc)
+            empty = TextualGradient.empty(kind, critic_identity=critic.identity)
+            return section, empty, f"critique failed: {exc}"
         if gradient.is_empty:
-            updated[kind] = section
-            continue
+            return section, gradient, None
         try:
             expanded = apply_gradient(section, gradient)
             cleaned = _dedup(expanded, critic, config, consolidate_template)
-            updated[kind] = _truncate_to_token_budget(cleaned, config.max_section_tokens)
+            return _truncate_to_token_budget(cleaned, config.max_section_tokens), gradient, None
         except (TagCollision, ConsolidationRejected, BackendError) as exc:
             logger.warning("update failed for %s: %s", kind.display_name, exc)
-            failures.append((kind, f"update failed: {exc}"))
-            updated[kind] = section
+            return section, gradient, f"update failed: {exc}"
 
+    outcomes = dict(zip(order, fan_out(update, order, config.concurrency_width)))
     next_state = PromptState(
-        sections=tuple(updated[kind] for kind in CANONICAL_ORDER),
+        sections=tuple(outcomes[kind][0] for kind in CANONICAL_ORDER),
         iteration=state.iteration + 1,
         parent_digest=state.digest,
     )
     return StepResult(
         state=next_state,
-        gradients=tuple(gradients[kind] for kind in CANONICAL_ORDER),
-        failures=tuple(failures),
+        gradients=tuple(outcomes[kind][1] for kind in CANONICAL_ORDER),
+        failures=tuple((kind, outcomes[kind][2]) for kind in order if outcomes[kind][2]),
     )
-
-
-def _settle(future) -> tuple[TextualGradient | None, BackendError | None]:
-    try:
-        return future.result(), None
-    except BackendError as exc:
-        return None, exc
 
 
 def _dedup(

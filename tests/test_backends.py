@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -27,6 +28,7 @@ from mpo.backends import (
     CONSOLIDATION_PARAMS,
     GRADIENT_PARAMS,
     SOLVER_PARAMS,
+    fan_out,
 )
 
 TURNS = (ChatTurn("user", "hello"),)
@@ -182,6 +184,58 @@ class TestRecordReplay:
         assert ReplayBackend(Transcript.load(path)).complete(TURNS, PARAMS) == "reply"
 
 
+class TestFanOut:
+    def test_results_follow_item_order(self):
+        def slow_first(n):
+            time.sleep(0.01 * (5 - n))
+            return n * n
+
+        for width in (1, 3, 5):
+            assert fan_out(slow_first, range(5), width) == [0, 1, 4, 9, 16]
+
+    def test_width_one_runs_inline(self):
+        caller = threading.get_ident()
+        before = threading.active_count()
+
+        def where(_):
+            return threading.get_ident(), threading.active_count()
+
+        assert fan_out(where, range(3), 1) == [(caller, before)] * 3
+
+    def test_stop_returns_same_prefix_at_every_width(self):
+        seen = []
+
+        def record(n):
+            seen.append(n)
+            return n
+
+        for width in (1, 4):
+            seen.clear()
+            assert fan_out(record, range(10), width, stop=lambda done: len(done) == 3) == [0, 1, 2]
+            if width == 1:
+                assert seen == [0, 1, 2]
+
+    def test_error_surfaces_at_its_item(self):
+        seen = []
+
+        def fail_on_two(n):
+            seen.append(n)
+            if n == 2:
+                raise KeyError(n)
+            return n
+
+        for width in (1, 4):
+            seen.clear()
+            with pytest.raises(KeyError):
+                fan_out(fail_on_two, range(6), width)
+            if width == 1:
+                assert seen == [0, 1, 2]
+
+    def test_width_validated(self):
+        with pytest.raises(ValueError):
+            fan_out(str, [1], 0)
+
+
 class _Script(BaseHTTPRequestHandler):
     """Serves scripted (status, body) pairs and captures requests."""
 
@@ -213,7 +267,9 @@ def http_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Script)
     _Script.script = []
     _Script.seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", _Script
     server.shutdown()

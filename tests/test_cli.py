@@ -103,6 +103,11 @@ class TestRunConfig:
         assert config.iterations == 2
         assert config.mode == "mock"
 
+    def test_concurrency_flag(self, tmp_path):
+        assert parse_config(["optimize", "p.txt", "--concurrency", "5"]).concurrency == 5
+        with pytest.raises(CLIError, match="concurrency"):
+            parse_config(["eval", "p.txt", "d.jsonl", "--concurrency", "0"])
+
     def test_replay_flag_beats_mode_flags(self, tmp_path):
         config = parse_config(["optimize", "p.txt", "--replay", "t.jsonl", "--mock"])
         assert config.mode == "replay"
@@ -258,6 +263,16 @@ class TestOptimize:
         stdout = capsys.readouterr().out
         assert "iterations: 2" in stdout
         assert "final digest: " in stdout
+
+    def test_llm_dedup_artifacts_identical_at_any_width(self, tagged_file, tmp_path, capsys):
+        outs = []
+        for width in ("1", "5"):
+            out = tmp_path / f"width{width}"
+            args = ["optimize", str(tagged_file), "--dedup", "llm", "--iterations", "3"]
+            assert main(args + ["--concurrency", width, "--out", str(out)]) == 0
+            outs.append(out)
+        for name in ("history.jsonl", "gradients.jsonl"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_unstructured_input_exits_two(self, tmp_path, capsys):
         path = tmp_path / "loose.txt"
@@ -436,6 +451,25 @@ class TestEval:
         )
         assert partial["total"] == 6
         assert all("solver failed" in r["note"] for r in partial["records"])
+
+    def test_abort_artifact_same_at_every_width(
+        self, tagged_file, dataset_file, tmp_path, capsys, monkeypatch
+    ):
+        def failing(turns, params):
+            raise BackendError("service down")
+
+        bundle = BackendBundle(
+            critic=MockCritic(), solver=ScriptedBackend(failing), extractor=MockCritic()
+        )
+        monkeypatch.setattr("mpo.cli.build_backends", lambda config: bundle)
+        partials = []
+        for width in ("1", "4"):
+            out = tmp_path / f"width{width}"
+            args = ["eval", str(tagged_file), str(dataset_file), "--out", str(out)]
+            assert main(args + ["--concurrency", width]) == 3
+            partials.append((out / "eval_result.partial.json").read_bytes())
+        assert partials[0] == partials[1]
+        assert json.loads(partials[0])["total"] == 6
 
     def test_subject_breakdown_printed(self, tagged_file, data_dir, tmp_path, capsys):
         code = main(

@@ -331,13 +331,18 @@ class TestEvaluate:
         assert concurrent.records == sequential.records
         assert concurrent.accuracy == sequential.accuracy
 
-    def test_concurrent_abort_carries_all_records(self, tagged_prompt, ten_items):
+    def test_abort_point_same_at_every_width(self, tagged_prompt, ten_items):
         def reply(turns, params):
             raise BackendError("down")
 
-        with pytest.raises(EvaluationAborted) as excinfo:
-            evaluate(tagged_prompt, ten_items, ScriptedBackend(reply), concurrency=4)
-        assert excinfo.value.result.total == 10
+        partials = []
+        for width in (1, 4):
+            with pytest.raises(EvaluationAborted) as excinfo:
+                evaluate(tagged_prompt, ten_items, ScriptedBackend(reply), concurrency=width)
+            partials.append(excinfo.value.result)
+        # The abort is counted in items, in dataset order, not in arrival time.
+        assert partials[0] == partials[1]
+        assert partials[0].total == 6
 
     def test_empty_dataset_rejected(self, tagged_prompt):
         empty = Dataset(name="none", split="test", items=())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -302,6 +303,70 @@ class TestStep:
 
         result = step(state, ScriptedBackend(reply), OptimizerConfig(concurrency_width=4))
         assert [kind for kind, _ in result.failures] == [SectionKind.TASK_DETAILS]
+
+
+    def test_llm_consolidations_overlap_across_sections(self, build_state):
+        state = build_state(
+            system_role="You are a quiz assistant.",
+            relevant_context="Questions cover biology.",
+            task_details="Answer each question.",
+            constraints="Be brief.",
+            output_format="Reply with one letter.",
+        )
+
+        def critic(barrier: threading.Barrier | None) -> ScriptedBackend:
+            def reply(turns, params):
+                prompt = turns[-1].content
+                name = re.search(r"^Section name: (.+)$", prompt, re.MULTILINE).group(1)
+                if "Propose concrete improvements" in prompt:
+                    return f"Keep the {name} short."
+                if barrier is not None:
+                    barrier.wait()  # passes only once all five consolidations are in flight
+                return re.search(r"Section content:\n(.*?)\n\nRemove", prompt, re.S).group(1)
+
+            return ScriptedBackend(reply)
+
+        config = OptimizerConfig(dedup_mode=DedupMode.LLM)
+        serial = step(state, critic(None), config)
+        overlapped = step(
+            state,
+            critic(threading.Barrier(5, timeout=5)),
+            OptimizerConfig(dedup_mode=DedupMode.LLM, concurrency_width=5),
+        )
+        assert overlapped.failures == ()
+        assert overlapped.state.digest == serial.state.digest
+        assert "Keep the Constraints short." in overlapped.state.section(SectionKind.CONSTRAINTS).content
+
+    def test_failures_follow_process_order(self, build_state):
+        state = build_state(task_details="Answer.", constraints="Be brief.")
+
+        def reply(turns, params):
+            prompt = turns[-1].content
+            if "Propose concrete improvements" not in prompt:
+                return "<Constraints>"  # tagged consolidation reply is rejected
+            if "Section name: Task Details" in prompt:
+                raise BackendError("down")
+            return "Add a rule." if "Section name: Constraints" in prompt else ""
+
+        config = OptimizerConfig(dedup_mode=DedupMode.LLM, concurrency_width=5)
+        for order in (CANONICAL_ORDER, tuple(reversed(CANONICAL_ORDER))):
+            result = step(state, ScriptedBackend(reply), config, process_order=order)
+            failed = (SectionKind.TASK_DETAILS, SectionKind.CONSTRAINTS)
+            assert [kind for kind, _ in result.failures] == [k for k in order if k in failed]
+            assert result.state.section(SectionKind.CONSTRAINTS).content == "Be brief."
+            assert result.gradients[3].directives == ("Add a rule.",)
+
+    def test_non_backend_error_aborts_at_every_width(self, build_state):
+        state = build_state(task_details="Answer.")
+
+        def reply(turns, params):
+            if "Section name: Constraints" in turns[-1].content:
+                raise ReplayMiss("diverged")
+            return ""
+
+        for width in (1, 5):
+            with pytest.raises(ReplayMiss):
+                step(state, ScriptedBackend(reply), OptimizerConfig(concurrency_width=width))
 
 
 class TestOptimize:
