@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .backends import (
     BackendError,
@@ -30,7 +32,7 @@ from .backends import (
     ReplayMiss,
     Transcript,
 )
-from .critic import TextualGradient
+from .decompose import decompose_unstructured
 from .evaluation import (
     DATASET_FORMATS,
     DatasetError,
@@ -48,15 +50,13 @@ from .optimizer import (
     OptimizationAborted,
     OptimizerConfig,
     RunHistory,
+    SectionUpdate,
     growth_metrics,
     optimize,
 )
 from .schema import (
-    EmptyInput,
-    ExtractorFailure,
     PromptState,
     SchemaError,
-    decompose_unstructured,
     diff_states,
     parse_structured_prompt,
     render_prompt,
@@ -65,7 +65,6 @@ from .templating import PromptTemplate, load_template
 
 logger = logging.getLogger(__name__)
 
-MODES = ("mock", "live", "replay")
 TEMPLATE_NAMES = ("gradient", "consolidate", "decompose", "rewrite", "question")
 
 
@@ -294,17 +293,20 @@ def _load_state(path: Path) -> PromptState:
         raise CLIError(f"{path} is not a structured prompt: {exc}") from exc
 
 
-def _ensure_out_dir(config: RunConfig) -> Path:
+@contextlib.contextmanager
+def _run_backends(config: RunConfig) -> Iterator[tuple[BackendBundle, Path]]:
+    """Backends and output directory for one command. A recorded transcript
+    is saved however the command ends: success, abort, error or Ctrl-C."""
+    bundle = build_backends(config)
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CLIError(f"cannot create output directory {config.out_dir}: {exc}") from exc
-    return config.out_dir
-
-
-def _save_transcript(bundle: BackendBundle, out_dir: Path) -> None:
-    if bundle.transcript is not None:
-        bundle.transcript.save(out_dir / "transcript.jsonl")
+    try:
+        yield bundle, config.out_dir
+    finally:
+        if bundle.transcript is not None:
+            bundle.transcript.save(config.out_dir / "transcript.jsonl")
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -327,16 +329,18 @@ def _state_line(state: PromptState) -> dict:
     }
 
 
-def _gradient_line(index: int, gradients: tuple[TextualGradient, ...], failures) -> dict:
+def _gradient_line(index: int, updates: tuple[SectionUpdate, ...], failures) -> dict:
     return {
         "iteration": index,
         "gradients": [
             {
-                "target": gradient.target.value,
-                "directives": list(gradient.directives),
-                "critic_identity": gradient.critic_identity,
+                "target": update.gradient.target.value,
+                "directives": list(update.gradient.directives),
+                "critic_identity": update.gradient.critic_identity,
+                "removed": update.removed,
+                "truncated": update.truncated,
             }
-            for gradient in gradients
+            for update in updates
         ],
         "failures": [
             {"section": kind.value, "reason": reason} for kind, reason in failures
@@ -348,15 +352,13 @@ def _write_run_artifacts(history: RunHistory, out_dir: Path) -> None:
     with (out_dir / "history.jsonl").open("w", encoding="utf-8") as handle:
         for state in history.states:
             handle.write(json.dumps(_state_line(state), ensure_ascii=False) + "\n")
-    failure_rounds = history.failures or tuple(() for _ in history.gradients)
     with (out_dir / "gradients.jsonl").open("w", encoding="utf-8") as handle:
-        for index, gradients in enumerate(history.gradients):
-            line = _gradient_line(index, gradients, failure_rounds[index])
-            handle.write(json.dumps(line, ensure_ascii=False) + "\n")
+        for index, round_ in enumerate(zip(history.updates, history.failures)):
+            handle.write(json.dumps(_gradient_line(index, *round_), ensure_ascii=False) + "\n")
     metrics = {
         "iterations": history.iterations,
         "digests": list(history.digests),
-        "failure_count": sum(len(round_) for round_ in failure_rounds),
+        "failure_count": sum(len(round_) for round_ in history.failures),
         "growth": growth_metrics(history).to_dict(),
     }
     _write_json(out_dir / "metrics.json", metrics)
@@ -365,14 +367,14 @@ def _write_run_artifacts(history: RunHistory, out_dir: Path) -> None:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    bundle = build_backends(config)
-    out_dir = _ensure_out_dir(config)
-    text = _read_text(Path(args.input))
-    try:
-        state = decompose_unstructured(text, bundle.extractor, template=config.template("decompose"))
-    except (EmptyInput, ExtractorFailure, SchemaError) as exc:
-        raise CLIError(f"decomposition failed: {exc}") from exc
-    _save_transcript(bundle, out_dir)
+    with _run_backends(config) as (bundle, out_dir):
+        text = _read_text(Path(args.input))
+        try:
+            state = decompose_unstructured(
+                text, bundle.extractor, template=config.template("decompose")
+            )
+        except SchemaError as exc:
+            raise CLIError(f"decomposition failed: {exc}") from exc
     out_path = out_dir / "decomposed_prompt.txt"
     out_path.write_text(render_prompt(state), encoding="utf-8")
     for section in state.sections:
@@ -384,24 +386,21 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    bundle = build_backends(config)
-    out_dir = _ensure_out_dir(config)
-    state = _load_state(Path(args.input))
-    try:
-        history = optimize(
-            state,
-            bundle.critic,
-            config.optimizer_config(),
-            gradient_template=config.template("gradient"),
-            consolidate_template=config.template("consolidate"),
-        )
-    except OptimizationAborted as exc:
-        _save_transcript(bundle, out_dir)
-        _write_run_artifacts(exc.history, out_dir)
-        print(f"aborted: {exc}", file=sys.stderr)
-        print(f"partial artifacts kept in {out_dir}", file=sys.stderr)
-        return 3
-    _save_transcript(bundle, out_dir)
+    with _run_backends(config) as (bundle, out_dir):
+        state = _load_state(Path(args.input))
+        try:
+            history = optimize(
+                state,
+                bundle.critic,
+                config.optimizer_config(),
+                gradient_template=config.template("gradient"),
+                consolidate_template=config.template("consolidate"),
+            )
+        except OptimizationAborted as exc:
+            _write_run_artifacts(exc.history, out_dir)
+            print(f"aborted: {exc}", file=sys.stderr)
+            print(f"partial artifacts kept in {out_dir}", file=sys.stderr)
+            return 3
     _write_run_artifacts(history, out_dir)
     initial, final = history.initial, history.final
     print(f"iterations: {history.iterations}")
@@ -413,45 +412,39 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    bundle = build_backends(config)
-    out_dir = _ensure_out_dir(config)
-    state = _load_state(Path(args.prompt))
-    try:
-        dataset = load_dataset(
-            Path(args.dataset), config.dataset_format, split=config.split
-        )
-    except (DatasetError, OSError) as exc:
-        raise CLIError(f"cannot load dataset: {exc}") from exc
-    if not dataset.items:
-        raise CLIError(f"dataset {args.dataset} has no items")
-    if config.limit is not None:
+    with _run_backends(config) as (bundle, out_dir):
+        state = _load_state(Path(args.prompt))
         try:
-            dataset = sample_items(dataset, config.limit, config.seed)
-        except ValueError as exc:
+            dataset = load_dataset(
+                Path(args.dataset), config.dataset_format, split=config.split
+            )
+        except (DatasetError, OSError) as exc:
+            raise CLIError(f"cannot load dataset: {exc}") from exc
+        if not dataset.items:
+            raise CLIError(f"dataset {args.dataset} has no items")
+        if config.limit is not None:
+            try:
+                dataset = sample_items(dataset, config.limit, config.seed)
+            except ValueError as exc:
+                raise CLIError(str(exc)) from exc
+        try:
+            result = evaluate(
+                state,
+                dataset,
+                bundle.solver,
+                concurrency=config.concurrency,
+                template=config.template("question"),
+            )
+        except EvaluationAborted as exc:
+            path = out_dir / "eval_result.partial.json"
+            _write_json(path, exc.result.to_dict())
+            print(f"aborted: {exc}", file=sys.stderr)
+            print(f"partial result kept in {path}", file=sys.stderr)
+            return 3
+        except DatasetError as exc:
             raise CLIError(str(exc)) from exc
-
-    def finish(result: EvalResult, path_name: str) -> Path:
-        _save_transcript(bundle, out_dir)
-        path = out_dir / path_name
-        _write_json(path, result.to_dict())
-        return path
-
-    try:
-        result = evaluate(
-            state,
-            dataset,
-            bundle.solver,
-            concurrency=config.concurrency,
-            template=config.template("question"),
-        )
-    except EvaluationAborted as exc:
-        path = finish(exc.result, "eval_result.partial.json")
-        print(f"aborted: {exc}", file=sys.stderr)
-        print(f"partial result kept in {path}", file=sys.stderr)
-        return 3
-    except DatasetError as exc:
-        raise CLIError(str(exc)) from exc
-    path = finish(result, "eval_result.json")
+    path = out_dir / "eval_result.json"
+    _write_json(path, result.to_dict())
     print(f"accuracy: {result.accuracy * 100:.2f}%")
     if result.unparseable:
         print(f"unparseable: {result.unparseable}/{result.total}")

@@ -78,7 +78,6 @@ def request_gradient(
     context: str,
     template: PromptTemplate | None = None,
     params: GenerationParams = GRADIENT_PARAMS,
-    failure_examples: str = "",
 ) -> TextualGradient:
     """Ask the critic for directives scoped to ``section``.
 
@@ -90,7 +89,6 @@ def request_gradient(
         SECTION_KIND=section.kind.display_name,
         SECTION_CONTENT=section.content,
         CONTEXT=context,
-        FAILURE_EXAMPLES=failure_examples,
     )
     response = backend.complete((ChatTurn("user", filled),), params)
     return TextualGradient(

@@ -11,8 +11,9 @@ came back empty.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backends import CONSOLIDATION_PARAMS, BackendError, ChatTurn, CriticBackend, fan_out
 from .critic import (
@@ -79,10 +80,6 @@ class OptimizerConfig:
         if self.max_section_tokens < 1:
             raise ValueError("max_section_tokens must be >= 1")
 
-    @property
-    def section_order(self) -> tuple[SectionKind, ...]:
-        return CANONICAL_ORDER
-
 
 def apply_gradient(section: Section, gradient: TextualGradient) -> Section:
     """Append a gradient's directives to the section it targets.
@@ -102,9 +99,11 @@ def apply_gradient(section: Section, gradient: TextualGradient) -> Section:
     return Section(kind=section.kind, content=content, provenance=Provenance.REFINED)
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def normalize_line(line: str) -> str:
     """Canonical form for duplicate detection, blind to list markers,
-    internal whitespace runs, case, and trailing punctuation."""
+    internal whitespace runs, case, and trailing punctuation. Cached, since
+    every round re-reads the lines that earlier rounds kept."""
     line = LIST_MARKER.sub("", line.strip(), count=1)
     line = " ".join(line.split()).lower()
     return line.rstrip(".,;:!?")
@@ -140,26 +139,33 @@ def lexical_dedup(content: str) -> str:
 
 def duplicate_line_count(content: str) -> int:
     """Number of non-blank lines that repeat an earlier line's normalized form."""
-    seen: set[str] = set()
-    duplicates = 0
-    for line in content.splitlines():
-        key = normalize_line(line)
-        if not key:
-            continue
-        if key in seen:
-            duplicates += 1
-        else:
-            seen.add(key)
-    return duplicates
+    keys = _line_keys(content)[1]
+    return len(keys) - len(set(keys))
 
 
-def _truncate_to_token_budget(section: Section, budget: int) -> Section:
-    """Cut at line boundaries until the section fits; always keep one line."""
+@functools.lru_cache(maxsize=64)
+def _line_keys(content: str) -> tuple[int, tuple[str, ...]]:
+    """Non-blank line count and the non-empty normalized lines of ``content``.
+    Cached, since the section that lands in one round is the next round's
+    incoming section."""
+    lines = [line for line in content.splitlines() if line.strip()]
+    return len(lines), tuple(filter(None, map(normalize_line, lines)))
+
+
+def _truncate_to_token_budget(section: Section, budget: int) -> tuple[Section, int]:
+    """Keep the oldest lines: cut from the end, where the newest directives
+    sit, at line boundaries until the section fits; always keep one line.
+
+    Once a section reaches the budget, every later directive is cut. Returns
+    the section and the number of non-blank lines cut, which the section's
+    :class:`SectionUpdate` reports as ``truncated``.
+    """
     if section.token_count <= budget:
-        return section
+        return section, 0
     lines = section.content.splitlines()
+    cut = 0
     while len(lines) > 1 and token_count("\n".join(lines)) > budget:
-        lines.pop()
+        cut += bool(lines.pop().strip())
     while lines and not lines[-1].strip():
         lines.pop()
     truncated = "\n".join(lines)
@@ -170,22 +176,50 @@ def _truncate_to_token_budget(section: Section, budget: int) -> Section:
         section.token_count,
         token_count(truncated),
     )
-    return Section(kind=section.kind, content=truncated, provenance=section.provenance)
+    return Section(kind=section.kind, content=truncated, provenance=section.provenance), cut
+
+
+@dataclass(frozen=True)
+class SectionUpdate:
+    """What one round did to one section, recorded as it happened.
+
+    ``failure`` is why the section carried over unchanged, or None.
+    ``duplicates_before`` counts repeated lines once the directives are
+    appended, ``duplicates_after`` in the section that landed. ``removed``
+    counts the non-blank lines that dedup or consolidation dropped (a failed
+    update drops every appended line), ``truncated`` those the token budget cut.
+    """
+
+    gradient: TextualGradient
+    failure: str | None
+    duplicates_before: int
+    duplicates_after: int
+    removed: int
+    truncated: int
 
 
 @dataclass(frozen=True)
 class StepResult:
     """Outcome of one refinement step.
 
-    ``gradients`` is in section order; a section whose critique failed gets
-    an empty sentinel gradient. Every section that carried over because of a
-    failure has an entry in ``failures``, ordered by the step's
-    ``process_order`` (one entry per section, critique or update).
+    ``updates`` has one record per section, in section order; a section whose
+    critique failed gets an empty sentinel gradient. ``failures`` lists the
+    sections that carried over because of a failure, ordered by the step's
+    ``process_order``.
     """
 
     state: PromptState
-    gradients: tuple[TextualGradient, ...]
-    failures: tuple[tuple[SectionKind, str], ...] = field(default=())
+    updates: tuple[SectionUpdate, ...]
+    process_order: tuple[SectionKind, ...] = CANONICAL_ORDER
+
+    @property
+    def gradients(self) -> tuple[TextualGradient, ...]:
+        return tuple(update.gradient for update in self.updates)
+
+    @property
+    def failures(self) -> tuple[tuple[SectionKind, str], ...]:
+        failed = {u.gradient.target: u.failure for u in self.updates if u.failure}
+        return tuple((kind, failed[kind]) for kind in self.process_order if kind in failed)
 
 
 def step(
@@ -195,7 +229,6 @@ def step(
     *,
     gradient_template: PromptTemplate | None = None,
     consolidate_template: PromptTemplate | None = None,
-    failure_examples: str = "",
     process_order: tuple[SectionKind, ...] | None = None,
 ) -> StepResult:
     """Advance the prompt by one refinement round.
@@ -207,33 +240,44 @@ def step(
     order and width; ``process_order`` exists to let tests check exactly that.
     """
     config = config or OptimizerConfig()
-    order = process_order or config.section_order
+    order = process_order or CANONICAL_ORDER
     if sorted(order, key=list(CANONICAL_ORDER).index) != list(CANONICAL_ORDER):
         raise ValueError("process_order must be a permutation of the section kinds")
 
-    def update(kind: SectionKind) -> tuple[Section, TextualGradient, str | None]:
+    def update(kind: SectionKind) -> tuple[Section, SectionUpdate]:
         section = state.section(kind)
+        expanded = landed = section
+        failure, truncated = None, 0
         try:
             gradient = request_gradient(
-                critic,
-                section,
-                section_context(state, kind),
-                template=gradient_template,
-                failure_examples=failure_examples,
+                critic, section, section_context(state, kind), template=gradient_template
             )
         except BackendError as exc:
             logger.warning("critique failed for %s: %s", kind.display_name, exc)
-            empty = TextualGradient.empty(kind, critic_identity=critic.identity)
-            return section, empty, f"critique failed: {exc}"
-        if gradient.is_empty:
-            return section, gradient, None
-        try:
-            expanded = apply_gradient(section, gradient)
-            cleaned = _dedup(expanded, critic, config, consolidate_template)
-            return _truncate_to_token_budget(cleaned, config.max_section_tokens), gradient, None
-        except (TagCollision, ConsolidationRejected, BackendError) as exc:
-            logger.warning("update failed for %s: %s", kind.display_name, exc)
-            return section, gradient, f"update failed: {exc}"
+            gradient = TextualGradient.empty(kind, critic_identity=critic.identity)
+            failure = f"critique failed: {exc}"
+        if not gradient.is_empty:
+            try:
+                expanded = apply_gradient(section, gradient)
+                cleaned = _dedup(expanded, critic, config, consolidate_template)
+                landed, truncated = _truncate_to_token_budget(cleaned, config.max_section_tokens)
+            except (TagCollision, ConsolidationRejected, BackendError) as exc:
+                logger.warning("update failed for %s: %s", kind.display_name, exc)
+                landed = section
+                failure = f"update failed: {exc}"
+        # Only the directives appended to the incoming section are new to count.
+        old_lines, old_keys = _line_keys(section.content)
+        new_lines, new_keys = _line_keys(expanded.content[len(section.content):])
+        landed_lines, landed_keys = _line_keys(landed.content)
+        keys = old_keys + new_keys
+        return landed, SectionUpdate(
+            gradient=gradient,
+            failure=failure,
+            duplicates_before=len(keys) - len(set(keys)),
+            duplicates_after=len(landed_keys) - len(set(landed_keys)),
+            removed=max(0, old_lines + new_lines - landed_lines - truncated),
+            truncated=truncated,
+        )
 
     outcomes = dict(zip(order, fan_out(update, order, config.concurrency_width)))
     next_state = PromptState(
@@ -243,8 +287,8 @@ def step(
     )
     return StepResult(
         state=next_state,
-        gradients=tuple(outcomes[kind][1] for kind in CANONICAL_ORDER),
-        failures=tuple((kind, outcomes[kind][2]) for kind in order if outcomes[kind][2]),
+        updates=tuple(outcomes[kind][1] for kind in CANONICAL_ORDER),
+        process_order=order,
     )
 
 
@@ -272,22 +316,19 @@ def _lexical_pass(section: Section) -> Section:
 class RunHistory:
     """Full trajectory of a refinement run.
 
-    ``states`` has one more entry than ``gradients``: state ``t`` plus
-    gradient round ``t`` produce state ``t + 1``, and the digest chain ties
-    each state to its parent.
+    ``states`` has one more entry than ``updates``: state ``t`` plus update
+    round ``t`` produce state ``t + 1``, and the digest chain ties each state
+    to its parent.
     """
 
     states: tuple[PromptState, ...]
-    gradients: tuple[tuple[TextualGradient, ...], ...]
-    failures: tuple[tuple[tuple[SectionKind, str], ...], ...] = ()
+    updates: tuple[tuple[SectionUpdate, ...], ...]
 
     def __post_init__(self) -> None:
         if not self.states:
             raise ValueError("history needs at least an initial state")
-        if len(self.gradients) != len(self.states) - 1:
-            raise ValueError("need exactly one gradient round per transition")
-        if self.failures and len(self.failures) != len(self.gradients):
-            raise ValueError("need one failure list per gradient round")
+        if len(self.updates) != len(self.states) - 1:
+            raise ValueError("need exactly one update round per transition")
         for index, state in enumerate(self.states):
             if state.iteration != index:
                 raise ValueError(f"state {index} has iteration {state.iteration}")
@@ -304,11 +345,22 @@ class RunHistory:
 
     @property
     def iterations(self) -> int:
-        return len(self.gradients)
+        return len(self.updates)
 
     @property
     def digests(self) -> tuple[str, ...]:
         return tuple(state.digest for state in self.states)
+
+    @property
+    def gradients(self) -> tuple[tuple[TextualGradient, ...], ...]:
+        return tuple(tuple(update.gradient for update in round_) for round_ in self.updates)
+
+    @property
+    def failures(self) -> tuple[tuple[tuple[SectionKind, str], ...], ...]:
+        return tuple(
+            tuple((u.gradient.target, u.failure) for u in round_ if u.failure)
+            for round_ in self.updates
+        )
 
 
 def optimize(
@@ -318,7 +370,6 @@ def optimize(
     *,
     gradient_template: PromptTemplate | None = None,
     consolidate_template: PromptTemplate | None = None,
-    failure_examples: str = "",
 ) -> RunHistory:
     """Run the full refinement loop from an initial prompt.
 
@@ -330,8 +381,7 @@ def optimize(
     if initial.iteration != 0:
         raise ValueError("initial state must have iteration 0")
     states = [initial]
-    gradient_rounds: list[tuple[TextualGradient, ...]] = []
-    failure_rounds: list[tuple[tuple[SectionKind, str], ...]] = []
+    rounds: list[tuple[SectionUpdate, ...]] = []
     for _ in range(config.iterations):
         try:
             result = step(
@@ -340,25 +390,15 @@ def optimize(
                 config,
                 gradient_template=gradient_template,
                 consolidate_template=consolidate_template,
-                failure_examples=failure_examples,
             )
         except Exception as exc:
-            partial = RunHistory(
-                states=tuple(states),
-                gradients=tuple(gradient_rounds),
-                failures=tuple(failure_rounds),
-            )
+            partial = RunHistory(states=tuple(states), updates=tuple(rounds))
             raise OptimizationAborted(
-                f"run aborted at iteration {len(gradient_rounds)}: {exc}", partial, exc
+                f"run aborted at iteration {len(rounds)}: {exc}", partial, exc
             ) from exc
         states.append(result.state)
-        gradient_rounds.append(result.gradients)
-        failure_rounds.append(result.failures)
-    return RunHistory(
-        states=tuple(states),
-        gradients=tuple(gradient_rounds),
-        failures=tuple(failure_rounds),
-    )
+        rounds.append(result.updates)
+    return RunHistory(states=tuple(states), updates=tuple(rounds))
 
 
 def baseline_global_step(
@@ -413,69 +453,37 @@ class GrowthReport:
     duplicates_before: tuple[int, ...]
     duplicates_after: tuple[int, ...]
     lines_removed: tuple[int, ...]
+    lines_truncated: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "section_tokens": [
-                {kind.value: tokens for kind, tokens in per_state.items()}
-                for per_state in self.section_tokens
-            ],
-            "total_tokens": list(self.total_tokens),
-            "token_deltas": list(self.token_deltas),
-            "duplicates_before": list(self.duplicates_before),
-            "duplicates_after": list(self.duplicates_after),
-            "lines_removed": list(self.lines_removed),
-        }
+        data = {name: list(values) for name, values in vars(self).items()}
+        data["section_tokens"] = [
+            {kind.value: tokens for kind, tokens in per_state.items()}
+            for per_state in self.section_tokens
+        ]
+        return data
 
 
 def growth_metrics(history: RunHistory) -> GrowthReport:
-    """Measure how the prompt grew and how much de-duplication clawed back.
+    """Measure how the prompt grew and how much cleanup clawed back.
 
-    Pure function of the history: the pre-cleanup text is reconstructed by
-    re-applying each recorded gradient to its source state.
+    Token counts come from the states; duplication and line counts are
+    per-round sums over the :class:`SectionUpdate` records.
     """
-    section_tokens = tuple(
-        {section.kind: section.token_count for section in state.sections}
-        for state in history.states
-    )
     totals = tuple(state.total_tokens for state in history.states)
-    deltas = tuple(totals[i + 1] - totals[i] for i in range(len(totals) - 1))
 
-    duplicates_before: list[int] = []
-    duplicates_after: list[int] = []
-    lines_removed: list[int] = []
-    for index, gradient_round in enumerate(history.gradients):
-        before_state = history.states[index]
-        after_state = history.states[index + 1]
-        before_dups = 0
-        after_dups = 0
-        removed = 0
-        for gradient in gradient_round:
-            source = before_state.section(gradient.target)
-            final = after_state.section(gradient.target)
-            try:
-                expanded = apply_gradient(source, gradient)
-            except (TagCollision, TargetMismatch):
-                expanded = source
-            before_dups += duplicate_line_count(expanded.content)
-            after_dups += duplicate_line_count(final.content)
-            removed += max(
-                0,
-                _nonblank_lines(expanded.content) - _nonblank_lines(final.content),
-            )
-        duplicates_before.append(before_dups)
-        duplicates_after.append(after_dups)
-        lines_removed.append(removed)
+    def per_round(name: str) -> tuple[int, ...]:
+        return tuple(sum(getattr(update, name) for update in round_) for round_ in history.updates)
 
     return GrowthReport(
-        section_tokens=section_tokens,
+        section_tokens=tuple(
+            {section.kind: section.token_count for section in state.sections}
+            for state in history.states
+        ),
         total_tokens=totals,
-        token_deltas=deltas,
-        duplicates_before=tuple(duplicates_before),
-        duplicates_after=tuple(duplicates_after),
-        lines_removed=tuple(lines_removed),
+        token_deltas=tuple(after - before for before, after in zip(totals, totals[1:])),
+        duplicates_before=per_round("duplicates_before"),
+        duplicates_after=per_round("duplicates_after"),
+        lines_removed=per_round("removed"),
+        lines_truncated=per_round("truncated"),
     )
-
-
-def _nonblank_lines(content: str) -> int:
-    return sum(1 for line in content.splitlines() if line.strip())

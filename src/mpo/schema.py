@@ -4,25 +4,17 @@ A prompt is held as exactly five sections with fixed roles: system role,
 relevant context, task details, constraints, and output format.  The set of
 sections and their order never change at runtime; optimization only rewrites
 what is inside them.  This module owns the wire format (angle-bracket tags,
-one per line), parsing, rendering, per-section diffing, and the decomposition
-of free-form prompts into the schema.
+one per line), parsing, rendering, and per-section diffing.
 """
 
 from __future__ import annotations
 
 import difflib
 import hashlib
-import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    from .backends import CriticBackend
-    from .templating import PromptTemplate
-
-logger = logging.getLogger(__name__)
+from typing import Iterable
 
 
 class SchemaError(Exception):
@@ -43,14 +35,6 @@ class UntaggedLeadingContent(SchemaError):
 
 class TagCollision(SchemaError):
     """Section content contains a schema tag string and would not re-parse."""
-
-
-class EmptyInput(SchemaError):
-    """Decomposition was asked to work on an empty prompt."""
-
-
-class ExtractorFailure(SchemaError):
-    """The decomposition backend failed or returned unusable output."""
 
 
 class SectionKind(Enum):
@@ -218,17 +202,6 @@ class PromptState:
 
     def contents(self) -> dict[SectionKind, str]:
         return {section.kind: section.content for section in self.sections}
-
-    def content_equal(self, other: "PromptState") -> bool:
-        return self.contents() == other.contents()
-
-    def replace_section(self, section: Section) -> "PromptState":
-        """Same state with one section swapped; iteration and lineage kept."""
-        updated = tuple(
-            section if existing.kind is section.kind else existing
-            for existing in self.sections
-        )
-        return PromptState(updated, self.iteration, self.parent_digest)
 
     @property
     def digest(self) -> str:
@@ -433,100 +406,3 @@ def diff_states(a: PromptState, b: PromptState) -> DiffReport:
             )
         )
     return DiffReport(tuple(sections))
-
-
-# ---------------------------------------------------------------------------
-# Decomposition of unstructured prompts
-
-
-def _words(text: str) -> set[str]:
-    return set(re.findall(r"\w+", text.lower()))
-
-
-def vocabulary_violations(
-    state: PromptState, source: str
-) -> dict[SectionKind, tuple[str, ...]]:
-    """Words used by the state's sections that do not occur in ``source``.
-
-    Decomposition must not introduce new task information; this is the
-    auditable approximation of that rule.
-    """
-    vocab = _words(source)
-    violations: dict[SectionKind, tuple[str, ...]] = {}
-    for section in state.sections:
-        extra = sorted(_words(section.content) - vocab)
-        if extra:
-            violations[section.kind] = tuple(extra)
-    return violations
-
-
-def _appears_verbatim(content: str, source: str) -> bool:
-    """Every non-blank content line occurs verbatim in the source text."""
-    return all(
-        line.strip() in source for line in content.splitlines() if line.strip()
-    )
-
-
-def decompose_unstructured(
-    text: str,
-    extractor: "CriticBackend",
-    template: "PromptTemplate | None" = None,
-) -> PromptState:
-    """Split a free-form prompt into the five-section schema.
-
-    Already-tagged input is parsed directly and the extractor is never
-    called.  Otherwise the extractor receives the prompt wrapped in an
-    instruction template and must reply with tagged text, which is parsed
-    into the state.  Sections whose lines all occur verbatim in the source
-    keep ``Provenance.ORIGINAL``; anything else is marked ``INFERRED``.
-    Content words absent from the source are logged as a warning, never
-    asserted: a live extractor may paraphrase, a deterministic one must not.
-    """
-    from .backends import BackendError, ChatTurn, GenerationParams
-    from .templating import default_template
-
-    if not text.strip():
-        raise EmptyInput("cannot decompose an empty prompt")
-    try:
-        return parse_structured_prompt(text)
-    except SchemaError as exc:
-        if TAG_STRING_RE.search(text):
-            logger.warning(
-                "input contains section tags but is not a well-formed structured "
-                "prompt (%s); treating it as free-form text",
-                exc,
-            )
-
-    template = template or default_template("decompose")
-    filled = template.fill(PROMPT=text)
-    try:
-        response = extractor.complete(
-            (ChatTurn("user", filled),), GenerationParams(max_output_tokens=1024)
-        )
-    except BackendError as exc:
-        raise ExtractorFailure(f"extractor backend failed: {exc}") from exc
-    try:
-        parsed = parse_structured_prompt(strip_code_fences(response))
-    except SchemaError as exc:
-        raise ExtractorFailure(
-            f"extractor response is not a tagged prompt: {exc}"
-        ) from exc
-
-    sections = []
-    for section in parsed.sections:
-        provenance = (
-            Provenance.ORIGINAL
-            if _appears_verbatim(section.content, text)
-            else Provenance.INFERRED
-        )
-        sections.append(Section(section.kind, section.content, provenance))
-    state = PromptState.from_sections(sections)
-
-    violations = vocabulary_violations(state, text)
-    for kind, extra in violations.items():
-        logger.warning(
-            "decomposition introduced words absent from the source in %s: %s",
-            kind.display_name,
-            ", ".join(extra[:10]),
-        )
-    return state

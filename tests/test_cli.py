@@ -321,6 +321,50 @@ class TestOptimize:
         history_lines = (out / "history.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(history_lines) == 2
 
+    def test_seed_transcript_still_replays(self, data_dir, tmp_path, capsys):
+        # Recorded with --mock --record --dedup lexical_then_llm --iterations 2
+        # while the gradient template still had a {FAILURE_EXAMPLES} line;
+        # every request digest must still match.
+        seed = data_dir / "seed_run"
+        out = tmp_path / "replayed"
+        args = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--dedup", "lexical_then_llm"]
+        args += ["--iterations", "2", "--replay", str(seed / "transcript.jsonl"), "--out", str(out)]
+        assert main(args) == 0
+        assert (out / "final_prompt.txt").read_bytes() == (seed / "final_prompt.txt").read_bytes()
+
+    def test_interrupted_run_keeps_transcript(self, tagged_file, tmp_path, monkeypatch):
+        class InterruptedCritic(MockCritic):
+            calls = 0
+
+            def complete(self, turns, params):
+                InterruptedCritic.calls += 1
+                if InterruptedCritic.calls == 3:
+                    raise KeyboardInterrupt
+                return super().complete(turns, params)
+
+        monkeypatch.setattr("mpo.cli.MockCritic", InterruptedCritic)
+        out = tmp_path / "run"
+        args = ["optimize", str(tagged_file), "--record", "--concurrency", "1", "--out", str(out)]
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+        assert len(Transcript.load(out / "transcript.jsonl")) == 2
+
+    def test_metrics_split_cleanup_from_truncation(self, tagged_file, tmp_path, capsys):
+        config = tmp_path / "budget.ini"
+        config.write_text("[optimizer]\nmax_section_tokens = 40\n", encoding="utf-8")
+        out = tmp_path / "run"
+        args = ["optimize", str(tagged_file), "--config", str(config), "--iterations", "3"]
+        assert main(args + ["--out", str(out)]) == 0
+        growth = json.loads((out / "metrics.json").read_text(encoding="utf-8"))["growth"]
+        assert growth["lines_removed"] == [0, 2, 4]
+        assert growth["lines_truncated"] == [12, 1, 1]
+        # Before the split, lines_removed counted both: [12, 3, 5] for this run.
+        combined = zip(growth["lines_removed"], growth["lines_truncated"])
+        assert [removed + truncated for removed, truncated in combined] == [12, 3, 5]
+        rounds = [json.loads(line) for line in (out / "gradients.jsonl").read_text().splitlines()]
+        for key, per_round in (("removed", "lines_removed"), ("truncated", "lines_truncated")):
+            assert [sum(g[key] for g in r["gradients"]) for r in rounds] == growth[per_round]
+
 
 class TestEval:
     def test_mock_eval_prints_accuracy(self, tagged_file, dataset_file, tmp_path, capsys):

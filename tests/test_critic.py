@@ -86,25 +86,17 @@ class TestRequestGradient:
         gradient = request_gradient(ScriptedBackend(""), section, "ctx")
         assert gradient.is_empty
 
-    def test_custom_template_and_failure_examples(self):
+    def test_custom_template(self):
         captured: dict = {}
 
         def reply(turns, params):
             captured["prompt"] = turns[-1].content
             return "one line"
 
-        template = PromptTemplate(
-            "{SECTION_KIND}|{SECTION_CONTENT}|{CONTEXT}|{FAILURE_EXAMPLES}"
-        )
+        template = PromptTemplate("{SECTION_KIND}|{SECTION_CONTENT}|{CONTEXT}")
         section = Section(SectionKind.OUTPUT_FORMAT, "Reply tersely.")
-        request_gradient(
-            ScriptedBackend(reply),
-            section,
-            "ctx",
-            template=template,
-            failure_examples="Q1 went wrong",
-        )
-        assert captured["prompt"] == "Output Format|Reply tersely.|ctx|Q1 went wrong"
+        request_gradient(ScriptedBackend(reply), section, "ctx", template=template)
+        assert captured["prompt"] == "Output Format|Reply tersely.|ctx"
 
 
 class TestConsolidate:

@@ -268,6 +268,31 @@ class TestStep:
         assert section.content.splitlines()[0] == "Be brief."
         assert any("truncated" in message for message in caplog.messages)
 
+    def test_update_record_separates_dedup_from_truncation(self, build_state):
+        state = build_state(constraints="Be brief.")
+        rules = "\n".join(f"Rule number {i} applies." for i in range(20))
+        critic = section_critic({SectionKind.CONSTRAINTS: f"Be brief.\n{rules}"})
+        result = step(state, critic, OptimizerConfig(max_section_tokens=10))
+        # The budget keeps the oldest lines, so the newest directives are cut.
+        assert result.state.section(SectionKind.CONSTRAINTS).content == (
+            "Be brief.\n\nRule number 0 applies.\nRule number 1 applies."
+        )
+        record = result.updates[CANONICAL_ORDER.index(SectionKind.CONSTRAINTS)]
+        assert record.failure is None
+        assert (record.duplicates_before, record.duplicates_after) == (1, 0)
+        assert (record.removed, record.truncated) == (1, 18)
+        report = growth_metrics(RunHistory(states=(state, result.state), updates=(result.updates,)))
+        # Before the split, lines_removed reported the sum, 19.
+        assert (report.lines_removed, report.lines_truncated) == ((1,), (18,))
+
+    def test_failed_update_record(self, build_state):
+        state = build_state(constraints="Be brief.")
+        critic = section_critic({SectionKind.CONSTRAINTS: "Add a <Task> marker.\nBe brief."})
+        record = step(state, critic).updates[CANONICAL_ORDER.index(SectionKind.CONSTRAINTS)]
+        assert record.failure.startswith("update failed:")
+        assert record.gradient.directives == ("Add a <Task> marker.", "Be brief.")
+        assert (record.duplicates_before, record.removed, record.truncated) == (0, 0, 0)
+
     def test_process_order_does_not_change_result(self, build_state):
         state = build_state(
             system_role="You are a quiz assistant.",
@@ -429,13 +454,13 @@ class TestRunHistory:
 
     def test_gradient_count_must_match(self, build_state):
         state, result = self._two_states(build_state)
-        with pytest.raises(ValueError, match="gradient round"):
-            RunHistory(states=(state, result.state), gradients=())
+        with pytest.raises(ValueError, match="update round"):
+            RunHistory(states=(state, result.state), updates=())
 
     def test_iteration_indices_checked(self, build_state):
         state, result = self._two_states(build_state)
         with pytest.raises(ValueError, match="iteration"):
-            RunHistory(states=(result.state,), gradients=())
+            RunHistory(states=(result.state,), updates=())
 
     def test_digest_chain_checked(self, build_state):
         state, result = self._two_states(build_state)
@@ -445,11 +470,11 @@ class TestRunHistory:
             parent_digest="0" * 64,
         )
         with pytest.raises(ValueError, match="chain"):
-            RunHistory(states=(state, stranger), gradients=(result.gradients,))
+            RunHistory(states=(state, stranger), updates=(result.updates,))
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            RunHistory(states=(), gradients=())
+            RunHistory(states=(), updates=())
 
 
 class TestBaselineGlobalStep:

@@ -23,15 +23,15 @@ from mpo import (
     SectionKind,
     TagCollision,
     UntaggedLeadingContent,
-    decompose_unstructured,
     diff_states,
     parse_structured_prompt,
     render_prompt,
     section_context,
     token_count,
 )
+from mpo.decompose import decompose_unstructured, vocabulary_violations
 from mpo.mocks import HeadingRuleExtractor
-from mpo.schema import strip_code_fences, strip_tag_strings, vocabulary_violations
+from mpo.schema import strip_code_fences, strip_tag_strings
 
 
 class TestSection:
@@ -95,12 +95,6 @@ class TestPromptState:
         with pytest.raises(SchemaError):
             PromptState(state.sections, iteration=-1)
 
-    def test_replace_section_keeps_lineage(self, build_state):
-        state = PromptState(build_state(task_details="old").sections, iteration=2, parent_digest="abc")
-        updated = state.replace_section(Section(SectionKind.TASK_DETAILS, "new"))
-        assert updated.section(SectionKind.TASK_DETAILS).content == "new"
-        assert (updated.iteration, updated.parent_digest) == (2, "abc")
-
     def test_digest_tracks_content_not_provenance(self, build_state):
         plain = build_state(task_details="same")
         refined = PromptState.from_sections(
@@ -108,7 +102,7 @@ class TestPromptState:
         )
         assert plain.digest == refined.digest
         assert plain.digest != build_state(task_details="changed").digest
-        assert plain.content_equal(refined)
+        assert plain.contents() == refined.contents()
 
     def test_total_tokens(self, build_state):
         state = build_state(system_role="a b", constraints="c d e")
@@ -201,7 +195,7 @@ class TestRender:
     @given(state=strategies.prompt_states())
     def test_round_trip_identity(self, state):
         parsed = parse_structured_prompt(render_prompt(state))
-        assert parsed.content_equal(state)
+        assert parsed.contents() == state.contents()
 
     @settings(max_examples=50)
     @given(state=strategies.prompt_states())
@@ -301,7 +295,7 @@ class _ExplodingBackend(ScriptedBackend):
 class TestDecompose:
     def test_tagged_input_bypasses_extractor(self, tagged_prompt_text, tagged_prompt):
         state = decompose_unstructured(tagged_prompt_text, _ExplodingBackend())
-        assert state.content_equal(tagged_prompt)
+        assert state.contents() == tagged_prompt.contents()
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):

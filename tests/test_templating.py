@@ -68,7 +68,6 @@ def test_builtin_placeholder_sets():
         "SECTION_KIND",
         "SECTION_CONTENT",
         "CONTEXT",
-        "FAILURE_EXAMPLES",
     }
     assert default_template("consolidate").placeholders == {"SECTION_KIND", "SECTION_CONTENT"}
     assert default_template("decompose").placeholders == {"PROMPT"}
