@@ -318,8 +318,9 @@ class HTTPBackend(CriticBackend):
     """Live backend for OpenAI-compatible chat-completion endpoints.
 
     POSTs to ``{base_url}/v1/chat/completions`` with a bearer token.  Retries
-    transport failures and 5xx responses up to three attempts with exponential
-    backoff (1s then 2s); other HTTP errors fail immediately.
+    transport failures, 429 and 5xx responses up to three attempts with
+    exponential backoff (1s then 2s), or after the response's ``Retry-After``
+    seconds when it gives them; other HTTP errors fail immediately.
     """
 
     name = "http"
@@ -363,10 +364,11 @@ class HTTPBackend(CriticBackend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        last_error: str = ""
+        last_error, delay = "", 0.0
         for attempt in range(self.max_attempts):
             if attempt:
-                self._sleep(self.backoff_base * 2 ** (attempt - 1))
+                self._sleep(delay)
+            delay = self.backoff_base * 2**attempt
             try:
                 response = self._session.post(
                     url, json=body, headers=headers, timeout=self.timeout
@@ -375,8 +377,11 @@ class HTTPBackend(CriticBackend):
                 last_error = f"transport error: {exc}"
                 logger.warning("attempt %d/%d failed: %s", attempt + 1, self.max_attempts, last_error)
                 continue
-            if response.status_code >= 500:
-                last_error = f"server error {response.status_code}"
+            if response.status_code == 429 or response.status_code >= 500:
+                last_error = f"status {response.status_code}"
+                retry_after = response.headers.get("Retry-After", "").strip()
+                if retry_after.isdecimal():
+                    delay = float(retry_after)
                 logger.warning("attempt %d/%d failed: %s", attempt + 1, self.max_attempts, last_error)
                 continue
             if response.status_code != 200:

@@ -36,7 +36,6 @@ from .schema import (
     section_context,
     strip_code_fences,
     strip_tag_strings,
-    token_count,
 )
 from .templating import PromptTemplate, default_template
 
@@ -158,25 +157,27 @@ def _truncate_to_token_budget(section: Section, budget: int) -> tuple[Section, i
 
     Once a section reaches the budget, every later directive is cut. Returns
     the section and the number of non-blank lines cut, which the section's
-    :class:`SectionUpdate` reports as ``truncated``.
+    :class:`SectionUpdate` reports as ``truncated``. The cut costs one split
+    per popped line, since a newline never joins two tokens.
     """
     if section.token_count <= budget:
         return section, 0
     lines = section.content.splitlines()
-    cut = 0
-    while len(lines) > 1 and token_count("\n".join(lines)) > budget:
-        cut += bool(lines.pop().strip())
+    tokens, cut = section.token_count, 0
+    while len(lines) > 1 and tokens > budget:
+        line = lines.pop()
+        tokens -= len(line.split())
+        cut += bool(line.strip())
     while lines and not lines[-1].strip():
         lines.pop()
-    truncated = "\n".join(lines)
     logger.warning(
         "section %s exceeded %d tokens, truncated from %d to %d",
         section.kind.display_name,
         budget,
         section.token_count,
-        token_count(truncated),
+        tokens,
     )
-    return Section(kind=section.kind, content=truncated, provenance=section.provenance), cut
+    return Section(section.kind, "\n".join(lines), section.provenance), cut
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ one per line), parsing, rendering, and per-section diffing.
 from __future__ import annotations
 
 import difflib
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -135,23 +136,28 @@ class Section:
                 f"{self.kind.display_name} content contains the tag string "
                 f"{match.group(0)!r}"
             )
-        # A line the parser would read as a section tag must not hide in
-        # content, or the section would not survive a render/parse cycle.
-        for line in self.content.splitlines():
-            if _parse_tag_line(line.strip()) is not None:
-                raise TagCollision(
-                    f"{self.kind.display_name} content contains a line that "
-                    f"parses as the {line.strip()!r} tag"
-                )
+        # A line the parser would read as a section tag (so it holds a "<") must
+        # not hide in content, or the section would not survive a render/parse cycle.
+        if "<" in self.content:
+            for line in self.content.splitlines():
+                if _parse_tag_line(line.strip()) is not None:
+                    raise TagCollision(
+                        f"{self.kind.display_name} content contains a line that "
+                        f"parses as the {line.strip()!r} tag"
+                    )
 
     @property
     def is_empty(self) -> bool:
         return not self.content
 
-    @property
+    @functools.cached_property
     def token_count(self) -> int:
-        """Whitespace-delimited token count (a model-independent proxy)."""
+        """Whitespace-delimited token count (a model-independent proxy), counted
+        once; the cache is no field, and pickling drops it (``__getstate__``)."""
         return len(self.content.split())
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "token_count"}
 
 
 @dataclass(frozen=True)

@@ -237,9 +237,10 @@ class TestFanOut:
 
 
 class _Script(BaseHTTPRequestHandler):
-    """Serves scripted (status, body) pairs and captures requests."""
+    """Serves scripted (status, body) or (status, body, headers) entries and
+    captures requests."""
 
-    script: list[tuple[int, dict]] = []
+    script: list[tuple] = []
     seen: list[dict] = []
 
     def do_POST(self):
@@ -248,11 +249,13 @@ class _Script(BaseHTTPRequestHandler):
         type(self).seen.append(
             {"path": self.path, "body": body, "auth": self.headers.get("Authorization")}
         )
-        status, payload = (
+        status, payload, *extra = (
             self.script.pop(0) if self.script else (500, {"error": "script exhausted"})
         )
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -320,6 +323,33 @@ class TestHTTPBackend:
         script.script.extend([(500, {}), (500, {}), (500, {})])
         with pytest.raises(BackendError, match="after 3 attempts"):
             self._backend(base_url).complete(TURNS, PARAMS)
+        assert len(script.seen) == 3
+
+    def test_rate_limit_honours_retry_after(self, http_server):
+        base_url, script = http_server
+        script.script.extend([(429, {}, {"Retry-After": "3"}), _ok("after the wait")])
+        sleeps: list[float] = []
+        backend = self._backend(base_url, sleep=sleeps.append)
+        assert backend.complete(TURNS, PARAMS) == "after the wait"
+        assert sleeps == [3.0]
+        assert len(script.seen) == 2
+
+    @pytest.mark.parametrize("headers", [{}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}])
+    def test_rate_limit_without_delta_seconds_backs_off(self, http_server, headers):
+        base_url, script = http_server
+        script.script.extend([(429, {}, headers), (429, {}, headers), _ok("third time")])
+        sleeps: list[float] = []
+        backend = self._backend(base_url, sleep=sleeps.append)
+        assert backend.complete(TURNS, PARAMS) == "third time"
+        assert sleeps == [1.0, 2.0]
+
+    def test_rate_limit_gives_up_after_three_attempts(self, http_server):
+        base_url, script = http_server
+        script.script.extend([(429, {}, {"Retry-After": "0"})] * 3)
+        sleeps: list[float] = []
+        with pytest.raises(BackendError, match="after 3 attempts: status 429"):
+            self._backend(base_url, sleep=sleeps.append).complete(TURNS, PARAMS)
+        assert sleeps == [0.0, 0.0]
         assert len(script.seen) == 3
 
     def test_client_errors_never_retry(self, http_server):

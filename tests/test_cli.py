@@ -349,6 +349,34 @@ class TestOptimize:
             main(args)
         assert len(Transcript.load(out / "transcript.jsonl")) == 2
 
+    @pytest.mark.parametrize("dedup, extra", [("lexical", []), ("llm", ["--concurrency", "5"])])
+    def test_budget_run_matches_pinned_artifacts(
+        self, data_dir, tmp_path, capsys, caplog, dedup, extra
+    ):
+        # Recorded with `mpo optimize tests/data/multi_task_tagged.txt --mock
+        # --iterations 3` and `[optimizer] max_section_tokens = 40`, while the
+        # budget cut still re-counted the whole section after every popped line.
+        config = tmp_path / "budget.ini"
+        config.write_text("[optimizer]\nmax_section_tokens = 40\n", encoding="utf-8")
+        out = tmp_path / dedup
+        args = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--mock", "--iterations", "3"]
+        args += ["--config", str(config), "--dedup", dedup, *extra, "--out", str(out)]
+        with caplog.at_level("WARNING", logger="mpo.optimizer"):
+            assert main(args) == 0
+        pinned = data_dir / "budget_run" / dedup
+        for name in ("history.jsonl", "gradients.jsonl", "metrics.json", "final_prompt.txt"):
+            assert (out / name).read_bytes() == (pinned / name).read_bytes(), name
+        cuts = [m for m in caplog.messages if "truncated from" in m]
+        assert sorted(cuts) == sorted(
+            [
+                "section Task Details exceeded 40 tokens, truncated from 61 to 30",
+                "section Constraints exceeded 40 tokens, truncated from 113 to 22",
+                "section Output Format exceeded 40 tokens, truncated from 66 to 40",
+                "section Output Format exceeded 40 tokens, truncated from 55 to 40",
+                "section Output Format exceeded 40 tokens, truncated from 55 to 40",
+            ]
+        )
+
     def test_metrics_split_cleanup_from_truncation(self, tagged_file, tmp_path, capsys):
         config = tmp_path / "budget.ini"
         config.write_text("[optimizer]\nmax_section_tokens = 40\n", encoding="utf-8")
