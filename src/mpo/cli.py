@@ -339,6 +339,7 @@ def _gradient_line(index: int, updates: tuple[SectionUpdate, ...], failures) -> 
                 "critic_identity": update.gradient.critic_identity,
                 "removed": update.removed,
                 "truncated": update.truncated,
+                "saturated": update.saturated,
             }
             for update in updates
         ],
@@ -405,6 +406,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     initial, final = history.initial, history.final
     print(f"iterations: {history.iterations}")
     print(f"tokens: {initial.total_tokens} -> {final.total_tokens}")
+    skipped = sum(update.saturated for round_ in history.updates for update in round_)
+    print(f"saturated section updates (not critiqued): {skipped}")
     print(f"final digest: {final.digest}")
     print(f"wrote {out_dir}")
     return 0

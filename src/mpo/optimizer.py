@@ -3,9 +3,9 @@
 One step critiques every section of the current prompt against that same
 prompt (no section sees a neighbour's update from the current round), appends
 the resulting directives to each section, de-duplicates, and assembles the
-next prompt. Sections whose critique or cleanup fails carry over unchanged;
-the step never loses a section and never touches a section whose critique
-came back empty.
+next prompt. Sections whose critique or cleanup fails, and sections saturated
+at the token budget, carry over unchanged; the step never loses a section and
+never touches a section whose critique came back empty.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def _truncate_to_token_budget(section: Section, budget: int) -> tuple[Section, i
     """Keep the oldest lines: cut from the end, where the newest directives
     sit, at line boundaries until the section fits; always keep one line.
 
-    Once a section reaches the budget, every later directive is cut. Returns
+    A section this cuts is saturated from the next round on. Returns
     the section and the number of non-blank lines cut, which the section's
     :class:`SectionUpdate` reports as ``truncated``. The cut costs one split
     per popped line, since a newline never joins two tokens.
@@ -189,6 +189,8 @@ class SectionUpdate:
     appended, ``duplicates_after`` in the section that landed. ``removed``
     counts the non-blank lines that dedup or consolidation dropped (a failed
     update drops every appended line), ``truncated`` those the token budget cut.
+    ``saturated`` marks a section that was not critiqued because it sat at
+    the budget (see :func:`step`); it carried over unchanged, not failed.
     """
 
     gradient: TextualGradient
@@ -197,6 +199,7 @@ class SectionUpdate:
     duplicates_after: int
     removed: int
     truncated: int
+    saturated: bool = False
 
 
 @dataclass(frozen=True)
@@ -231,6 +234,7 @@ def step(
     gradient_template: PromptTemplate | None = None,
     consolidate_template: PromptTemplate | None = None,
     process_order: tuple[SectionKind, ...] | None = None,
+    saturated: frozenset[SectionKind] = frozenset(),
 ) -> StepResult:
     """Advance the prompt by one refinement round.
 
@@ -239,14 +243,26 @@ def step(
     consolidation starts as soon as its own critique returns. All critiques
     read the incoming state, so the result is independent of processing
     order and width; ``process_order`` exists to let tests check exactly that.
+
+    A saturated section (listed in ``saturated``, or coming in at
+    ``config.max_section_tokens`` or above) is neither critiqued nor
+    consolidated, since the budget, which keeps the oldest lines, would cut
+    its directives.
     """
     config = config or OptimizerConfig()
     order = process_order or CANONICAL_ORDER
     if sorted(order, key=list(CANONICAL_ORDER).index) != list(CANONICAL_ORDER):
         raise ValueError("process_order must be a permutation of the section kinds")
+    budget = config.max_section_tokens
+    saturated = saturated | {k for k in order if state.section(k).token_count >= budget}
 
     def update(kind: SectionKind) -> tuple[Section, SectionUpdate]:
         section = state.section(kind)
+        if kind in saturated:
+            duplicates = duplicate_line_count(section.content)
+            gradient = TextualGradient.empty(kind, critic_identity=critic.identity)
+            record = SectionUpdate(gradient, None, duplicates, duplicates, 0, 0, saturated=True)
+            return section, record
         expanded = landed = section
         failure, truncated = None, 0
         try:
@@ -261,7 +277,7 @@ def step(
             try:
                 expanded = apply_gradient(section, gradient)
                 cleaned = _dedup(expanded, critic, config, consolidate_template)
-                landed, truncated = _truncate_to_token_budget(cleaned, config.max_section_tokens)
+                landed, truncated = _truncate_to_token_budget(cleaned, budget)
             except (TagCollision, ConsolidationRejected, BackendError) as exc:
                 logger.warning("update failed for %s: %s", kind.display_name, exc)
                 landed = section
@@ -376,13 +392,15 @@ def optimize(
 
     Per-section failures are absorbed by :func:`step`; anything else (replay
     divergence, a corrupt state) aborts the run with the partial history
-    attached for inspection.
+    attached for inspection. A section the budget cut or skipped in one
+    round is passed to the next as saturated.
     """
     config = config or OptimizerConfig()
     if initial.iteration != 0:
         raise ValueError("initial state must have iteration 0")
     states = [initial]
     rounds: list[tuple[SectionUpdate, ...]] = []
+    saturated: frozenset[SectionKind] = frozenset()
     for _ in range(config.iterations):
         try:
             result = step(
@@ -391,6 +409,7 @@ def optimize(
                 config,
                 gradient_template=gradient_template,
                 consolidate_template=consolidate_template,
+                saturated=saturated,
             )
         except Exception as exc:
             partial = RunHistory(states=tuple(states), updates=tuple(rounds))
@@ -399,6 +418,9 @@ def optimize(
             ) from exc
         states.append(result.state)
         rounds.append(result.updates)
+        saturated = frozenset(
+            u.gradient.target for u in result.updates if u.saturated or u.truncated
+        )
     return RunHistory(states=tuple(states), updates=tuple(rounds))
 
 
@@ -455,6 +477,7 @@ class GrowthReport:
     duplicates_after: tuple[int, ...]
     lines_removed: tuple[int, ...]
     lines_truncated: tuple[int, ...]
+    sections_saturated: tuple[int, ...]
 
     def to_dict(self) -> dict:
         data = {name: list(values) for name, values in vars(self).items()}
@@ -487,4 +510,5 @@ def growth_metrics(history: RunHistory) -> GrowthReport:
         duplicates_after=per_round("duplicates_after"),
         lines_removed=per_round("removed"),
         lines_truncated=per_round("truncated"),
+        sections_saturated=per_round("saturated"),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from mpo import (
+    CANONICAL_ORDER,
     BackendError,
     ChatTurn,
     DedupMode,
@@ -27,9 +29,13 @@ from mpo import (
     load_dataset,
     parse_structured_prompt,
     request_digest,
+    step,
 )
+from mpo import optimizer
 from mpo.cli import BackendBundle, CLIError, build_parser, build_run_config, main
 from solvers import gold_solver, scored_solver
+
+DEDUP_RUNS = [("lexical", []), ("llm", ["--concurrency", "5"])]
 
 
 @pytest.fixture
@@ -46,6 +52,21 @@ def dataset_file(data_dir):
 
 def parse_config(argv: list[str]):
     return build_run_config(build_parser().parse_args(argv))
+
+
+def optimize_at_budget(data_dir: Path, out: Path, budget: int, *extra: str) -> Path:
+    """``mpo optimize tests/data/multi_task_tagged.txt --mock --iterations 3``
+    with ``[optimizer] max_section_tokens = <budget>``; returns ``out``."""
+    config = out.parent / f"budget{budget}.ini"
+    config.write_text(f"[optimizer]\nmax_section_tokens = {budget}\n", encoding="utf-8")
+    args = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--mock", "--iterations", "3"]
+    assert main(args + ["--config", str(config), *extra, "--out", str(out)]) == 0
+    return out
+
+
+def assert_pinned(out: Path, pinned: Path) -> None:
+    for name in ("history.jsonl", "gradients.jsonl", "metrics.json", "final_prompt.txt"):
+        assert (out / name).read_bytes() == (pinned / name).read_bytes(), name
 
 
 def record_eval(solver, prompt_path: Path, dataset_path: Path, out: Path) -> Path:
@@ -349,49 +370,92 @@ class TestOptimize:
             main(args)
         assert len(Transcript.load(out / "transcript.jsonl")) == 2
 
-    @pytest.mark.parametrize("dedup, extra", [("lexical", []), ("llm", ["--concurrency", "5"])])
+    @pytest.mark.parametrize("dedup, extra", DEDUP_RUNS)
     def test_budget_run_matches_pinned_artifacts(
         self, data_dir, tmp_path, capsys, caplog, dedup, extra
     ):
-        # Recorded with `mpo optimize tests/data/multi_task_tagged.txt --mock
-        # --iterations 3` and `[optimizer] max_section_tokens = 40`, while the
-        # budget cut still re-counted the whole section after every popped line.
-        config = tmp_path / "budget.ini"
-        config.write_text("[optimizer]\nmax_section_tokens = 40\n", encoding="utf-8")
-        out = tmp_path / dedup
-        args = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--mock", "--iterations", "3"]
-        args += ["--config", str(config), "--dedup", dedup, *extra, "--out", str(out)]
+        # Re-recorded once saturated sections stopped being critiqued: every
+        # section the budget of 40 could cut (Task Details 52, Constraints
+        # 103, Output Format 51 tokens) comes in over it, so nothing is cut.
         with caplog.at_level("WARNING", logger="mpo.optimizer"):
-            assert main(args) == 0
-        pinned = data_dir / "budget_run" / dedup
-        for name in ("history.jsonl", "gradients.jsonl", "metrics.json", "final_prompt.txt"):
-            assert (out / name).read_bytes() == (pinned / name).read_bytes(), name
-        cuts = [m for m in caplog.messages if "truncated from" in m]
-        assert sorted(cuts) == sorted(
-            [
-                "section Task Details exceeded 40 tokens, truncated from 61 to 30",
-                "section Constraints exceeded 40 tokens, truncated from 113 to 22",
-                "section Output Format exceeded 40 tokens, truncated from 66 to 40",
-                "section Output Format exceeded 40 tokens, truncated from 55 to 40",
-                "section Output Format exceeded 40 tokens, truncated from 55 to 40",
-            ]
-        )
+            out = optimize_at_budget(data_dir, tmp_path / dedup, 40, "--dedup", dedup, *extra)
+        assert_pinned(out, data_dir / "budget_run" / dedup)
+        assert [m for m in caplog.messages if "truncated from" in m] == []
 
-    def test_metrics_split_cleanup_from_truncation(self, tagged_file, tmp_path, capsys):
-        config = tmp_path / "budget.ini"
-        config.write_text("[optimizer]\nmax_section_tokens = 40\n", encoding="utf-8")
-        out = tmp_path / "run"
-        args = ["optimize", str(tagged_file), "--config", str(config), "--iterations", "3"]
-        assert main(args + ["--out", str(out)]) == 0
-        growth = json.loads((out / "metrics.json").read_text(encoding="utf-8"))["growth"]
-        assert growth["lines_removed"] == [0, 2, 4]
-        assert growth["lines_truncated"] == [12, 1, 1]
-        # Before the split, lines_removed counted both: [12, 3, 5] for this run.
-        combined = zip(growth["lines_removed"], growth["lines_truncated"])
-        assert [removed + truncated for removed, truncated in combined] == [12, 3, 5]
+    @pytest.mark.parametrize("dedup, extra", DEDUP_RUNS)
+    def test_budget_55_run_matches_pinned_artifacts(
+        self, data_dir, tmp_path, capsys, caplog, dedup, extra
+    ):
+        # At 55, System Role and Context grow under the budget, Task Details
+        # and Output Format are cut back in round 0 and saturated after it,
+        # and Constraints is saturated from the start.
+        with caplog.at_level("WARNING", logger="mpo.optimizer"):
+            out = optimize_at_budget(data_dir, tmp_path / dedup, 55, "--dedup", dedup, *extra)
+        assert_pinned(out, data_dir / "budget_run_55" / dedup)
+        assert sorted(m for m in caplog.messages if "truncated from" in m) == [
+            "section Output Format exceeded 55 tokens, truncated from 66 to 51",
+            "section Task Details exceeded 55 tokens, truncated from 61 to 52",
+        ]
         rounds = [json.loads(line) for line in (out / "gradients.jsonl").read_text().splitlines()]
-        for key, per_round in (("removed", "lines_removed"), ("truncated", "lines_truncated")):
+        saturated = [[g["target"] for g in r["gradients"] if g["saturated"]] for r in rounds]
+        assert saturated == [
+            ["constraints"],
+            ["task_details", "constraints", "output_format"],
+            ["task_details", "constraints", "output_format"],
+        ]
+
+    def test_over_budget_sections_keep_their_own_lines(self, data_dir, tmp_path, capsys, caplog):
+        # The budget used to cut 3 of Task Details' and 7 of Constraints'
+        # own lines in round 0 of this run.
+        initial = parse_structured_prompt((data_dir / "multi_task_tagged.txt").read_text())
+        with caplog.at_level("WARNING", logger="mpo.optimizer"):
+            out = optimize_at_budget(data_dir, tmp_path / "run", 40)
+        final = parse_structured_prompt((out / "final_prompt.txt").read_text(encoding="utf-8"))
+        for kind, tokens in (
+            (SectionKind.TASK_DETAILS, 52),
+            (SectionKind.CONSTRAINTS, 103),
+            (SectionKind.OUTPUT_FORMAT, 51),
+        ):
+            assert initial.section(kind).token_count == tokens
+            kept = final.section(kind).content.splitlines()
+            assert all(line in kept for line in initial.section(kind).content.splitlines())
+        assert not [m for m in caplog.messages if "truncated from" in m]
+        assert "saturated section updates (not critiqued): 9" in capsys.readouterr().out
+
+    def test_metrics_split_cleanup_from_truncation(self, data_dir, tmp_path, capsys):
+        out = optimize_at_budget(data_dir, tmp_path / "run", 55)
+        growth = json.loads((out / "metrics.json").read_text(encoding="utf-8"))["growth"]
+        assert growth["lines_removed"] == [0, 2, 2]
+        assert growth["lines_truncated"] == [2, 0, 0]
+        assert growth["sections_saturated"] == [1, 3, 3]
+        rounds = [json.loads(line) for line in (out / "gradients.jsonl").read_text().splitlines()]
+        for key, per_round in (
+            ("removed", "lines_removed"),
+            ("truncated", "lines_truncated"),
+            ("saturated", "sections_saturated"),
+        ):
             assert [sum(g[key] for g in r["gradients"]) for r in rounds] == growth[per_round]
+
+    def test_saturated_run_identical_at_any_width_and_order(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        shuffled = tuple(random.Random(7).sample(CANONICAL_ORDER, 5))
+        runs = [
+            ("width1", ["--concurrency", "1"], None),
+            ("width5", ["--concurrency", "5"], None),
+            ("reversed", [], tuple(reversed(CANONICAL_ORDER))),
+            ("shuffled", ["--concurrency", "5"], shuffled),
+        ]
+        outs = []
+        for name, extra, order in runs:
+            if order:
+                ordered = functools.partial(step, process_order=order)
+                monkeypatch.setattr(optimizer, "step", ordered)
+            outs.append(optimize_at_budget(data_dir, tmp_path / name, 55, *extra))
+            monkeypatch.undo()
+        assert b'"saturated": true' in (outs[0] / "gradients.jsonl").read_bytes()
+        for name in ("history.jsonl", "gradients.jsonl"):
+            assert len({(out / name).read_bytes() for out in outs}) == 1, name
 
 
 class TestEval:

@@ -394,6 +394,56 @@ class TestStep:
                 step(state, ScriptedBackend(reply), OptimizerConfig(concurrency_width=width))
 
 
+class TestSaturation:
+    @staticmethod
+    def counting_critic(replies: dict[SectionKind, str]) -> tuple[ScriptedBackend, list[str]]:
+        shown: list[str] = []
+        inner = section_critic(replies)
+
+        def reply(turns, params):
+            match = re.search(r"^Section name: (.+)$", turns[-1].content, re.MULTILINE)
+            shown.append(match.group(1))
+            return inner.complete(turns, params)
+
+        return ScriptedBackend(reply), shown
+
+    def test_section_at_budget_is_not_critiqued(self, build_state):
+        # 10 tokens, one repeated line: at a budget of 10 it is saturated.
+        state = build_state(constraints="Be brief.\nbe brief\nCite one source for each claim.")
+        critic, shown = self.counting_critic({SectionKind.CONSTRAINTS: "Add more rules."})
+        result = step(state, critic, OptimizerConfig(max_section_tokens=10))
+        assert "Constraints" not in shown and len(shown) == 4
+        kind = SectionKind.CONSTRAINTS
+        assert result.state.section(kind) is state.section(kind)
+        record = result.updates[CANONICAL_ORDER.index(kind)]
+        assert record.saturated and record.failure is None
+        assert record.gradient == TextualGradient.empty(kind, critic_identity=critic.identity)
+        assert (record.duplicates_before, record.duplicates_after) == (1, 1)
+        assert (record.removed, record.truncated) == (0, 0)
+        assert result.failures == ()
+        assert [u.saturated for u in result.updates] == [k is kind for k in CANONICAL_ORDER]
+
+    def test_listed_section_is_skipped_under_budget(self, build_state):
+        state = build_state(task_details="Answer each question.")
+        critic, shown = self.counting_critic({})
+        result = step(state, critic, saturated=frozenset({SectionKind.TASK_DETAILS}))
+        assert "Task Details" not in shown
+        expected = [k is SectionKind.TASK_DETAILS for k in CANONICAL_ORDER]
+        assert [u.saturated for u in result.updates] == expected
+
+    def test_cut_section_stays_saturated(self, build_state):
+        state = build_state(constraints="Be brief.")
+        rules = "Rule one applies.\nRule two applies."
+        critic, shown = self.counting_critic({SectionKind.CONSTRAINTS: rules})
+        history = optimize(state, critic, OptimizerConfig(iterations=4, max_section_tokens=7))
+        assert shown.count("Constraints") == 1
+        final = history.final.section(SectionKind.CONSTRAINTS)
+        assert final.content == "Be brief.\n\nRule one applies."
+        constraints = [r[CANONICAL_ORDER.index(SectionKind.CONSTRAINTS)] for r in history.updates]
+        assert [(u.truncated, u.saturated) for u in constraints] == [(1, False)] + [(0, True)] * 3
+        assert growth_metrics(history).sections_saturated == (0, 1, 1, 1)
+
+
 class TestOptimize:
     def test_mock_run_converges_after_first_iteration(self, build_state):
         state = build_state(task_details="Answer each question.")

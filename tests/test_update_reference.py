@@ -6,6 +6,9 @@ re-joining and re-splitting the section for every popped line, and
 reference functions below are the earlier loops, kept as they were apart
 from returning what the truncation warning logged, and each property
 requires the same result from both.
+
+``optimize`` skips sections saturated at the token budget; the reference
+round loop critiques every section in every round, as before.
 """
 
 from __future__ import annotations
@@ -13,14 +16,31 @@ from __future__ import annotations
 import dataclasses
 import logging
 import pickle
+import random
 from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as local
-from mpo import CANONICAL_ORDER, Provenance, Section, SectionKind, TagCollision, token_count
-from mpo.optimizer import _truncate_to_token_budget
+from mpo import (
+    CANONICAL_ORDER,
+    DedupMode,
+    OptimizerConfig,
+    PromptState,
+    Provenance,
+    ScriptedBackend,
+    Section,
+    SectionKind,
+    TagCollision,
+    apply_gradient,
+    optimize,
+    render_prompt,
+    request_gradient,
+    section_context,
+    token_count,
+)
+from mpo.optimizer import _lexical_pass, _truncate_to_token_budget
 from mpo.schema import TAG_STRING_RE, _parse_tag_line
 
 
@@ -163,3 +183,69 @@ class TestCachedTokenCount:
     def test_fields_unchanged(self):
         fields = [(f.name, f.type) for f in dataclasses.fields(Section)]
         assert fields == [("kind", "SectionKind"), ("content", "str"), ("provenance", "Provenance")]
+
+
+def reference_optimize(initial: PromptState, critic, config: OptimizerConfig) -> list:
+    """The round loop before saturated sections were skipped, for lexical
+    dedup: every section is critiqued in every round and the budget cuts
+    whatever does not fit."""
+    states = [initial]
+    for _ in range(config.iterations):
+        state = states[-1]
+        landed = []
+        for kind in CANONICAL_ORDER:
+            section = state.section(kind)
+            gradient = request_gradient(critic, section, section_context(state, kind))
+            if not gradient.is_empty:
+                cleaned = _lexical_pass(apply_gradient(section, gradient))
+                section, _ = _truncate_to_token_budget(cleaned, config.max_section_tokens)
+            landed.append(section)
+        states.append(PromptState(tuple(landed), state.iteration + 1, state.digest))
+    return states
+
+
+class CountingCritic(ScriptedBackend):
+    """Replies with up to three lines of the pool, picked by a generator
+    seeded with the request, so a reply depends only on what was asked."""
+
+    def __init__(self, pool: list[str], salt: int) -> None:
+        super().__init__(self._reply)
+        self.pool, self.salt, self.calls = pool, salt, 0
+
+    def _reply(self, turns, params) -> str:
+        self.calls += 1
+        rng = random.Random(f"{self.salt}:{turns[-1].content}")
+        lines = rng.sample(self.pool, rng.randint(0, min(3, len(self.pool))))
+        return "\n".join(line.upper() if rng.random() < 0.2 else f"- {line}" for line in lines)
+
+
+@st.composite
+def saturating_runs(draw) -> tuple[PromptState, list[str], int]:
+    """Lexically clean sections within the budget, and a pool of directive
+    lines that all have the same token count."""
+    words = draw(st.integers(1, 3))
+    vocabulary = st.sampled_from(("keep", "answers", "short", "cite", "units", "name"))
+    line = st.lists(vocabulary, min_size=words, max_size=words)
+    pool = draw(st.lists(line.map(" ".join), min_size=1, max_size=12, unique=True))
+    sections = tuple(
+        Section(kind, "\n".join(draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))))
+        for kind in CANONICAL_ORDER
+    )
+    largest = max(section.token_count for section in sections)
+    budget = draw(st.integers(max(1, largest), largest + 6 * words))
+    return PromptState(sections), pool, budget
+
+
+class TestSaturationSkipMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(run=saturating_runs(), iterations=st.integers(1, 6), salt=st.integers(0, 1000))
+    def test_same_digests_final_prompt_and_no_more_critiques(self, run, iterations, salt):
+        initial, pool, budget = run
+        config = OptimizerConfig(iterations, DedupMode.LEXICAL, max_section_tokens=budget)
+        reference_critic, critic = CountingCritic(pool, salt), CountingCritic(pool, salt)
+        expected = reference_optimize(initial, reference_critic, config)
+        history = optimize(initial, critic, config)
+        assert history.digests == tuple(state.digest for state in expected)
+        assert render_prompt(history.final) == render_prompt(expected[-1])
+        skipped = sum(update.saturated for round_ in history.updates for update in round_)
+        assert critic.calls == reference_critic.calls - skipped
