@@ -4,9 +4,9 @@ Every backend exposes one operation, ``complete(turns, params) -> str``.  The
 live backend speaks the common ``/v1/chat/completions`` wire protocol; the
 scripted backend turns a constant or a callable into a deterministic stand-in;
 the recording wrapper captures request/response pairs into a transcript and
-the replay backend serves them back by request digest, so whole optimization
-runs can be reproduced byte-for-byte without model access. ``fan_out`` is the
-one ordered way callers spread independent calls across threads.
+the replay backend serves them back for the same turns and params, so whole
+optimization runs can be reproduced byte-for-byte without model access.
+``fan_out`` is the one ordered way callers spread independent calls across threads.
 """
 
 from __future__ import annotations
@@ -110,6 +110,18 @@ def request_digest(turns: Sequence[ChatTurn], params: GenerationParams) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _request_key(turns: Iterable[tuple[str, str]], params: dict) -> bytes:
+    """Replay key, equal exactly when :func:`request_digest` is, but over the
+    params JSON and length-framed turns: the turns are not JSON-encoded."""
+    blob = json.dumps(params, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    key = hashlib.sha256(b"%d:%s" % (len(blob), blob))
+    for role, content in turns:
+        role, content = role.encode("utf-8"), content.encode("utf-8")
+        key.update(b"%d:%s%d:" % (len(role), role, len(content)))
+        key.update(content)
+    return key.digest()
 
 
 def fan_out(
@@ -263,32 +275,34 @@ class RecordingBackend(CriticBackend):
 
 
 class ReplayBackend(CriticBackend):
-    """Serves recorded responses keyed by request digest.
+    """Serves recorded responses to requests with the same turns and params.
 
-    Duplicate digests are consumed first-unconsumed-first; consumption is
-    serialized.  A request with no matching unconsumed entry raises
-    :class:`ReplayMiss`, signalling that the run diverged from the recording.
+    Lookup hashes those fields (:func:`_request_key`); an entry's stored
+    ``request_digest`` is a label only.  Duplicates are consumed in recorded
+    order, serialized.  A request with no unconsumed match raises
+    :class:`ReplayMiss`: the run diverged from the recording.
     """
 
     name = "replay"
     model = "transcript"
 
     def __init__(self, store: Transcript) -> None:
-        self._queues: dict[str, deque[str]] = {}
+        self._queues: dict[bytes, deque[str]] = {}
         for entry in store:
-            self._queues.setdefault(entry.request_digest, deque()).append(entry.response)
+            key = _request_key(((t["role"], t["content"]) for t in entry.request), entry.params)
+            self._queues.setdefault(key, deque()).append(entry.response)
         self._lock = threading.Lock()
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
-        digest = request_digest(turns, params)
+        key = _request_key(((turn.role, turn.content) for turn in turns), params.to_dict())
         with self._lock:
-            queue = self._queues.get(digest)
-            if not queue:
-                raise ReplayMiss(
-                    f"no unconsumed recorded response for request digest {digest}; "
-                    "the run diverged from the recording"
-                )
-            return queue.popleft()
+            queue = self._queues.get(key)
+            if queue:
+                return queue.popleft()
+        raise ReplayMiss(
+            f"no unconsumed recorded response for request digest "
+            f"{request_digest(turns, params)}; the run diverged from the recording"
+        )
 
 
 class ScriptedBackend(CriticBackend):

@@ -246,12 +246,11 @@ class BackendBundle:
 def build_backends(config: RunConfig) -> BackendBundle:
     if config.mode == "replay":
         try:
-            store = Transcript.load(config.replay_path)
+            replay = ReplayBackend(Transcript.load(config.replay_path))
         except OSError as exc:
             raise CLIError(f"cannot read transcript: {exc}") from exc
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise CLIError(f"malformed transcript {config.replay_path}: {exc}") from exc
-        replay = ReplayBackend(store)
         return BackendBundle(critic=replay, solver=replay, extractor=replay)
     if config.mode == "mock":
         bundle = BackendBundle(
@@ -313,22 +312,6 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
-def _state_line(state: PromptState) -> dict:
-    return {
-        "iteration": state.iteration,
-        "digest": state.digest,
-        "parent_digest": state.parent_digest,
-        "sections": [
-            {
-                "kind": section.kind.value,
-                "content": section.content,
-                "provenance": section.provenance.value,
-            }
-            for section in state.sections
-        ],
-    }
-
-
 def _gradient_line(index: int, updates: tuple[SectionUpdate, ...], failures) -> dict:
     return {
         "iteration": index,
@@ -349,10 +332,25 @@ def _gradient_line(index: int, updates: tuple[SectionUpdate, ...], failures) -> 
     }
 
 
+def _history_lines(states: tuple[PromptState, ...]) -> Iterator[str]:
+    """One ``history.jsonl`` line per state. A section carried over unchanged
+    is the previous state's object, so its JSON is reused, keyed by id: the
+    tuple keeps every section alive, so no id is reused meanwhile."""
+    encoded: dict[int, str] = {}
+    for state in states:
+        encoded = {
+            id(s): encoded.get(id(s)) or json.dumps(
+                {"kind": s.kind.value, "content": s.content, "provenance": s.provenance.value}, ensure_ascii=False
+            )
+            for s in state.sections
+        }
+        head = {"iteration": state.iteration, "digest": state.digest, "parent_digest": state.parent_digest}
+        yield f'{json.dumps(head, ensure_ascii=False)[:-1]}, "sections": [{", ".join(encoded.values())}]}}\n'
+
+
 def _write_run_artifacts(history: RunHistory, out_dir: Path) -> None:
     with (out_dir / "history.jsonl").open("w", encoding="utf-8") as handle:
-        for state in history.states:
-            handle.write(json.dumps(_state_line(state), ensure_ascii=False) + "\n")
+        handle.writelines(_history_lines(history.states))
     with (out_dir / "gradients.jsonl").open("w", encoding="utf-8") as handle:
         for index, round_ in enumerate(zip(history.updates, history.failures)):
             handle.write(json.dumps(_gradient_line(index, *round_), ensure_ascii=False) + "\n")

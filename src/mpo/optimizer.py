@@ -170,13 +170,11 @@ def _truncate_to_token_budget(section: Section, budget: int) -> tuple[Section, i
         cut += bool(line.strip())
     while lines and not lines[-1].strip():
         lines.pop()
-    logger.warning(
-        "section %s exceeded %d tokens, truncated from %d to %d",
-        section.kind.display_name,
-        budget,
-        section.token_count,
-        tokens,
-    )
+    if cut:
+        logger.warning(
+            "section %s exceeded %d tokens, truncated from %d to %d",
+            section.kind.display_name, budget, section.token_count, tokens,
+        )
     return Section(section.kind, "\n".join(lines), section.provenance), cut
 
 

@@ -211,8 +211,14 @@ class PromptState:
 
     @property
     def digest(self) -> str:
-        """Content digest: SHA-256 of the rendered prompt."""
-        return hashlib.sha256(render_prompt(self).encode("utf-8")).hexdigest()
+        """Content digest: SHA-256 of the rendered prompt, computed once; the
+        cache is no field, and pickling drops it (``__getstate__``)."""
+        if "_digest" not in self.__dict__:
+            self.__dict__["_digest"] = hashlib.sha256(render_prompt(self).encode("utf-8")).hexdigest()
+        return self.__dict__["_digest"]
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "_digest"}
 
     @property
     def total_tokens(self) -> int:

@@ -149,18 +149,20 @@ class TestRecordReplay:
         assert ReplayBackend(store).complete(TURNS, PARAMS) == "reply"
 
     def test_duplicate_digests_consumed_in_order(self):
-        calls = iter(["first", "second"])
+        other = (ChatTurn("user", "other"),)
+        calls = iter(["first", "middle", "second"])
         store = Transcript()
         recorder = RecordingBackend(ScriptedBackend(lambda t, p: next(calls)), store)
-        recorder.complete(TURNS, PARAMS)
-        recorder.complete(TURNS, PARAMS)
+        for turns in (TURNS, other, TURNS):
+            recorder.complete(turns, PARAMS)
         replay = ReplayBackend(store)
         assert replay.complete(TURNS, PARAMS) == "first"
         assert replay.complete(TURNS, PARAMS) == "second"
+        assert replay.complete(other, PARAMS) == "middle"
 
     def test_miss_raises(self):
         replay = ReplayBackend(Transcript())
-        with pytest.raises(ReplayMiss):
+        with pytest.raises(ReplayMiss, match=request_digest(TURNS, PARAMS)):
             replay.complete(TURNS, PARAMS)
 
     def test_exhausted_entries_raise(self):
@@ -182,6 +184,63 @@ class TestRecordReplay:
         path = tmp_path / "t.jsonl"
         store.save(path)
         assert ReplayBackend(Transcript.load(path)).complete(TURNS, PARAMS) == "reply"
+
+    @staticmethod
+    def _replay_of(turns, params=PARAMS) -> ReplayBackend:
+        store = Transcript()
+        RecordingBackend(ScriptedBackend("reply"), store).complete(turns, params)
+        return ReplayBackend(store)
+
+    @pytest.mark.parametrize(
+        "recorded, live",
+        [
+            (("ab", "c"), ("a", "bc")),
+            (("ab", "c"), ("abc",)),
+            # Content that spells the next turn's role, or its framing.
+            (("a", "userb"), ("auser", "b")),
+            (("a", "b"), ("auser:b",)),
+            (("a", "b"), ("a4:user1:b",)),
+        ],
+    )
+    def test_turn_boundaries_are_part_of_the_match(self, recorded, live):
+        replay = self._replay_of(tuple(ChatTurn("user", text) for text in recorded))
+        with pytest.raises(ReplayMiss):
+            replay.complete(tuple(ChatTurn("user", text) for text in live), PARAMS)
+
+    def test_role_is_part_of_the_match(self):
+        with pytest.raises(ReplayMiss):
+            self._replay_of(TURNS).complete((ChatTurn("system", "hello"),), PARAMS)
+
+    @pytest.mark.parametrize(
+        "changed",
+        [{"temperature": 0.5}, {"max_output_tokens": 16}, {"seed": 1}],
+        ids=["temperature", "max_output_tokens", "seed"],
+    )
+    def test_each_param_is_part_of_the_match(self, changed):
+        replay = self._replay_of(TURNS)
+        with pytest.raises(ReplayMiss):
+            replay.complete(TURNS, GenerationParams(**changed))
+        assert replay.complete(TURNS, PARAMS) == "reply"
+
+    def test_stored_digest_is_a_label_not_the_lookup(self):
+        entry = TranscriptEntry(
+            request_digest="label",
+            request=tuple(turn.to_dict() for turn in TURNS),
+            params=PARAMS.to_dict(),
+            response="reply",
+            timestamp="2024-01-01T00:00:00+00:00",
+        )
+        assert ReplayBackend(Transcript([entry])).complete(TURNS, PARAMS) == "reply"
+
+    def test_seed_run_entries_serve_their_own_requests(self, data_dir):
+        # The pinned transcript's labels agree with its requests, and each
+        # request is served its own recorded response, in recorded order.
+        store = Transcript.load(data_dir / "seed_run" / "transcript.jsonl")
+        replay = ReplayBackend(store)
+        for entry in store:
+            params = GenerationParams.from_dict(entry.params)
+            assert entry.request_digest == request_digest(entry.turns(), params)
+            assert replay.complete(entry.turns(), params) == entry.response
 
 
 class TestFanOut:

@@ -345,13 +345,29 @@ class TestOptimize:
     def test_seed_transcript_still_replays(self, data_dir, tmp_path, capsys):
         # Recorded with --mock --record --dedup lexical_then_llm --iterations 2
         # while the gradient template still had a {FAILURE_EXAMPLES} line;
-        # every request digest must still match.
+        # every request must still match. The history, gradients and metrics
+        # pinned next to it were written by this replay before lookup stopped
+        # going through the stored request digest.
         seed = data_dir / "seed_run"
         out = tmp_path / "replayed"
         args = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--dedup", "lexical_then_llm"]
         args += ["--iterations", "2", "--replay", str(seed / "transcript.jsonl"), "--out", str(out)]
         assert main(args) == 0
-        assert (out / "final_prompt.txt").read_bytes() == (seed / "final_prompt.txt").read_bytes()
+        assert_pinned(out, seed)
+
+    @pytest.mark.parametrize(
+        "request_turns",
+        [[{"role": "user"}], [{"role": "user", "content": None}], ["user"]],
+        ids=["no-content", "null-content", "not-an-object"],
+    )
+    def test_malformed_transcript_turn_exits_two(self, tagged_file, tmp_path, capsys, request_turns):
+        # Replay indexes every recorded turn when it loads the transcript.
+        entry = {"request_digest": "x", "request": request_turns, "params": {}, "response": "", "timestamp": ""}
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        args = ["optimize", str(tagged_file), "--replay", str(transcript), "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert "malformed transcript" in capsys.readouterr().err
 
     def test_interrupted_run_keeps_transcript(self, tagged_file, tmp_path, monkeypatch):
         class InterruptedCritic(MockCritic):

@@ -268,6 +268,17 @@ class TestStep:
         assert section.content.splitlines()[0] == "Be brief."
         assert any("truncated" in message for message in caplog.messages)
 
+    def test_no_truncation_warning_without_a_cut(self, build_state, caplog):
+        # An empty section given one directive longer than the budget keeps
+        # that one line: nothing is cut, so nothing is reported as truncated.
+        critic = section_critic({SectionKind.CONSTRAINTS: "Answer with one letter only."})
+        with caplog.at_level("WARNING", logger="mpo.optimizer"):
+            result = step(build_state(), critic, OptimizerConfig(max_section_tokens=2))
+        section = result.state.section(SectionKind.CONSTRAINTS)
+        assert section.content == "Answer with one letter only."
+        assert result.updates[CANONICAL_ORDER.index(SectionKind.CONSTRAINTS)].truncated == 0
+        assert [m for m in caplog.messages if "truncated" in m] == []
+
     def test_update_record_separates_dedup_from_truncation(self, build_state):
         state = build_state(constraints="Be brief.")
         rules = "\n".join(f"Rule number {i} applies." for i in range(20))

@@ -9,11 +9,18 @@ requires the same result from both.
 
 ``optimize`` skips sections saturated at the token budget; the reference
 round loop critiques every section in every round, as before.
+
+``PromptState.digest`` is computed once per state, ``history.jsonl`` encodes
+each distinct section once and splices it into the state's line, and replay
+looks requests up by a framed hash of their fields instead of their
+``request_digest``; each is checked against the code it replaced.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import logging
 import pickle
 import random
@@ -25,10 +32,15 @@ from hypothesis import strategies as st
 import strategies as local
 from mpo import (
     CANONICAL_ORDER,
+    ChatTurn,
     DedupMode,
+    GenerationParams,
     OptimizerConfig,
     PromptState,
     Provenance,
+    RecordingBackend,
+    ReplayBackend,
+    ReplayMiss,
     ScriptedBackend,
     Section,
     SectionKind,
@@ -36,10 +48,13 @@ from mpo import (
     apply_gradient,
     optimize,
     render_prompt,
+    request_digest,
     request_gradient,
     section_context,
     token_count,
 )
+from mpo.backends import Transcript, TranscriptEntry, _request_key
+from mpo.cli import _history_lines
 from mpo.optimizer import _lexical_pass, _truncate_to_token_budget
 from mpo.schema import TAG_STRING_RE, _parse_tag_line
 
@@ -130,7 +145,9 @@ class TestTruncationMatchesReference:
             result, cut = _truncate_to_token_budget(fresh, budget)
         assert (result, cut) == (expected, expected_cut)
         assert result.provenance is expected.provenance
-        assert warnings == ([expected_warning] if expected_warning else [])
+        # The reference also warned when it cut nothing (a one-line section
+        # over the budget); the warning now comes only with a cut.
+        assert warnings == ([expected_warning] if expected_cut else [])
 
 
 _TAGGY = st.sampled_from(
@@ -183,6 +200,158 @@ class TestCachedTokenCount:
     def test_fields_unchanged(self):
         fields = [(f.name, f.type) for f in dataclasses.fields(Section)]
         assert fields == [("kind", "SectionKind"), ("content", "str"), ("provenance", "Provenance")]
+
+
+def reference_digest(state: PromptState) -> str:
+    """The digest as every read computed it: render, then SHA-256."""
+    return hashlib.sha256(render_prompt(state).encode("utf-8")).hexdigest()
+
+
+class TestCachedDigest:
+    @settings(max_examples=100)
+    @given(state=local.prompt_states())
+    def test_cached_state_behaves_like_fresh(self, state):
+        fresh = PromptState(state.sections, state.iteration, state.parent_digest)
+        assert state.digest == reference_digest(state)
+        assert "_digest" in vars(state) and "_digest" not in vars(fresh)
+        assert state == fresh
+        assert hash(state) == hash(fresh)
+        assert repr(state) == repr(fresh)
+        assert pickle.dumps(state) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(state))
+        assert "_digest" not in vars(restored)
+        assert restored == fresh
+        assert restored.digest == state.digest
+
+    @settings(max_examples=100)
+    @given(state=local.prompt_states(), other=local.sections(SectionKind.CONSTRAINTS))
+    def test_replaced_state_gets_its_own_digest(self, state, other):
+        state.digest  # cached on the original before it is replaced
+        sections = tuple(other if s.kind is other.kind else s for s in state.sections)
+        replaced = dataclasses.replace(state, sections=sections)
+        assert "_digest" not in vars(replaced)
+        assert replaced.digest == reference_digest(replaced)
+        # The digest covers the rendered prompt only, not the iteration.
+        renumbered = dataclasses.replace(state, iteration=state.iteration + 1)
+        assert "_digest" not in vars(renumbered)
+        assert renumbered.digest == state.digest
+
+    def test_fields_unchanged(self):
+        fields = [(f.name, f.type) for f in dataclasses.fields(PromptState)]
+        assert fields == [
+            ("sections", "tuple[Section, ...]"), ("iteration", "int"), ("parent_digest", "str | None"),
+        ]
+
+
+def reference_state_line(state: PromptState) -> dict:
+    """The ``history.jsonl`` record that was encoded whole for every state."""
+    return {
+        "iteration": state.iteration,
+        "digest": state.digest,
+        "parent_digest": state.parent_digest,
+        "sections": [
+            {
+                "kind": section.kind.value,
+                "content": section.content,
+                "provenance": section.provenance.value,
+            }
+            for section in state.sections
+        ],
+    }
+
+
+# Non-ASCII, quotes, backslashes and characters JSON treats specially; a
+# section normalizes \x1c and \u2028 into line breaks, a parent digest keeps them.
+_AWKWARD = st.text(
+    alphabet=st.sampled_from(("a", " ", "\n", "\t", "\xe9", "\u6f22", "\U0001f600", '"', "\\", "\x1c", "\u2028", "\x00")),
+    max_size=12,
+)
+
+
+@st.composite
+def states_sharing_sections(draw) -> tuple[PromptState, ...]:
+    """States drawn from a small pool of section objects per kind, empty
+    sections included, so most states share sections with others."""
+    provenances = st.sampled_from(tuple(Provenance))
+    pool = {
+        kind: [Section(kind, draw(_AWKWARD), draw(provenances)) for _ in range(draw(st.integers(1, 3)))]
+        for kind in CANONICAL_ORDER
+    }
+    return tuple(
+        PromptState(
+            tuple(draw(st.sampled_from(pool[kind])) for kind in CANONICAL_ORDER),
+            iteration,
+            draw(st.none() | _AWKWARD),
+        )
+        for iteration in range(draw(st.integers(1, 6)))
+    )
+
+
+class TestHistoryLinesMatchReference:
+    @settings(max_examples=200)
+    @given(states=states_sharing_sections())
+    def test_each_line_is_the_whole_state_encoded(self, states):
+        expected = [json.dumps(reference_state_line(s), ensure_ascii=False) + "\n" for s in states]
+        assert list(_history_lines(states)) == expected
+
+    def test_shared_and_equal_sections(self):
+        # Equal content in distinct objects, and one object in every state.
+        shared = Section(SectionKind.CONSTRAINTS, 'Say "yes" \\ \u6f22\u2028next')
+        states = tuple(
+            PromptState.from_sections(
+                [shared, Section(SectionKind.TASK_DETAILS, "Same text.")], index, parent
+            )
+            for index, parent in enumerate((None, "\x1c\u2028", "d"))
+        )
+        expected = [json.dumps(reference_state_line(s), ensure_ascii=False) + "\n" for s in states]
+        assert list(_history_lines(states)) == expected
+
+
+def live_key(turns, params: GenerationParams) -> bytes:
+    return _request_key(((turn.role, turn.content) for turn in turns), params.to_dict())
+
+
+# Few distinct values, so equal requests come up often; ":" and digits probe
+# the length framing.
+_REQUESTS = st.tuples(
+    st.lists(
+        st.builds(
+            ChatTurn,
+            st.sampled_from(("system", "user", "assistant")),
+            st.text(alphabet=st.sampled_from(("a", "b", ":", "1", "\xe9", '"')), max_size=3),
+        ),
+        max_size=3,
+    ).map(tuple),
+    st.builds(
+        GenerationParams,
+        temperature=st.sampled_from((0.0, 0.5)),
+        max_output_tokens=st.sampled_from((1, 512)),
+        seed=st.none() | st.integers(0, 1),
+    ),
+)
+
+
+class TestReplayKeyMatchesDigest:
+    @settings(max_examples=300)
+    @given(a=_REQUESTS, b=_REQUESTS)
+    def test_keys_equal_exactly_when_digests_are(self, a, b):
+        assert (live_key(*a) == live_key(*b)) == (request_digest(*a) == request_digest(*b))
+
+    @settings(max_examples=300)
+    @given(recorded=_REQUESTS, live=_REQUESTS)
+    def test_served_exactly_when_digests_match(self, recorded, live):
+        store = Transcript()
+        RecordingBackend(ScriptedBackend("reply"), store).complete(*recorded)
+        # Through JSON, as a transcript is loaded from disk.
+        loaded = Transcript(
+            TranscriptEntry.from_dict(json.loads(json.dumps(entry.to_dict(), ensure_ascii=False)))
+            for entry in store
+        )
+        try:
+            served = ReplayBackend(loaded).complete(*live) == "reply"
+        except ReplayMiss:
+            served = False
+        assert served == (request_digest(*recorded) == request_digest(*live))
 
 
 def reference_optimize(initial: PromptState, critic, config: OptimizerConfig) -> list:
