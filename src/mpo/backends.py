@@ -23,9 +23,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -334,7 +335,7 @@ class HTTPBackend(CriticBackend):
     POSTs to ``{base_url}/v1/chat/completions`` with a bearer token.  Retries
     transport failures, 429 and 5xx responses up to three attempts with
     exponential backoff (1s then 2s), or after the response's ``Retry-After``
-    seconds when it gives them; other HTTP errors fail immediately.
+    when it gives seconds or an HTTP-date; other HTTP errors fail immediately.
     """
 
     name = "http"
@@ -350,6 +351,8 @@ class HTTPBackend(CriticBackend):
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        import requests  # only a live backend loads the HTTP stack
+
         base_url = base_url or os.environ.get(BASE_URL_ENV, "")
         if not base_url:
             raise ValueError(
@@ -365,6 +368,8 @@ class HTTPBackend(CriticBackend):
         self._sleep = sleep
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
+        import requests
+
         url = f"{self.base_url}/v1/chat/completions"
         body: dict = {
             "model": self.model,
@@ -396,6 +401,16 @@ class HTTPBackend(CriticBackend):
                 retry_after = response.headers.get("Retry-After", "").strip()
                 if retry_after.isdecimal():
                     delay = float(retry_after)
+                elif retry_after:  # or an HTTP-date (RFC 9110 section 10.2.3)
+                    from email.utils import parsedate_to_datetime
+
+                    try:
+                        when = parsedate_to_datetime(retry_after)
+                    except ValueError:
+                        pass  # neither form: keep the exponential backoff
+                    else:  # a "-0000" zone parses naive and means UTC
+                        when = when if when.tzinfo else when.replace(tzinfo=timezone.utc)
+                        delay = max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
                 logger.warning("attempt %d/%d failed: %s", attempt + 1, self.max_attempts, last_error)
                 continue
             if response.status_code != 200:

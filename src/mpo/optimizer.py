@@ -276,6 +276,8 @@ def step(
                 expanded = apply_gradient(section, gradient)
                 cleaned = _dedup(expanded, critic, config, consolidate_template)
                 landed, truncated = _truncate_to_token_budget(cleaned, budget)
+                if landed.content == section.content:  # every new line was dropped
+                    landed = section
             except (TagCollision, ConsolidationRejected, BackendError) as exc:
                 logger.warning("update failed for %s: %s", kind.display_name, exc)
                 landed = section

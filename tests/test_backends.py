@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import mpo
 from mpo import (
     BackendError,
     ChatTurn,
@@ -393,7 +401,7 @@ class TestHTTPBackend:
         assert sleeps == [3.0]
         assert len(script.seen) == 2
 
-    @pytest.mark.parametrize("headers", [{}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}])
+    @pytest.mark.parametrize("headers", [{}, {"Retry-After": "soon"}])
     def test_rate_limit_without_delta_seconds_backs_off(self, http_server, headers):
         base_url, script = http_server
         script.script.extend([(429, {}, headers), (429, {}, headers), _ok("third time")])
@@ -401,6 +409,27 @@ class TestHTTPBackend:
         backend = self._backend(base_url, sleep=sleeps.append)
         assert backend.complete(TURNS, PARAMS) == "third time"
         assert sleeps == [1.0, 2.0]
+
+    def test_rate_limit_past_http_date_retries_at_once(self, http_server):
+        base_url, script = http_server
+        headers = {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}
+        script.script.extend([(429, {}, headers), (429, {}, headers), _ok("third time")])
+        sleeps: list[float] = []
+        backend = self._backend(base_url, sleep=sleeps.append)
+        assert backend.complete(TURNS, PARAMS) == "third time"
+        assert sleeps == [0.0, 0.0]
+
+    # RFC 9110 sends GMT; RFC 5322's "-0000" zone parses to a naive datetime.
+    @pytest.mark.parametrize("zone", ["GMT", "-0000"])
+    def test_rate_limit_honours_retry_after_http_date(self, http_server, zone):
+        base_url, script = http_server
+        then = datetime.now(timezone.utc) + timedelta(seconds=30)
+        when = format_datetime(then, usegmt=True).replace("GMT", zone)
+        script.script.extend([(429, {}, {"Retry-After": when}), _ok("after the wait")])
+        sleeps: list[float] = []
+        backend = self._backend(base_url, sleep=sleeps.append)
+        assert backend.complete(TURNS, PARAMS) == "after the wait"
+        assert len(sleeps) == 1 and 25 < sleeps[0] <= 30
 
     def test_rate_limit_gives_up_after_three_attempts(self, http_server):
         base_url, script = http_server
@@ -458,3 +487,40 @@ class TestHTTPBackend:
     def test_env_var_names(self):
         assert API_KEY_ENV == "MPO_API_KEY"
         assert BASE_URL_ENV == "MPO_BASE_URL"
+
+
+# Runs in a fresh interpreter: other tests load ``requests`` into this one.
+_OFFLINE_RUNS = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+
+    import mpo, mpo.cli
+
+    data, out = Path(sys.argv[1]), Path(sys.argv[2])
+    prompt = str(data / "multi_task_tagged.txt")
+    for argv in (
+        ["optimize", prompt, "--mock", "--iterations", "1", "--record", "--out", str(out / "rec")],
+        ["optimize", prompt, "--iterations", "1", "--replay", str(out / "rec" / "transcript.jsonl"),
+         "--out", str(out / "replay")],
+        ["eval", prompt, str(data / "mcq_ten.jsonl"), "--mock", "--out", str(out / "eval")],
+    ):
+        assert mpo.cli.main(argv) == 0, argv
+    loaded = [name for name in ("requests", "urllib3") if name in sys.modules]
+    assert not loaded, f"offline runs loaded {loaded}"
+    mpo.HTTPBackend("m", "http://127.0.0.1:9")
+    assert "requests" in sys.modules, "a live backend did not load requests"
+    """
+)
+
+
+def test_offline_runs_never_load_the_http_stack(data_dir, tmp_path):
+    src = Path(mpo.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _OFFLINE_RUNS, str(data_dir), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -404,7 +404,8 @@ class TestOptimize:
     ):
         # At 55, System Role and Context grow under the budget, Task Details
         # and Output Format are cut back in round 0 and saturated after it,
-        # and Constraints is saturated from the start.
+        # and Constraints is saturated from the start. Re-recorded once a cut
+        # back section kept its incoming object: those two stay `original`.
         with caplog.at_level("WARNING", logger="mpo.optimizer"):
             out = optimize_at_budget(data_dir, tmp_path / dedup, 55, "--dedup", dedup, *extra)
         assert_pinned(out, data_dir / "budget_run_55" / dedup)

@@ -239,7 +239,20 @@ class TestStep:
         state = build_state(constraints="Be brief.")
         critic = section_critic({SectionKind.CONSTRAINTS: "Be brief."})
         result = step(state, critic)
-        assert result.state.section(SectionKind.CONSTRAINTS).content == "Be brief."
+        section = result.state.section(SectionKind.CONSTRAINTS)
+        assert section.content == "Be brief."
+        # Nothing new landed, so the section is not recorded as refined.
+        assert section is state.section(SectionKind.CONSTRAINTS)
+        assert section.provenance is Provenance.ORIGINAL
+
+    def test_budget_cut_of_every_directive_keeps_incoming_section(self, build_state):
+        state = build_state(constraints="Be brief.")
+        critic = section_critic({SectionKind.CONSTRAINTS: "Answer with one letter only."})
+        result = step(state, critic, OptimizerConfig(max_section_tokens=4))
+        section = result.state.section(SectionKind.CONSTRAINTS)
+        assert section is state.section(SectionKind.CONSTRAINTS)
+        assert section.provenance is Provenance.ORIGINAL
+        assert result.updates[CANONICAL_ORDER.index(SectionKind.CONSTRAINTS)].truncated == 1
 
     def test_llm_dedup_mode_calls_critic(self, build_state):
         state = build_state(constraints="Be brief.")
