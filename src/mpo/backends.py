@@ -329,13 +329,30 @@ class ScriptedBackend(CriticBackend):
         return self._script
 
 
+def _retry_after_seconds(value: str) -> float | None:
+    """The wait a ``Retry-After`` value asks for: delta-seconds or an HTTP-date
+    (RFC 9110 section 10.2.3), or None when it is empty or neither, which
+    keeps the exponential backoff."""
+    if value.isdecimal():
+        return float(value)
+    from email.utils import parsedate_to_datetime
+
+    try:
+        when = parsedate_to_datetime(value)
+    except ValueError:
+        return None
+    when = when if when.tzinfo else when.replace(tzinfo=timezone.utc)  # "-0000" means UTC
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+
+
 class HTTPBackend(CriticBackend):
     """Live backend for OpenAI-compatible chat-completion endpoints.
 
     POSTs to ``{base_url}/v1/chat/completions`` with a bearer token.  Retries
     transport failures, 429 and 5xx responses up to three attempts with
     exponential backoff (1s then 2s), or after the response's ``Retry-After``
-    when it gives seconds or an HTTP-date; other HTTP errors fail immediately.
+    when it gives seconds or an HTTP-date; a ``Retry-After`` wait longer than
+    ``timeout`` fails at once instead. Other HTTP errors fail immediately.
     """
 
     name = "http"
@@ -358,6 +375,8 @@ class HTTPBackend(CriticBackend):
             raise ValueError(
                 f"no base URL: pass base_url or set {BASE_URL_ENV}"
             )
+        if not timeout > 0:
+            raise ValueError(f"timeout must be a positive number of seconds, got {timeout!r}")
         self.model = model
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
@@ -398,19 +417,13 @@ class HTTPBackend(CriticBackend):
                 continue
             if response.status_code == 429 or response.status_code >= 500:
                 last_error = f"status {response.status_code}"
-                retry_after = response.headers.get("Retry-After", "").strip()
-                if retry_after.isdecimal():
-                    delay = float(retry_after)
-                elif retry_after:  # or an HTTP-date (RFC 9110 section 10.2.3)
-                    from email.utils import parsedate_to_datetime
-
-                    try:
-                        when = parsedate_to_datetime(retry_after)
-                    except ValueError:
-                        pass  # neither form: keep the exponential backoff
-                    else:  # a "-0000" zone parses naive and means UTC
-                        when = when if when.tzinfo else when.replace(tzinfo=timezone.utc)
-                        delay = max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+                wait = _retry_after_seconds(response.headers.get("Retry-After", "").strip())
+                if wait is not None and wait > self.timeout:  # do not stall a worker that long
+                    raise BackendError(
+                        f"{last_error}: Retry-After asks for a {wait:g} s wait, "
+                        f"longer than the {self.timeout:g} s timeout"
+                    )
+                delay = delay if wait is None else wait
                 logger.warning("attempt %d/%d failed: %s", attempt + 1, self.max_attempts, last_error)
                 continue
             if response.status_code != 200:

@@ -120,75 +120,83 @@ class RunConfig:
             raise CLIError(f"cannot read template {name!r}: {exc}") from exc
 
 
-_CONFIG_SCHEMA = {
-    "backend": ("mode", "base_url", "critic_model", "solver_model", "extractor_model", "timeout"),
-    "optimizer": ("iterations", "dedup", "concurrency", "max_section_tokens"),
-    "eval": ("dataset_format", "split", "limit", "seed"),
-    "templates": TEMPLATE_NAMES,
-}
+def _one_of(choices, convert=str) -> tuple:
+    def parse(value: str):
+        if value not in choices:
+            raise ValueError(value)
+        return convert(value)
+
+    return parse, ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
 
 
-def load_config_file(path: Path) -> dict:
-    """Read the INI config into a flat dict of known keys."""
-    parser = configparser.ConfigParser()
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
-        raise CLIError(f"cannot read config file: {exc}") from exc
-    except configparser.Error as exc:
-        raise CLIError(f"invalid config file: {exc}") from exc
-    values: dict = {}
-    for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
-            raise CLIError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in _CONFIG_SCHEMA[section]:
-                raise CLIError(f"unknown config key {key!r} in [{section}]")
-            if section == "templates":
-                values.setdefault("templates", {})[key] = Path(value)
-            else:
-                values[key] = value
-    return values
+def _positive_int(value) -> int:
+    if int(value) < 1:
+        raise ValueError(value)
+    return int(value)
 
 
-def _parse_int(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise CLIError(f"{name} must be an integer, got {value!r}") from None
+# Every setting of the config file, one row each: INI section; key, which is
+# the RunConfig field (in [templates], the template name); value type, as its
+# parser and what a bad value is told it must be; and the argparse dest of the
+# flag that overrides it. The mode flags, --out, --record and --replay have no
+# file setting and are applied after the table.
+_SETTINGS: tuple[tuple[str, str, tuple, str | None], ...] = (
+    ("backend", "mode", _one_of(("mock", "live")), None),
+    ("backend", "base_url", (str, "text"), None),
+    ("backend", "critic_model", (str, "text"), None),
+    ("backend", "solver_model", (str, "text"), None),
+    ("backend", "extractor_model", (str, "text"), None),
+    ("backend", "timeout", (float, "a number"), None),
+    ("optimizer", "iterations", (int, "an integer"), "iterations"),
+    ("optimizer", "dedup", _one_of([mode.value for mode in DedupMode], DedupMode), "dedup"),
+    ("optimizer", "concurrency", (_positive_int, "an integer >= 1"), "concurrency"),
+    ("optimizer", "max_section_tokens", (int, "an integer"), None),
+    ("eval", "dataset_format", _one_of(DATASET_FORMATS), "format"),
+    ("eval", "split", (str, "text"), "split"),
+    ("eval", "limit", (int, "an integer"), "limit"),
+    ("eval", "seed", (int, "an integer"), "seed"),
+    *(("templates", name, (Path, "a path"), None) for name in TEMPLATE_NAMES),
+)
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    file_values: dict = {}
+    """Defaults, then the config file, then flags. File values are literal
+    text; a ``;`` or ``#`` after whitespace starts a comment."""
+    rows = {(section, key): row for section, key, *row in _SETTINGS}
+    file_values: dict[tuple[str, str], str] = {}
     if getattr(args, "config", None):
-        file_values = load_config_file(Path(args.config))
-
-    for key in ("base_url", "critic_model", "solver_model", "extractor_model", "split"):
-        if key in file_values:
-            setattr(config, key, file_values[key])
-    if "timeout" in file_values:
+        ini = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
         try:
-            config.timeout = float(file_values["timeout"])
-        except ValueError:
-            raise CLIError(f"timeout must be a number, got {file_values['timeout']!r}") from None
-    for key in ("iterations", "concurrency", "max_section_tokens", "seed"):
-        if key in file_values:
-            setattr(config, key, _parse_int(file_values[key], key))
-    if "limit" in file_values:
-        config.limit = _parse_int(file_values["limit"], "limit")
-    if "dedup" in file_values:
-        config.dedup = _parse_dedup(file_values["dedup"])
-    if "dataset_format" in file_values:
-        config.dataset_format = file_values["dataset_format"]
-    if "templates" in file_values:
-        config.templates = file_values["templates"]
-    file_mode = file_values.get("mode")
-    if file_mode is not None and file_mode not in ("mock", "live"):
-        raise CLIError(f"config mode must be 'mock' or 'live', got {file_mode!r}")
+            ini.read_string(Path(args.config).read_text(encoding="utf-8"), source=args.config)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CLIError(f"cannot read config file: {exc}") from exc
+        except configparser.Error as exc:
+            raise CLIError(f"invalid config file: {exc}") from exc
+        for section in ini.sections():
+            if section not in {known for known, _ in rows}:
+                raise CLIError(f"unknown config section [{section}]")
+            for key, text in ini.items(section):
+                if (section, key) not in rows:
+                    raise CLIError(f"unknown config key {key!r} in [{section}]")
+                file_values[section, key] = text
 
-    # Flags override the file; mode flags take precedence in a fixed order.
+    config = RunConfig()
+    for (section, key), ((parse, what), flag) in rows.items():
+        # The file value is parsed even when a flag overrides it.
+        flag_value = getattr(args, flag, None) if flag else None
+        for value in (file_values.get((section, key)), flag_value):
+            if value is None:
+                continue
+            try:
+                value = parse(value)
+            except ValueError:
+                raise CLIError(f"{key} must be {what}, got {value!r}") from None
+            if section == "templates":
+                config.templates[key] = value
+            else:
+                setattr(config, key, value)
+
+    # Mode flags take precedence over the file in a fixed order.
     if getattr(args, "replay", None):
         config.mode = "replay"
         config.replay_path = Path(args.replay)
@@ -196,41 +204,13 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         config.mode = "mock"
     elif getattr(args, "live", False):
         config.mode = "live"
-    elif file_mode is not None:
-        config.mode = file_mode
-
     if getattr(args, "out", None):
         config.out_dir = Path(args.out)
     if getattr(args, "record", False):
-        config.record = True
-    for key in ("iterations", "concurrency", "limit", "seed"):
-        if getattr(args, key, None) is not None:
-            setattr(config, key, getattr(args, key))
-    if getattr(args, "dedup", None) is not None:
-        config.dedup = _parse_dedup(args.dedup)
-    if getattr(args, "format", None) is not None:
-        config.dataset_format = args.format
-    if getattr(args, "split", None) is not None:
-        config.split = args.split
-
-    if config.concurrency < 1:
-        raise CLIError(f"concurrency must be >= 1, got {config.concurrency}")
-    if config.dataset_format not in DATASET_FORMATS:
-        raise CLIError(
-            f"dataset format must be one of {DATASET_FORMATS}, got {config.dataset_format!r}"
-        )
-    if config.mode == "replay" and config.record:
-        logger.warning("--record has no effect during replay; ignoring")
-        config.record = False
+        config.record = config.mode != "replay"
+        if not config.record:
+            logger.warning("--record has no effect during replay; ignoring")
     return config
-
-
-def _parse_dedup(value: str) -> DedupMode:
-    try:
-        return DedupMode(value)
-    except ValueError:
-        choices = ", ".join(mode.value for mode in DedupMode)
-        raise CLIError(f"dedup must be one of {choices}, got {value!r}") from None
 
 
 @dataclass

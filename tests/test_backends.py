@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -439,6 +440,36 @@ class TestHTTPBackend:
             self._backend(base_url, sleep=sleeps.append).complete(TURNS, PARAMS)
         assert sleeps == [0.0, 0.0]
         assert len(script.seen) == 3
+
+    # A wait past the request timeout fails the call instead of stalling the
+    # worker; retrying sooner than asked would break the provider's rule.
+    @pytest.mark.parametrize("ahead", ["delta-seconds", "http-date"])
+    def test_retry_after_longer_than_timeout_fails_without_sleeping(self, http_server, ahead):
+        base_url, script = http_server
+        then = datetime.now(timezone.utc) + timedelta(days=1)
+        when = "86400" if ahead == "delta-seconds" else format_datetime(then, usegmt=True)
+        script.script.extend([(429, {}, {"Retry-After": when}), _ok("never reached")])
+        sleeps: list[float] = []
+        backend = self._backend(base_url, sleep=sleeps.append, timeout=60.0)
+        with pytest.raises(BackendError, match="status 429: Retry-After asks for a") as excinfo:
+            backend.complete(TURNS, PARAMS)
+        wait = re.search(r"asks for a ([\d.]+) s wait, longer than the 60 s timeout", str(excinfo.value))
+        assert wait and 86000 < float(wait.group(1)) <= 86400
+        assert sleeps == []
+        assert len(script.seen) == 1
+
+    def test_retry_after_equal_to_timeout_still_waits(self, http_server):
+        base_url, script = http_server
+        script.script.extend([(503, {}, {"Retry-After": "5"}), _ok("after the wait")])
+        sleeps: list[float] = []
+        backend = self._backend(base_url, sleep=sleeps.append, timeout=5.0)
+        assert backend.complete(TURNS, PARAMS) == "after the wait"
+        assert sleeps == [5.0]
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be a positive number"):
+            HTTPBackend("m", "http://127.0.0.1:9", timeout=timeout)
 
     def test_client_errors_never_retry(self, http_server):
         base_url, script = http_server

@@ -31,7 +31,7 @@ from mpo import (
     request_digest,
     step,
 )
-from mpo import optimizer
+from mpo import cli, optimizer
 from mpo.cli import BackendBundle, CLIError, build_parser, build_run_config, main
 from solvers import gold_solver, scored_solver
 
@@ -169,6 +169,66 @@ class TestRunConfig:
         ini.write_text("[optimizer]\ndedup = fuzzy\n", encoding="utf-8")
         with pytest.raises(CLIError, match="dedup"):
             parse_config(["optimize", "p.txt", "--config", str(ini)])
+
+    @pytest.mark.parametrize(
+        "section, key, value, flag",
+        [
+            ("optimizer", "iterations", "many", ["--iterations", "2"]),
+            ("optimizer", "dedup", "fuzzy", ["--dedup", "llm"]),
+            ("optimizer", "concurrency", "0", ["--concurrency", "2"]),
+            ("eval", "dataset_format", "xml", ["--format", "arc_jsonl"]),
+            ("eval", "limit", "few", ["--limit", "3"]),
+            ("eval", "seed", "s", ["--seed", "1"]),
+        ],
+    )
+    def test_bad_file_value_rejected_under_flag(self, tmp_path, section, key, value, flag):
+        ini = tmp_path / "mpo.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        argv = ["eval", "p.txt", "d.jsonl", "--config", str(ini), *flag]
+        with pytest.raises(CLIError, match=f"^{key} must be .*, got '{value}'$"):
+            parse_config(argv)
+
+    def test_percent_in_value_is_literal(self, tmp_path):
+        ini = tmp_path / "mpo.ini"
+        ini.write_text("[backend]\nbase_url = http://h/a%20b\ncritic_model = 100%\n", encoding="utf-8")
+        config = parse_config(["optimize", "p.txt", "--config", str(ini)])
+        assert config.base_url == "http://h/a%20b"
+        assert config.critic_model == "100%"
+
+    def test_non_utf8_config_rejected(self, tmp_path):
+        ini = tmp_path / "mpo.ini"
+        ini.write_bytes(b"[eval]\nsplit = caf\xe9\n")
+        with pytest.raises(CLIError, match="cannot read config file"):
+            parse_config(["optimize", "p.txt", "--config", str(ini)])
+
+    def test_readme_config_example(self, tmp_path):
+        """The README's ``ini`` block, verbatim, parses and names every setting."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+        ini = tmp_path / "mpo.ini"
+        ini.write_text(block, encoding="utf-8")
+        config = parse_config(["optimize", "p.txt", "--config", str(ini)])
+        assert (config.mode, config.base_url, config.timeout) == ("live", "https://llm.example.com", 60.0)
+        assert (config.concurrency, config.dedup, config.limit) == (1, DedupMode.LEXICAL, 50)
+        assert config.templates["gradient"] == Path("my_gradient.txt")
+        pairs, section = set(), None
+        for line in block.splitlines():
+            if header := re.match(r"\[(\w+)\]", line):
+                section = header.group(1)
+            elif key := re.match(r"(\w+) =", line):
+                pairs.add((section, key.group(1)))
+        assert pairs == {(section, key) for section, key, *_ in cli._SETTINGS}
+
+    def test_table_flags_exist(self):
+        args = build_parser().parse_args(["eval", "p.txt", "d.jsonl"])
+        assert all(hasattr(args, flag) for *_, flag in cli._SETTINGS if flag)
+
+    def test_non_positive_timeout_exits_two(self, tmp_path, tagged_file, capsys):
+        ini = tmp_path / "mpo.ini"
+        ini.write_text("[backend]\nbase_url = http://127.0.0.1:9\ntimeout = 0\n", encoding="utf-8")
+        argv = ["optimize", str(tagged_file), "--live", "--config", str(ini), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "timeout must be a positive number" in capsys.readouterr().err
 
     def test_record_during_replay_disabled(self, tmp_path, caplog):
         with caplog.at_level("WARNING", logger="mpo.cli"):
