@@ -129,10 +129,13 @@ def _one_of(choices, convert=str) -> tuple:
     return parse, ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
 
 
-def _positive_int(value) -> int:
-    if int(value) < 1:
-        raise ValueError(value)
-    return int(value)
+def _checked(convert, ok, what: str) -> tuple:
+    def parse(value):
+        if not ok(value := convert(value)):
+            raise ValueError(value)
+        return value
+
+    return parse, what
 
 
 # Every setting of the config file, one row each: INI section; key, which is
@@ -146,14 +149,14 @@ _SETTINGS: tuple[tuple[str, str, tuple, str | None], ...] = (
     ("backend", "critic_model", (str, "text"), None),
     ("backend", "solver_model", (str, "text"), None),
     ("backend", "extractor_model", (str, "text"), None),
-    ("backend", "timeout", (float, "a number"), None),
-    ("optimizer", "iterations", (int, "an integer"), "iterations"),
+    ("backend", "timeout", _checked(float, lambda v: v > 0, "a number > 0"), None),
+    ("optimizer", "iterations", _checked(int, lambda v: v >= 0, "an integer >= 0"), "iterations"),
     ("optimizer", "dedup", _one_of([mode.value for mode in DedupMode], DedupMode), "dedup"),
-    ("optimizer", "concurrency", (_positive_int, "an integer >= 1"), "concurrency"),
-    ("optimizer", "max_section_tokens", (int, "an integer"), None),
+    ("optimizer", "concurrency", _checked(int, lambda v: v >= 1, "an integer >= 1"), "concurrency"),
+    ("optimizer", "max_section_tokens", _checked(int, lambda v: v >= 1, "an integer >= 1"), None),
     ("eval", "dataset_format", _one_of(DATASET_FORMATS), "format"),
     ("eval", "split", (str, "text"), "split"),
-    ("eval", "limit", (int, "an integer"), "limit"),
+    ("eval", "limit", _checked(int, lambda v: v >= 1, "an integer >= 1"), "limit"),
     ("eval", "seed", (int, "an integer"), "seed"),
     *(("templates", name, (Path, "a path"), None) for name in TEMPLATE_NAMES),
 )
@@ -172,6 +175,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             raise CLIError(f"cannot read config file: {exc}") from exc
         except configparser.Error as exc:
             raise CLIError(f"invalid config file: {exc}") from exc
+        if ini.defaults():  # configparser would copy them into every section
+            raise CLIError(f"[DEFAULT] takes no keys, got {', '.join(map(repr, ini.defaults()))}")
         for section in ini.sections():
             if section not in {known for known, _ in rows}:
                 raise CLIError(f"unknown config section [{section}]")

@@ -13,7 +13,10 @@ from __future__ import annotations
 import enum
 import functools
 import logging
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import AbstractSet, NamedTuple
 
 from .backends import CONSOLIDATION_PARAMS, BackendError, ChatTurn, CriticBackend, fan_out
 from .critic import (
@@ -31,6 +34,7 @@ from .schema import (
     Section,
     SectionKind,
     TagCollision,
+    check_tags,
     parse_structured_prompt,
     render_prompt,
     section_context,
@@ -93,9 +97,11 @@ def apply_gradient(section: Section, gradient: TextualGradient) -> Section:
         )
     if gradient.is_empty:
         return section
-    addition = "\n".join(gradient.directives)
-    content = f"{section.content}\n\n{addition}" if section.content else addition
-    return Section(kind=section.kind, content=content, provenance=Provenance.REFINED)
+    new = "\n".join("\n".join(gradient.directives).rstrip().splitlines())
+    check_tags(section.kind, new)  # the section's own lines passed it already
+    content = f"{section.content}\n\n{new}" if section.content else new.lstrip()
+    tokens = section.token_count + len(new.split())
+    return Section.of_valid_lines(section.kind, content, Provenance.REFINED, tokens)
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -108,27 +114,61 @@ def normalize_line(line: str) -> str:
     return line.rstrip(".,;:!?")
 
 
+class _LinePass(NamedTuple):
+    """A lexical dedup pass over some lines: the lines it kept (none trimmed),
+    the normalized keys it met (a set, never mutated once built), the kept
+    non-blank lines, the lines it dropped as repeats, and the kept tokens."""
+
+    kept: tuple[str, ...] = ()
+    seen: AbstractSet[str] = frozenset()
+    lines: int = 0
+    dropped: int = 0
+    tokens: int = 0
+
+    def then(self, text: str) -> "_LinePass":
+        """This pass continued over the lines of ``text``, at their cost alone."""
+        kept, seen = [], set(self.seen)
+        count, dropped, tokens = self.lines, self.dropped, self.tokens
+        for line in text.splitlines():
+            if line.strip():
+                key = normalize_line(line)
+                if key and key in seen:
+                    dropped += 1
+                    continue
+                seen.add(key)
+                count += 1
+                tokens += len(line.split())
+            kept.append(line)
+        return _LinePass(self.kept + tuple(kept), seen, count, dropped, tokens)
+
+
+_PASSES: OrderedDict[str, _LinePass] = OrderedDict()  # least recently used first
+_PASSES_LOCK = threading.Lock()
+
+
+def _line_pass(content: str, known: _LinePass | None = None) -> _LinePass:
+    """``content``'s pass: ``known`` if given, else cached, else one scan. A
+    pass is a function of the content alone, so an eviction costs a rescan."""
+    with _PASSES_LOCK:
+        known = known or _PASSES.get(content)
+        if known:
+            _PASSES[content] = known
+            _PASSES.move_to_end(content)
+            if len(_PASSES) > 64:
+                _PASSES.popitem(last=False)
+            return known
+    return _line_pass(content, _LinePass().then(content))
+
+
 def lexical_dedup(content: str) -> str:
     """Drop every line whose normalized form already appeared earlier.
 
     Blank lines never participate: internal ones are kept as paragraph
     separators, leading and trailing ones are trimmed so repeated cleanup is
     a no-op. Lines that normalize to nothing (e.g. a bare "-") are kept.
+    Reads the cached line pass over ``content``; :func:`step` extends it.
     """
-    kept: list[str] = []
-    seen: set[str] = set()
-    for line in content.splitlines():
-        if not line.strip():
-            kept.append(line)
-            continue
-        key = normalize_line(line)
-        if not key:
-            kept.append(line)
-            continue
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(line)
+    kept = list(_line_pass(content).kept)
     while kept and not kept[0].strip():
         kept.pop(0)
     while kept and not kept[-1].strip():
@@ -137,18 +177,9 @@ def lexical_dedup(content: str) -> str:
 
 
 def duplicate_line_count(content: str) -> int:
-    """Number of non-blank lines that repeat an earlier line's normalized form."""
-    keys = _line_keys(content)[1]
-    return len(keys) - len(set(keys))
-
-
-@functools.lru_cache(maxsize=64)
-def _line_keys(content: str) -> tuple[int, tuple[str, ...]]:
-    """Non-blank line count and the non-empty normalized lines of ``content``.
-    Cached, since the section that lands in one round is the next round's
-    incoming section."""
-    lines = [line for line in content.splitlines() if line.strip()]
-    return len(lines), tuple(filter(None, map(normalize_line, lines)))
+    """Number of non-blank lines that repeat an earlier line's normalized form,
+    the lines :func:`lexical_dedup` drops, read from the same cached pass."""
+    return _line_pass(content).dropped
 
 
 def _truncate_to_token_budget(section: Section, budget: int) -> tuple[Section, int]:
@@ -246,6 +277,9 @@ def step(
     ``config.max_section_tokens`` or above) is neither critiqued nor
     consolidated, since the budget, which keeps the oldest lines, would cut
     its directives.
+
+    Lexical dedup extends the incoming section's cached line pass over the
+    appended lines only, so an update costs time in proportion to them.
     """
     config = config or OptimizerConfig()
     order = process_order or CANONICAL_ORDER
@@ -256,13 +290,12 @@ def step(
 
     def update(kind: SectionKind) -> tuple[Section, SectionUpdate]:
         section = state.section(kind)
+        before = grown = _line_pass(section.content)
         if kind in saturated:
-            duplicates = duplicate_line_count(section.content)
             gradient = TextualGradient.empty(kind, critic_identity=critic.identity)
-            record = SectionUpdate(gradient, None, duplicates, duplicates, 0, 0, saturated=True)
-            return section, record
-        expanded = landed = section
-        failure, truncated = None, 0
+            dropped = before.dropped
+            return section, SectionUpdate(gradient, None, dropped, dropped, 0, 0, saturated=True)
+        landed, failure, truncated = section, None, 0
         try:
             gradient = request_gradient(
                 critic, section, section_context(state, kind), template=gradient_template
@@ -274,7 +307,9 @@ def step(
         if not gradient.is_empty:
             try:
                 expanded = apply_gradient(section, gradient)
-                cleaned = _dedup(expanded, critic, config, consolidate_template)
+                # Only the lines past the incoming section's own are new to scan.
+                grown = before.then(expanded.content[len(section.content) + bool(section.content):])
+                cleaned = _dedup(expanded, grown, critic, config, consolidate_template)
                 landed, truncated = _truncate_to_token_budget(cleaned, budget)
                 if landed.content == section.content:  # every new line was dropped
                     landed = section
@@ -282,19 +317,9 @@ def step(
                 logger.warning("update failed for %s: %s", kind.display_name, exc)
                 landed = section
                 failure = f"update failed: {exc}"
-        # Only the directives appended to the incoming section are new to count.
-        old_lines, old_keys = _line_keys(section.content)
-        new_lines, new_keys = _line_keys(expanded.content[len(section.content):])
-        landed_lines, landed_keys = _line_keys(landed.content)
-        keys = old_keys + new_keys
-        return landed, SectionUpdate(
-            gradient=gradient,
-            failure=failure,
-            duplicates_before=len(keys) - len(set(keys)),
-            duplicates_after=len(landed_keys) - len(set(landed_keys)),
-            removed=max(0, old_lines + new_lines - landed_lines - truncated),
-            truncated=truncated,
-        )
+        after = _line_pass(landed.content)
+        removed = max(0, grown.lines + grown.dropped - after.lines - after.dropped - truncated)
+        return landed, SectionUpdate(gradient, failure, grown.dropped, after.dropped, removed, truncated)
 
     outcomes = dict(zip(order, fan_out(update, order, config.concurrency_width)))
     next_state = PromptState(
@@ -310,23 +335,24 @@ def step(
 
 
 def _dedup(
-    section: Section,
+    expanded: Section,
+    grown: _LinePass,
     critic: CriticBackend,
     config: OptimizerConfig,
     template: PromptTemplate | None,
 ) -> Section:
-    if config.dedup_mode is DedupMode.LEXICAL:
-        return _lexical_pass(section)
     if config.dedup_mode is DedupMode.LLM:
-        return consolidate(critic, section, template=template)
-    return consolidate(critic, _lexical_pass(section), template=template)
-
-
-def _lexical_pass(section: Section) -> Section:
-    cleaned = lexical_dedup(section.content)
-    if cleaned == section.content:
-        return section
-    return Section(kind=section.kind, content=cleaned, provenance=section.provenance)
+        return consolidate(critic, expanded, template=template)
+    kept = list(grown.kept)  # the lines, not copies, so cached passes share them
+    while not kept[-1].strip():
+        kept.pop()
+    kept[-1] = kept[-1].rstrip()  # as Section strips it
+    content = "\n".join(kept)
+    _line_pass(content, grown._replace(kept=tuple(kept), dropped=0))
+    cleaned = Section.of_valid_lines(expanded.kind, content, expanded.provenance, grown.tokens)
+    if config.dedup_mode is DedupMode.LEXICAL:
+        return cleaned
+    return consolidate(critic, cleaned, template=template)
 
 
 @dataclass(frozen=True)

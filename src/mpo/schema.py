@@ -114,6 +114,23 @@ class Provenance(Enum):
     REFINED = "refined"
 
 
+def check_tags(kind: SectionKind, text: str) -> None:
+    """Raise :class:`TagCollision` if ``text`` would not survive as content of
+    a ``kind`` section. Both checks look at one line at a time."""
+    match = TAG_STRING_RE.search(text)
+    if match:
+        raise TagCollision(f"{kind.display_name} content contains the tag string {match.group(0)!r}")
+    # A line the parser would read as a section tag (so it holds a "<") must
+    # not hide in content, or the section would not survive a render/parse cycle.
+    if "<" in text:
+        for line in text.splitlines():
+            if _parse_tag_line(line.strip()) is not None:
+                raise TagCollision(
+                    f"{kind.display_name} content contains a line that "
+                    f"parses as the {line.strip()!r} tag"
+                )
+
+
 @dataclass(frozen=True)
 class Section:
     """One section of a structured prompt.
@@ -130,21 +147,18 @@ class Section:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "content", "\n".join(self.content.strip().splitlines()))
-        match = TAG_STRING_RE.search(self.content)
-        if match:
-            raise TagCollision(
-                f"{self.kind.display_name} content contains the tag string "
-                f"{match.group(0)!r}"
-            )
-        # A line the parser would read as a section tag (so it holds a "<") must
-        # not hide in content, or the section would not survive a render/parse cycle.
-        if "<" in self.content:
-            for line in self.content.splitlines():
-                if _parse_tag_line(line.strip()) is not None:
-                    raise TagCollision(
-                        f"{self.kind.display_name} content contains a line that "
-                        f"parses as the {line.strip()!r} tag"
-                    )
+        check_tags(self.kind, self.content)
+
+    @classmethod
+    def of_valid_lines(
+        cls, kind: SectionKind, content: str, provenance: Provenance, token_count: int
+    ) -> "Section":
+        """A section over normalized ``content`` whose every line sat in a valid
+        section or passed :func:`check_tags`, and its token count, taken
+        without a pass over the content."""
+        section = cls.__new__(cls)
+        section.__dict__.update(kind=kind, content=content, provenance=provenance, token_count=token_count)
+        return section
 
     @property
     def is_empty(self) -> bool:

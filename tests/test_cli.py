@@ -152,6 +152,25 @@ class TestRunConfig:
         with pytest.raises(CLIError, match=r"unknown config key"):
             parse_config(["optimize", "p.txt", "--config", str(ini)])
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nbogus = 1\n", "[DEFAULT]\nseed = 1\n[optimizer]\niterations = 2\n"],
+        ids=["alone", "beside_a_section"],
+    )
+    def test_default_section_keys_rejected(self, tmp_path, text):
+        ini = tmp_path / "mpo.ini"
+        ini.write_text(text, encoding="utf-8")
+        with pytest.raises(CLIError, match=r"^\[DEFAULT\] takes no keys, got '(bogus|seed)'$"):
+            parse_config(["optimize", "p.txt", "--config", str(ini)])
+
+    @pytest.mark.parametrize(
+        "flag, value, what",
+        [("--iterations", "-1", "an integer >= 0"), ("--limit", "0", "an integer >= 1")],
+    )
+    def test_out_of_range_flag_rejected(self, flag, value, what):
+        with pytest.raises(CLIError, match=f"^{flag[2:]} must be {what}, got {value}$"):
+            parse_config(["eval", "p.txt", "d.jsonl", flag, value])
+
     def test_config_mode_replay_rejected(self, tmp_path):
         ini = tmp_path / "mpo.ini"
         ini.write_text("[backend]\nmode = replay\n", encoding="utf-8")
@@ -179,6 +198,10 @@ class TestRunConfig:
             ("eval", "dataset_format", "xml", ["--format", "arc_jsonl"]),
             ("eval", "limit", "few", ["--limit", "3"]),
             ("eval", "seed", "s", ["--seed", "1"]),
+            ("optimizer", "iterations", "-1", ["--iterations", "2"]),
+            ("eval", "limit", "0", ["--limit", "3"]),
+            ("optimizer", "max_section_tokens", "0", []),
+            ("backend", "timeout", "nan", []),
         ],
     )
     def test_bad_file_value_rejected_under_flag(self, tmp_path, section, key, value, flag):
@@ -228,7 +251,7 @@ class TestRunConfig:
         ini.write_text("[backend]\nbase_url = http://127.0.0.1:9\ntimeout = 0\n", encoding="utf-8")
         argv = ["optimize", str(tagged_file), "--live", "--config", str(ini), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
-        assert "timeout must be a positive number" in capsys.readouterr().err
+        assert "timeout must be a number > 0, got '0'" in capsys.readouterr().err
 
     def test_record_during_replay_disabled(self, tmp_path, caplog):
         with caplog.at_level("WARNING", logger="mpo.cli"):

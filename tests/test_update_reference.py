@@ -10,6 +10,11 @@ requires the same result from both.
 ``optimize`` skips sections saturated at the token budget; the reference
 round loop critiques every section in every round, as before.
 
+A section update continues the incoming section's dedup pass over the
+appended lines only, checks only those lines for tags, and builds the landed
+section from what the pass kept; ``reference_update`` is the chain it
+replaced, which rebuilt and rescanned the whole section.
+
 ``PromptState.digest`` is computed once per state, ``history.jsonl`` encodes
 each distinct section once and splices it into the state's line, and replay
 looks requests up by a framed hash of their fields instead of their
@@ -20,19 +25,27 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import pickle
 import random
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as local
 from mpo import (
     CANONICAL_ORDER,
+    BackendError,
     ChatTurn,
+    ConsolidationRejected,
     DedupMode,
     GenerationParams,
     OptimizerConfig,
@@ -41,21 +54,27 @@ from mpo import (
     RecordingBackend,
     ReplayBackend,
     ReplayMiss,
+    RunHistory,
     ScriptedBackend,
     Section,
     SectionKind,
     TagCollision,
+    TextualGradient,
     apply_gradient,
+    consolidate,
+    normalize_line,
     optimize,
     render_prompt,
     request_digest,
     request_gradient,
     section_context,
+    step,
     token_count,
 )
+from mpo import optimizer
 from mpo.backends import Transcript, TranscriptEntry, _request_key
 from mpo.cli import _history_lines
-from mpo.optimizer import _lexical_pass, _truncate_to_token_budget
+from mpo.optimizer import SectionUpdate, _truncate_to_token_budget
 from mpo.schema import TAG_STRING_RE, _parse_tag_line
 
 
@@ -366,7 +385,7 @@ def reference_optimize(initial: PromptState, critic, config: OptimizerConfig) ->
             section = state.section(kind)
             gradient = request_gradient(critic, section, section_context(state, kind))
             if not gradient.is_empty:
-                cleaned = _lexical_pass(apply_gradient(section, gradient))
+                cleaned = reference_lexical_pass(reference_apply(section, gradient))
                 section, _ = _truncate_to_token_budget(cleaned, config.max_section_tokens)
             landed.append(section)
         states.append(PromptState(tuple(landed), state.iteration + 1, state.digest))
@@ -418,3 +437,226 @@ class TestSaturationSkipMatchesReference:
         assert render_prompt(history.final) == render_prompt(expected[-1])
         skipped = sum(update.saturated for round_ in history.updates for update in round_)
         assert critic.calls == reference_critic.calls - skipped
+
+
+def reference_apply(section: Section, gradient: TextualGradient) -> Section:
+    """Append the directives and rebuild, so every line is normalized and checked."""
+    addition = "\n".join(gradient.directives)
+    content = f"{section.content}\n\n{addition}" if section.content else addition
+    return Section(kind=section.kind, content=content, provenance=Provenance.REFINED)
+
+
+def reference_lexical_dedup(content: str) -> str:
+    """The dedup loop over every line of ``content``."""
+    kept: list[str] = []
+    seen: set[str] = set()
+    for line in content.splitlines():
+        if not line.strip():
+            kept.append(line)
+            continue
+        key = normalize_line(line)
+        if not key:
+            kept.append(line)
+            continue
+        if key in seen:
+            continue
+        seen.add(key)
+        kept.append(line)
+    while kept and not kept[0].strip():
+        kept.pop(0)
+    while kept and not kept[-1].strip():
+        kept.pop()
+    return "\n".join(kept)
+
+
+def reference_lexical_pass(section: Section) -> Section:
+    cleaned = reference_lexical_dedup(section.content)
+    if cleaned == section.content:
+        return section
+    return Section(kind=section.kind, content=cleaned, provenance=section.provenance)
+
+
+def reference_line_keys(content: str) -> tuple[int, tuple[str, ...]]:
+    """Non-blank line count and the non-empty normalized lines of ``content``."""
+    lines = [line for line in content.splitlines() if line.strip()]
+    return len(lines), tuple(filter(None, map(normalize_line, lines)))
+
+
+def reference_update(
+    section: Section, gradient: TextualGradient, critic, config: OptimizerConfig
+) -> tuple[Section, SectionUpdate]:
+    """One non-saturated section update with a non-empty gradient, as the
+    step did it: apply, dedup, truncate, then count lines in all three texts."""
+    expanded = landed = section
+    failure, truncated = None, 0
+    try:
+        expanded = reference_apply(section, gradient)
+        if config.dedup_mode is DedupMode.LLM:
+            cleaned = consolidate(critic, expanded)
+        else:
+            cleaned = reference_lexical_pass(expanded)
+            if config.dedup_mode is DedupMode.LEXICAL_THEN_LLM:
+                cleaned = consolidate(critic, cleaned)
+        landed, truncated, _ = reference_truncate(cleaned, config.max_section_tokens)
+        if landed.content == section.content:
+            landed = section
+    except (TagCollision, ConsolidationRejected, BackendError) as exc:
+        landed = section
+        failure = f"update failed: {exc}"
+    old_lines, old_keys = reference_line_keys(section.content)
+    new_lines, new_keys = reference_line_keys(expanded.content[len(section.content):])
+    landed_lines, landed_keys = reference_line_keys(landed.content)
+    keys = old_keys + new_keys
+    return landed, SectionUpdate(
+        gradient=gradient,
+        failure=failure,
+        duplicates_before=len(keys) - len(set(keys)),
+        duplicates_after=len(landed_keys) - len(set(landed_keys)),
+        removed=max(0, old_lines + new_lines - landed_lines - truncated),
+        truncated=truncated,
+    )
+
+
+# Repeats under normalization, marker-only and blank lines, non-ASCII text,
+# characters str.splitlines breaks on (\u2028, \x85, \r, which "\n" joins to
+# "\r\n"), edge whitespace, and "<" lines that are not tags.
+_PIECES = (
+    "keep", "Keep.", "- keep", "KEEP!", "-", "1.", "short", "\xe9t\xe9", "\u6f22\u5b57",
+    " ", "\t", "\u3000", "\u2028", "\x85", "\r", "a < b", "<Foo>", "<task",
+)
+_SECTION_LINE = st.lists(st.sampled_from(_PIECES), max_size=4).map("".join)
+_DIRECTIVE = (
+    st.lists(st.sampled_from((*_PIECES, "<Task>", "< output  FORMAT >", "x<Context>")), min_size=1, max_size=4)
+    .map("".join)
+    .filter(lambda line: line.strip() and "\n" not in line)
+)
+
+
+@st.composite
+def section_updates(draw) -> tuple[Section, TextualGradient, OptimizerConfig, str]:
+    kind = draw(st.sampled_from(CANONICAL_ORDER))
+    content = "\n".join(draw(st.lists(_SECTION_LINE, max_size=12)))
+    section = Section(kind, content, draw(st.sampled_from(tuple(Provenance))))
+    gradient = TextualGradient(kind, tuple(draw(st.lists(_DIRECTIVE, min_size=1, max_size=6))))
+    mode = draw(st.sampled_from(tuple(DedupMode)))
+    budget = section.token_count + draw(st.integers(1, 30))
+    reply = "\n".join(draw(st.lists(st.one_of(_SECTION_LINE, st.just("<Task>")), max_size=6)))
+    return section, gradient, OptimizerConfig(1, mode, max_section_tokens=budget), reply
+
+
+class TestSectionUpdateMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(case=section_updates())
+    def test_same_landed_section_and_record(self, case):
+        section, gradient, config, reply = case
+        critic = ScriptedBackend(reply)
+        expected, expected_update = reference_update(section, gradient, critic, config)
+        state = PromptState.from_sections([section])
+        others = frozenset(CANONICAL_ORDER) - {section.kind}
+        with mock.patch.object(optimizer, "request_gradient", lambda *args, **kwargs: gradient):
+            result = step(state, critic, config, saturated=others)
+        landed, update = result.state.section(section.kind), result.updates[CANONICAL_ORDER.index(section.kind)]
+        assert landed == expected and landed.provenance is expected.provenance
+        assert landed.token_count == len(expected.content.split())
+        assert update == expected_update
+        # A pass stored for a landed section equals a fresh scan of its content.
+        assert optimizer._line_pass(landed.content) == optimizer._LinePass().then(landed.content)
+
+    @settings(max_examples=200)
+    @given(case=section_updates())
+    def test_apply_gradient_matches_rebuild(self, case):
+        section, gradient, _, _ = case
+        try:
+            expected = reference_apply(section, gradient)
+        except TagCollision as exc:
+            with pytest.raises(TagCollision) as raised:
+                apply_gradient(section, gradient)
+            assert str(raised.value) == str(exc)
+        else:
+            result = apply_gradient(section, gradient)
+            assert result == expected and result.provenance is expected.provenance
+            assert result.token_count == len(expected.content.split())
+
+
+def unique_rule_critic() -> ScriptedBackend:
+    """Each critique brings two directives no earlier line has and one that
+    repeats, under normalization, the first line of the section critiqued;
+    no two directives are the same string."""
+    calls = itertools.count()
+
+    def reply(turns, params) -> str:
+        first = turns[-1].content.split("Current section content:\n", 1)[1].splitlines()[0]
+        call = next(calls)
+        return f"- rule {call} a stays.\n- rule {call} b stays.\n- {first.upper()}{'!' * (call + 1)}"
+
+    return ScriptedBackend(reply)
+
+
+class TestEachLineScannedOnce:
+    """A lexical run normalizes each line once, when it first arrives, plus
+    once more for a section the budget cut: no landed section is scanned again."""
+
+    def run(self, budget: int) -> tuple[Counter, RunHistory]:
+        initial = PromptState.from_sections(
+            Section(kind, "\n".join(f"{kind.value} line {i}" for i in range(4))) for kind in CANONICAL_ORDER
+        )
+        seen: Counter = Counter()
+
+        def counting(line: str) -> str:
+            seen[line] += 1
+            return normalize_line(line)
+
+        config = OptimizerConfig(8, DedupMode.LEXICAL, max_section_tokens=budget)
+        with mock.patch.object(optimizer, "normalize_line", counting):
+            history = optimize(initial, unique_rule_critic(), config)
+        return seen, history
+
+    def test_each_line_normalized_once(self):
+        seen, history = self.run(budget=10_000)
+        assert all(update.truncated == 0 for round_ in history.updates for update in round_)
+        assert seen and max(seen.values()) == 1
+
+    def test_cut_sections_scanned_once_more(self):
+        seen, history = self.run(budget=24)
+        cut = {
+            line
+            for state, round_ in zip(history.states[1:], history.updates)
+            for section, update in zip(state.sections, round_)
+            if update.truncated
+            for line in section.content.splitlines()
+        }
+        assert cut and max(seen.values()) == 2
+        assert {line for line, count in seen.items() if count == 2} <= cut
+
+
+class TestPassCacheUnderThreads:
+    """The pass cache is shared by fan-out workers: under forced thread
+    switches every pass read must equal a fresh scan, the cache must stay
+    bounded, and a run must give the same digests at width 1 and width 5."""
+
+    def test_reads_match_fresh_scans(self):
+        contents = ["\n".join(f"- rule {i % (n // 2 + 1)}" for i in range(n)) for n in range(1, 150)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                found = list(pool.map(optimizer._line_pass, contents * 3, timeout=60))
+        finally:
+            sys.setswitchinterval(previous)
+        assert found == [optimizer._LinePass().then(content) for content in contents * 3]
+        assert len(optimizer._PASSES) <= 64
+
+    @settings(max_examples=30, deadline=None)
+    @given(run=saturating_runs(), salt=st.integers(0, 1000))
+    def test_same_digests_at_width_one_and_five(self, run, salt):
+        initial, pool, budget = run
+        digests = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for width in (1, 5):
+                config = OptimizerConfig(6, DedupMode.LEXICAL, concurrency_width=width, max_section_tokens=budget)
+                digests.append(optimize(initial, CountingCritic(pool, salt), config).digests)
+        finally:
+            sys.setswitchinterval(previous)
+        assert digests[0] == digests[1]
