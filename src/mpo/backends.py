@@ -113,10 +113,16 @@ def request_digest(turns: Sequence[ChatTurn], params: GenerationParams) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _request_key(turns: Iterable[tuple[str, str]], params: dict) -> bytes:
+def _params_json(params: dict) -> str:
+    """Canonical params JSON: two requests match only when theirs are equal,
+    so ``0`` and ``0.0`` differ, as they do in :func:`request_digest`."""
+    return json.dumps(params, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def _request_key(turns: Iterable[tuple[str, str]], params_json: str) -> bytes:
     """Replay key, equal exactly when :func:`request_digest` is, but over the
-    params JSON and length-framed turns: the turns are not JSON-encoded."""
-    blob = json.dumps(params, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    canonical params JSON and length-framed turns: the turns are not JSON-encoded."""
+    blob = params_json.encode("utf-8")
     key = hashlib.sha256(b"%d:%s" % (len(blob), blob))
     for role, content in turns:
         role, content = role.encode("utf-8"), content.encode("utf-8")
@@ -278,26 +284,42 @@ class RecordingBackend(CriticBackend):
 class ReplayBackend(CriticBackend):
     """Serves recorded responses to requests with the same turns and params.
 
-    Lookup hashes those fields (:func:`_request_key`); an entry's stored
-    ``request_digest`` is a label only.  Duplicates are consumed in recorded
-    order, serialized.  A request with no unconsumed match raises
-    :class:`ReplayMiss`: the run diverged from the recording.
+    A request matches an entry when their (role, content) turns and canonical
+    params JSON (:func:`_params_json`) are equal; the stored
+    ``request_digest`` is a label only. While requests arrive in recorded
+    order, each is compared with the first unconsumed entry, with no hashing.
+    The first that is not that entry indexes the unconsumed entries by
+    :func:`_request_key`, and from then on a request gets its earliest
+    unconsumed match. Either way duplicates are consumed in recorded order,
+    serialized, and a consumed entry's request text is released. A request
+    with no unconsumed match raises :class:`ReplayMiss`: the run diverged
+    from the recording.
     """
 
     name = "replay"
     model = "transcript"
 
     def __init__(self, store: Transcript) -> None:
-        self._queues: dict[bytes, deque[str]] = {}
+        self._pending: deque[tuple[tuple[tuple[str, str], ...], str, str]] = deque()
         for entry in store:
-            key = _request_key(((t["role"], t["content"]) for t in entry.request), entry.params)
-            self._queues.setdefault(key, deque()).append(entry.response)
+            turns = tuple((turn["role"], turn["content"]) for turn in entry.request)
+            if not all(isinstance(field, str) for turn in turns for field in turn):
+                raise TypeError(f"recorded turns need string roles and contents: {entry.request!r}")
+            self._pending.append((turns, _params_json(entry.params), entry.response))
+        self._index: dict[bytes, deque[str]] | None = None
         self._lock = threading.Lock()
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
-        key = _request_key(((turn.role, turn.content) for turn in turns), params.to_dict())
+        request = (tuple((turn.role, turn.content) for turn in turns), _params_json(params.to_dict()))
         with self._lock:
-            queue = self._queues.get(key)
+            if self._index is None:
+                if self._pending and self._pending[0][:2] == request:
+                    return self._pending.popleft()[2]
+                self._index = {}
+                for recorded, params_json, response in self._pending:
+                    self._index.setdefault(_request_key(recorded, params_json), deque()).append(response)
+                self._pending.clear()
+            queue = self._index.get(_request_key(*request))
             if queue:
                 return queue.popleft()
         raise ReplayMiss(

@@ -385,6 +385,12 @@ class ItemRecord:
         )
 
 
+def _macro_accuracy(per_subject: dict[str, tuple[int, int, float]]) -> float | None:
+    if not per_subject:
+        return None
+    return sum(acc for _, _, acc in per_subject.values()) / len(per_subject)
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """Aggregate exact-match accuracy plus the per-item records behind it."""
@@ -449,10 +455,7 @@ class EvalResult:
     @property
     def macro_accuracy(self) -> float | None:
         """Unweighted mean of per-subject accuracies; None without subjects."""
-        per_subject = self.per_subject
-        if not per_subject:
-            return None
-        return sum(acc for _, _, acc in per_subject.values()) / len(per_subject)
+        return _macro_accuracy(self.per_subject)
 
     def to_dict(self) -> dict:
         data = {
@@ -465,12 +468,13 @@ class EvalResult:
             "unparseable": self.unparseable,
             "records": [record.to_dict() for record in self.records],
         }
-        if self.per_subject:
+        per_subject = self.per_subject
+        if per_subject:
             data["per_subject"] = {
                 subject: {"correct": c, "total": t, "accuracy": a}
-                for subject, (c, t, a) in self.per_subject.items()
+                for subject, (c, t, a) in per_subject.items()
             }
-            data["macro_accuracy"] = self.macro_accuracy
+            data["macro_accuracy"] = _macro_accuracy(per_subject)
         return data
 
     @classmethod

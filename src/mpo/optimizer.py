@@ -154,7 +154,7 @@ def _line_pass(content: str, known: _LinePass | None = None) -> _LinePass:
         if known:
             _PASSES[content] = known
             _PASSES.move_to_end(content)
-            if len(_PASSES) > 64:
+            if len(_PASSES) > 16:  # a width-5 step reads at most 15 passes
                 _PASSES.popitem(last=False)
             return known
     return _line_pass(content, _LinePass().then(content))
@@ -322,13 +322,8 @@ def step(
         return landed, SectionUpdate(gradient, failure, grown.dropped, after.dropped, removed, truncated)
 
     outcomes = dict(zip(order, fan_out(update, order, config.concurrency_width)))
-    next_state = PromptState(
-        sections=tuple(outcomes[kind][0] for kind in CANONICAL_ORDER),
-        iteration=state.iteration + 1,
-        parent_digest=state.digest,
-    )
     return StepResult(
-        state=next_state,
+        state=state.successor(tuple(outcomes[kind][0] for kind in CANONICAL_ORDER)),
         updates=tuple(outcomes[kind][1] for kind in CANONICAL_ORDER),
         process_order=order,
     )
@@ -472,24 +467,15 @@ def baseline_global_step(
         for kind in CANONICAL_ORDER:
             content = strip_tag_strings(text) if kind is SectionKind.TASK_DETAILS else ""
             sections.append(Section(kind=kind, content=content, provenance=Provenance.REFINED))
-        return PromptState(
-            sections=tuple(sections),
-            iteration=state.iteration + 1,
-            parent_digest=state.digest,
-        )
-    sections = tuple(
+        return state.successor(tuple(sections))
+    return state.successor(tuple(
         Section(
             kind=section.kind,
             content=section.content,
             provenance=Provenance.REFINED if not section.is_empty else section.provenance,
         )
         for section in parsed.sections
-    )
-    return PromptState(
-        sections=sections,
-        iteration=state.iteration + 1,
-        parent_digest=state.digest,
-    )
+    ))
 
 
 @dataclass(frozen=True)

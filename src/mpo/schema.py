@@ -217,6 +217,15 @@ class PromptState:
     def empty(cls) -> "PromptState":
         return cls.from_sections(())
 
+    def successor(self, sections: tuple[Section, ...]) -> "PromptState":
+        """The next state in the digest chain, holding ``sections``. When each
+        is this state's own object the rendered prompt is the same, so the
+        digest is taken from this state instead of rendered and hashed again."""
+        state = PromptState(sections, self.iteration + 1, self.digest)
+        if all(new is old for new, old in zip(sections, self.sections)):
+            state.__dict__["_digest"] = self.digest
+        return state
+
     def section(self, kind: SectionKind) -> Section:
         return self.sections[CANONICAL_ORDER.index(kind)]
 

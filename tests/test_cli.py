@@ -440,11 +440,11 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "request_turns",
-        [[{"role": "user"}], [{"role": "user", "content": None}], ["user"]],
-        ids=["no-content", "null-content", "not-an-object"],
+        [[{"role": "user"}], [{"role": "user", "content": None}], ["user"], [{"role": 1, "content": "x"}]],
+        ids=["no-content", "null-content", "not-an-object", "number-role"],
     )
     def test_malformed_transcript_turn_exits_two(self, tagged_file, tmp_path, capsys, request_turns):
-        # Replay indexes every recorded turn when it loads the transcript.
+        # Replay validates every recorded turn when it loads the transcript.
         entry = {"request_digest": "x", "request": request_turns, "params": {}, "response": "", "timestamp": ""}
         transcript = tmp_path / "t.jsonl"
         transcript.write_text(json.dumps(entry) + "\n", encoding="utf-8")
