@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import requests
@@ -68,7 +68,7 @@ class ChatTurn:
 
 @dataclass(frozen=True)
 class GenerationParams:
-    """Decoding parameters, recorded alongside every transcript entry."""
+    """Decoding parameters, recorded alongside every transcript record."""
 
     temperature: float = 0.0
     max_output_tokens: int = 512
@@ -119,18 +119,6 @@ def _params_json(params: dict) -> str:
     return json.dumps(params, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def _request_key(turns: Iterable[tuple[str, str]], params_json: str) -> bytes:
-    """Replay key, equal exactly when :func:`request_digest` is, but over the
-    canonical params JSON and length-framed turns: the turns are not JSON-encoded."""
-    blob = params_json.encode("utf-8")
-    key = hashlib.sha256(b"%d:%s" % (len(blob), blob))
-    for role, content in turns:
-        role, content = role.encode("utf-8"), content.encode("utf-8")
-        key.update(b"%d:%s%d:" % (len(role), role, len(content)))
-        key.update(content)
-    return key.digest()
-
-
 def fan_out(
     fn: Callable, items: Iterable, width: int, stop: Callable[[list], bool] | None = None
 ) -> list:
@@ -177,80 +165,67 @@ class CriticBackend(ABC):
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
-    """One recorded request/response pair."""
-
-    request_digest: str
-    request: tuple[dict, ...]
-    params: dict
-    response: str
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return {
-            "request_digest": self.request_digest,
-            "request": list(self.request),
-            "params": self.params,
-            "response": self.response,
-            "timestamp": self.timestamp,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TranscriptEntry":
-        return cls(
-            request_digest=data["request_digest"],
-            request=tuple(data["request"]),
-            params=data["params"],
-            response=data["response"],
-            timestamp=data["timestamp"],
-        )
-
-    def turns(self) -> tuple[ChatTurn, ...]:
-        return tuple(ChatTurn(t["role"], t["content"]) for t in self.request)
+def _checked_record(line: str) -> dict:
+    """A transcript line decoded into its record, or ValueError saying why it is not one."""
+    keys = ("request_digest", "request", "params", "response", "timestamp")
+    record = json.loads(line)
+    if not isinstance(record, dict) or not all(key in record for key in keys):
+        raise ValueError(f"a record is an object with the keys {', '.join(keys)}")
+    if not isinstance(record["request"], list) or not all(
+        isinstance(turn, dict) and turn.get("role") in _ROLES and isinstance(turn.get("content"), str)
+        for turn in record["request"]
+    ):
+        raise ValueError(f"request must be a list of turns, each with a role in {_ROLES} and string content")
+    if not isinstance(record["params"], dict) or not isinstance(record["response"], str):
+        raise ValueError("params must be an object and response a string")
+    return record
 
 
 class Transcript:
-    """Append-only store of recorded backend calls.
+    """Append-only store of recorded backend calls, persisted as JSON Lines.
 
-    Appends are serialized internally; entries are exposed as an immutable
-    snapshot.  Persisted as JSON Lines, one entry per line.
+    A call is one record, the object on one line: ``request_digest`` (a
+    label), ``request`` (the turns as role and content objects), ``params``,
+    ``response`` and ``timestamp``. Appends are serialized internally, and
+    iteration goes over a snapshot.
     """
 
-    def __init__(self, entries: Iterable[TranscriptEntry] = ()) -> None:
-        self._entries: list[TranscriptEntry] = list(entries)
+    def __init__(self, records: Iterable[dict] = ()) -> None:
+        self._records: list[dict] = list(records)
         self._lock = threading.Lock()
 
-    def append(self, entry: TranscriptEntry) -> None:
+    def append(self, record: dict) -> None:
         with self._lock:
-            self._entries.append(entry)
-
-    @property
-    def entries(self) -> tuple[TranscriptEntry, ...]:
-        with self._lock:
-            return tuple(self._entries)
+            self._records.append(record)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._records)
 
-    def __iter__(self):
-        return iter(self.entries)
+    def __iter__(self) -> Iterator[dict]:
+        with self._lock:
+            return iter(tuple(self._records))
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as handle:
-            for entry in self.entries:
-                handle.write(json.dumps(entry.to_dict(), ensure_ascii=False) + "\n")
+            for record in self:
+                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
-        entries = []
+        """Read a saved transcript, checking each record once. A line without one
+        raises ValueError naming the line; text that is not UTF-8 raises
+        UnicodeDecodeError, also a ValueError."""
+        records = []
         with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 if line.strip():
-                    entries.append(TranscriptEntry.from_dict(json.loads(line)))
-        return cls(entries)
+                    try:
+                        records.append(_checked_record(line))
+                    except ValueError as exc:
+                        raise ValueError(f"line {number}: {exc}") from None
+        return cls(records)
 
 
 class RecordingBackend(CriticBackend):
@@ -270,57 +245,57 @@ class RecordingBackend(CriticBackend):
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
         response = self.inner.complete(turns, params)
         self.store.append(
-            TranscriptEntry(
-                request_digest=request_digest(turns, params),
-                request=tuple(turn.to_dict() for turn in turns),
-                params=params.to_dict(),
-                response=response,
-                timestamp=datetime.now(timezone.utc).isoformat(),
-            )
+            {
+                "request_digest": request_digest(turns, params),
+                "request": [turn.to_dict() for turn in turns],
+                "params": params.to_dict(),
+                "response": response,
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+            }
         )
         return response
+
+
+def _recorded_request(record: dict) -> tuple[tuple[tuple[str, str], ...], str]:
+    """A record's request as replay matches it: (role, content) turns and canonical params JSON."""
+    return tuple((turn["role"], turn["content"]) for turn in record["request"]), _params_json(record["params"])
 
 
 class ReplayBackend(CriticBackend):
     """Serves recorded responses to requests with the same turns and params.
 
-    A request matches an entry when their (role, content) turns and canonical
+    A request matches a record when their (role, content) turns and canonical
     params JSON (:func:`_params_json`) are equal; the stored
-    ``request_digest`` is a label only. While requests arrive in recorded
-    order, each is compared with the first unconsumed entry, with no hashing.
-    The first that is not that entry indexes the unconsumed entries by
-    :func:`_request_key`, and from then on a request gets its earliest
-    unconsumed match. Either way duplicates are consumed in recorded order,
-    serialized, and a consumed entry's request text is released. A request
-    with no unconsumed match raises :class:`ReplayMiss`: the run diverged
-    from the recording.
+    ``request_digest`` is a label only. Requests in recorded order are each
+    compared with the first unconsumed record. The first out of order indexes
+    the unconsumed records by the request they hold, and from then on a
+    request gets its earliest unconsumed match. Neither path computes a
+    digest; both consume duplicates in recorded order, serialized, and release
+    a consumed record's request text. A request with no unconsumed match raises
+    :class:`ReplayMiss`: the run diverged from the recording.
     """
 
     name = "replay"
     model = "transcript"
 
     def __init__(self, store: Transcript) -> None:
-        self._pending: deque[tuple[tuple[tuple[str, str], ...], str, str]] = deque()
-        for entry in store:
-            turns = tuple((turn["role"], turn["content"]) for turn in entry.request)
-            if not all(isinstance(field, str) for turn in turns for field in turn):
-                raise TypeError(f"recorded turns need string roles and contents: {entry.request!r}")
-            self._pending.append((turns, _params_json(entry.params), entry.response))
-        self._index: dict[bytes, deque[str]] | None = None
+        self._pending: deque[dict] = deque(store)
+        self._index: dict[tuple, deque[str]] | None = None
         self._lock = threading.Lock()
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
         request = (tuple((turn.role, turn.content) for turn in turns), _params_json(params.to_dict()))
         with self._lock:
             if self._index is None:
-                if self._pending and self._pending[0][:2] == request:
-                    return self._pending.popleft()[2]
+                if self._pending and _recorded_request(self._pending[0]) == request:
+                    return self._pending.popleft()["response"]
                 self._index = {}
-                for recorded, params_json, response in self._pending:
-                    self._index.setdefault(_request_key(recorded, params_json), deque()).append(response)
+                for record in self._pending:
+                    self._index.setdefault(_recorded_request(record), deque()).append(record["response"])
                 self._pending.clear()
-            queue = self._index.get(_request_key(*request))
-            if queue:
+            if queue := self._index.get(request):
+                if len(queue) == 1:  # the key holds the request text: drop it with its last record
+                    del self._index[request]
                 return queue.popleft()
         raise ReplayMiss(
             f"no unconsumed recorded response for request digest "

@@ -61,7 +61,7 @@ from .schema import (
     parse_structured_prompt,
     render_prompt,
 )
-from .templating import PromptTemplate, load_template
+from .templating import PromptTemplate
 
 logger = logging.getLogger(__name__)
 
@@ -112,12 +112,7 @@ class RunConfig:
 
     def template(self, name: str) -> PromptTemplate | None:
         path = self.templates.get(name)
-        if path is None:
-            return None
-        try:
-            return load_template(path)
-        except OSError as exc:
-            raise CLIError(f"cannot read template {name!r}: {exc}") from exc
+        return None if path is None else PromptTemplate(_read_text(path))
 
 
 def _one_of(choices, convert=str) -> tuple:
@@ -234,7 +229,7 @@ def build_backends(config: RunConfig) -> BackendBundle:
             replay = ReplayBackend(Transcript.load(config.replay_path))
         except OSError as exc:
             raise CLIError(f"cannot read transcript: {exc}") from exc
-        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        except ValueError as exc:  # not JSON, not a record, or not UTF-8
             raise CLIError(f"malformed transcript {config.replay_path}: {exc}") from exc
         return BackendBundle(critic=replay, solver=replay, extractor=replay)
     if config.mode == "mock":
@@ -266,7 +261,7 @@ def build_backends(config: RunConfig) -> BackendBundle:
 def _read_text(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CLIError(f"cannot read {path}: {exc}") from exc
 
 
@@ -406,6 +401,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         except (DatasetError, OSError) as exc:
             raise CLIError(f"cannot load dataset: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CLIError(f"cannot load dataset {args.dataset}: {exc}") from exc
         if not dataset.items:
             raise CLIError(f"dataset {args.dataset} has no items")
         if config.limit is not None:
@@ -430,12 +427,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except DatasetError as exc:
             raise CLIError(str(exc)) from exc
     path = out_dir / "eval_result.json"
-    _write_json(path, result.to_dict())
+    _write_json(path, data := result.to_dict())
     print(f"accuracy: {result.accuracy * 100:.2f}%")
     if result.unparseable:
         print(f"unparseable: {result.unparseable}/{result.total}")
-    for subject, (_, _, acc) in result.per_subject.items():
-        print(f"{subject}: {acc * 100:.2f}%")
+    for subject, counts in data.get("per_subject", {}).items():
+        print(f"{subject}: {counts['accuracy'] * 100:.2f}%")
     print(f"wrote {path}")
     return 0
 

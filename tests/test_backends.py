@@ -28,7 +28,6 @@ from mpo import (
     ReplayMiss,
     ScriptedBackend,
     Transcript,
-    TranscriptEntry,
     request_digest,
 )
 from mpo.backends import (
@@ -102,36 +101,36 @@ class TestScriptedBackend:
         assert ScriptedBackend("x", name="n", model="m").identity == "n:m"
 
 
-class TestTranscript:
-    def _entry(self, response: str = "out") -> TranscriptEntry:
-        return TranscriptEntry(
-            request_digest=request_digest(TURNS, PARAMS),
-            request=tuple(turn.to_dict() for turn in TURNS),
-            params=PARAMS.to_dict(),
-            response=response,
-            timestamp="2024-01-01T00:00:00+00:00",
-        )
+def transcript_record(response: str = "out", digest: str | None = None) -> dict:
+    """A record of ``TURNS`` and ``PARAMS`` in the layout ``RecordingBackend`` appends."""
+    return {
+        "request_digest": digest or request_digest(TURNS, PARAMS),
+        "request": [turn.to_dict() for turn in TURNS],
+        "params": PARAMS.to_dict(),
+        "response": response,
+        "timestamp": "2024-01-01T00:00:00+00:00",
+    }
 
+
+class TestTranscript:
     def test_save_load_round_trip(self, tmp_path):
-        store = Transcript([self._entry("a"), self._entry("b")])
+        store = Transcript([transcript_record("a"), transcript_record("b")])
         path = tmp_path / "t.jsonl"
         store.save(path)
         loaded = Transcript.load(path)
-        assert [entry.response for entry in loaded] == ["a", "b"]
-        assert loaded.entries[0].request_digest == store.entries[0].request_digest
+        assert list(loaded) == list(store)
 
     def test_jsonl_layout(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        Transcript([self._entry()]).save(path)
+        Transcript([transcript_record()]).save(path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert set(record) == {"request_digest", "request", "params", "response", "timestamp"}
+        assert list(json.loads(lines[0])) == ["request_digest", "request", "params", "response", "timestamp"]
 
     def test_concurrent_appends_all_land(self):
         store = Transcript()
         threads = [
-            threading.Thread(target=lambda: store.append(self._entry()))
+            threading.Thread(target=lambda: store.append(transcript_record()))
             for _ in range(16)
         ]
         for thread in threads:
@@ -147,10 +146,11 @@ class TestRecordReplay:
         backend = RecordingBackend(ScriptedBackend("reply", name="s", model="m"), store)
         assert backend.complete(TURNS, PARAMS) == "reply"
         assert backend.identity == "s:m"
-        entry = store.entries[0]
-        assert entry.response == "reply"
-        assert entry.request_digest == request_digest(TURNS, PARAMS)
-        assert entry.turns() == TURNS
+        (entry,) = store
+        assert entry["response"] == "reply"
+        assert entry["request_digest"] == request_digest(TURNS, PARAMS)
+        assert entry["request"] == [{"role": "user", "content": "hello"}]
+        assert entry["params"] == PARAMS.to_dict()
 
     def test_replay_serves_recorded_response(self):
         store = Transcript()
@@ -232,13 +232,7 @@ class TestRecordReplay:
         assert replay.complete(TURNS, PARAMS) == "reply"
 
     def test_stored_digest_is_a_label_not_the_lookup(self):
-        entry = TranscriptEntry(
-            request_digest="label",
-            request=tuple(turn.to_dict() for turn in TURNS),
-            params=PARAMS.to_dict(),
-            response="reply",
-            timestamp="2024-01-01T00:00:00+00:00",
-        )
+        entry = transcript_record("reply", digest="label")
         assert ReplayBackend(Transcript([entry])).complete(TURNS, PARAMS) == "reply"
 
     def test_seed_run_entries_serve_their_own_requests(self, data_dir):
@@ -247,9 +241,38 @@ class TestRecordReplay:
         store = Transcript.load(data_dir / "seed_run" / "transcript.jsonl")
         replay = ReplayBackend(store)
         for entry in store:
-            params = GenerationParams.from_dict(entry.params)
-            assert entry.request_digest == request_digest(entry.turns(), params)
-            assert replay.complete(entry.turns(), params) == entry.response
+            turns = tuple(ChatTurn(turn["role"], turn["content"]) for turn in entry["request"])
+            params = GenerationParams.from_dict(entry["params"])
+            assert entry["request_digest"] == request_digest(turns, params)
+            assert replay.complete(turns, params) == entry["response"]
+        assert replay._index is None  # served in recorded order, so nothing was indexed
+
+    def test_seed_run_transcript_resaves_byte_identically(self, data_dir, tmp_path):
+        pinned = data_dir / "seed_run" / "transcript.jsonl"
+        Transcript.load(pinned).save(tmp_path / "t.jsonl")
+        assert (tmp_path / "t.jsonl").read_bytes() == pinned.read_bytes()
+
+    # U+2028 and \x85, which a JSON line holds raw and str.splitlines would
+    # break it at; \x1c and NUL, which it escapes; quotes and backslashes.
+    AWKWARD = ("a\u2028b", "c\x85d", "e\x1cf", "nul\x00", 'say "hi"', "back\\slash", "\u6f22\r\n")
+
+    def test_awkward_content_round_trips_and_replays(self, tmp_path):
+        store = Transcript()
+        recorder = RecordingBackend(ScriptedBackend(lambda turns, params: turns[0].content[::-1]), store)
+        requests = [(ChatTurn("system", text), ChatTurn("user", text * 2)) for text in self.AWKWARD]
+        for turns in requests:
+            recorder.complete(turns, PARAMS)
+        path = tmp_path / "t.jsonl"
+        store.save(path)
+        assert len(path.read_text(encoding="utf-8").split("\n")) == len(self.AWKWARD) + 1
+        loaded = Transcript.load(path)
+        assert list(loaded) == list(store)
+        replay = ReplayBackend(loaded)
+        assert [replay.complete(turns, PARAMS) for turns in requests] == [text[::-1] for text in self.AWKWARD]
+        # And out of recorded order, through the index.
+        replay = ReplayBackend(loaded)
+        served = [replay.complete(turns, PARAMS) for turns in requests[::-1]]
+        assert served == [text[::-1] for text in self.AWKWARD[::-1]]
 
 
 class TestFanOut:

@@ -23,7 +23,6 @@ from mpo import (
     ScriptedBackend,
     SectionKind,
     Transcript,
-    TranscriptEntry,
     default_template,
     evaluate,
     load_dataset,
@@ -82,6 +81,12 @@ def record_eval(solver, prompt_path: Path, dataset_path: Path, out: Path) -> Pat
     path = out / "recorded.jsonl"
     transcript.save(path)
     return path
+
+
+def record_line(**changed) -> str:
+    """A transcript line holding a record, with the given keys changed (``...`` drops one)."""
+    record = {"request_digest": "x", "request": [], "params": {}, "response": "", "timestamp": "", **changed}
+    return json.dumps({key: value for key, value in record.items() if value is not ...})
 
 
 class TestRunConfig:
@@ -304,13 +309,13 @@ class TestDecompose:
         filled = default_template("decompose").fill(PROMPT=text)
         turns = (ChatTurn("user", filled),)
         params = GenerationParams(max_output_tokens=1024)
-        entry = TranscriptEntry(
-            request_digest=request_digest(turns, params),
-            request=tuple(turn.to_dict() for turn in turns),
-            params=params.to_dict(),
-            response="still no structure here",
-            timestamp=datetime.now(timezone.utc).isoformat(),
-        )
+        entry = {
+            "request_digest": request_digest(turns, params),
+            "request": [turn.to_dict() for turn in turns],
+            "params": params.to_dict(),
+            "response": "still no structure here",
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
         transcript_path = tmp_path / "t.jsonl"
         Transcript([entry]).save(transcript_path)
         code = main(
@@ -439,18 +444,60 @@ class TestOptimize:
         assert_pinned(out, seed)
 
     @pytest.mark.parametrize(
-        "request_turns",
-        [[{"role": "user"}], [{"role": "user", "content": None}], ["user"], [{"role": 1, "content": "x"}]],
-        ids=["no-content", "null-content", "not-an-object", "number-role"],
+        "line",
+        [
+            record_line(request=[{"role": "user"}]),
+            record_line(request=[{"role": "user", "content": None}]),
+            record_line(request=["user"]),
+            record_line(request=[{"role": 1, "content": "x"}]),
+            record_line(request=[{"role": "tool", "content": "x"}]),
+            record_line(request={"role": "user", "content": "x"}),
+            record_line(response=None),
+            record_line(response=7),
+            record_line(params=None),
+            record_line(params=[0.0, 512]),
+            record_line(timestamp=...),
+            '["not", "an", "object"]',
+            "{not json",
+        ],
+        ids=[
+            "no-content", "null-content", "not-an-object", "number-role", "unknown-role", "request-not-a-list",
+            "null-response", "number-response", "null-params", "list-params", "no-timestamp", "record-not-an-object",
+            "not-json",
+        ],
     )
-    def test_malformed_transcript_turn_exits_two(self, tagged_file, tmp_path, capsys, request_turns):
-        # Replay validates every recorded turn when it loads the transcript.
-        entry = {"request_digest": "x", "request": request_turns, "params": {}, "response": "", "timestamp": ""}
+    def test_malformed_transcript_turn_exits_two(self, tagged_file, tmp_path, capsys, line):
+        # The transcript is checked when it loads, before the run starts and
+        # before any artifact is written. The first line is a good record.
         transcript = tmp_path / "t.jsonl"
-        transcript.write_text(json.dumps(entry) + "\n", encoding="utf-8")
-        args = ["optimize", str(tagged_file), "--replay", str(transcript), "--out", str(tmp_path / "o")]
-        assert main(args) == 2
-        assert "malformed transcript" in capsys.readouterr().err
+        transcript.write_text(f"{record_line()}\n\n{line}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["optimize", str(tagged_file), "--replay", str(transcript), "--out", str(out)]) == 2
+        assert f"malformed transcript {transcript}: line 3: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_transcript_exits_two(self, tagged_file, tmp_path, capsys):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_bytes(f"{record_line()}\n".encode() + b'{"request_digest": "caf\xe9"}\n')
+        assert main(["optimize", str(tagged_file), "--replay", str(transcript), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed transcript {transcript}: 'utf-8' codec can't decode byte 0xe9" in err
+
+    def test_non_utf8_template_exits_two(self, tagged_file, tmp_path, capsys):
+        template = tmp_path / "gradient.txt"
+        template.write_bytes(b"caf\xe9 {SECTION_CONTENT}\n")
+        config = tmp_path / "mpo.ini"
+        config.write_text(f"[templates]\ngradient = {template}\n", encoding="utf-8")
+        assert main(["optimize", str(tagged_file), "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {template}: " in err and "utf-8" in err
+
+    def test_non_utf8_prompt_exits_two(self, tmp_path, capsys):
+        prompt = tmp_path / "prompt.txt"
+        prompt.write_bytes(b"<System Role>\ncaf\xe9\n</System Role>\n")
+        assert main(["optimize", str(prompt), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {prompt}: " in err and "utf-8" in err
 
     def test_interrupted_run_keeps_transcript(self, tagged_file, tmp_path, monkeypatch):
         class InterruptedCritic(MockCritic):
@@ -721,6 +768,28 @@ class TestEval:
         )
         assert code == 0
         assert re.search(r"^college_biology: \d+\.\d{2}%$", capsys.readouterr().out, re.MULTILINE)
+
+    def test_per_subject_computed_once(self, tagged_file, data_dir, tmp_path, capsys, monkeypatch):
+        # eval_result.json and the printed lines come from one computation.
+        calls = []
+        per_subject = EvalResult.per_subject.fget
+
+        def counted(result: EvalResult) -> dict:
+            calls.append(result)
+            return per_subject(result)
+
+        monkeypatch.setattr(EvalResult, "per_subject", property(counted))
+        dataset = str(data_dir / "college_biology_test.csv")
+        assert main(["eval", str(tagged_file), dataset, "--format", "mmlu_csv", "--out", str(tmp_path / "o")]) == 0
+        assert "college_biology: " in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_non_utf8_dataset_exits_two(self, tagged_file, tmp_path, capsys):
+        dataset = tmp_path / "items.jsonl"
+        dataset.write_bytes(b'{"id": "1", "question": "caf\xe9?", "choices": {"A": "x", "B": "y"}, "answer": "A"}\n')
+        assert main(["eval", str(tagged_file), str(dataset), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot load dataset {dataset}: " in err and "utf-8" in err
 
 
 class TestCompare:

@@ -17,10 +17,11 @@ replaced, which rebuilt and rescanned the whole section.
 
 ``PromptState.digest`` is computed once per state, and a state whose sections
 all carry over takes its parent's; ``history.jsonl`` encodes each distinct
-section once and splices it into the state's line. Replay looks requests up
-by a framed hash of their fields instead of their ``request_digest``, and
-serves requests that arrive in recorded order without hashing at all; each
-is checked against the code it replaced.
+section once and splices it into the state's line. Replay matches requests
+by equality of their turns and params, with no digest, in recorded order or
+through an index keyed by the request; it is checked against a replay keyed
+by ``request_digest``, the documented match rule. The others are each
+checked against the code they replaced.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import sys
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -74,8 +76,8 @@ from mpo import (
     step,
     token_count,
 )
-from mpo import backends, optimizer, schema
-from mpo.backends import CriticBackend, Transcript, TranscriptEntry, _params_json, _request_key
+from mpo import cli, optimizer, schema
+from mpo.backends import CriticBackend, Transcript, _params_json
 from mpo.cli import _history_lines, main
 from mpo.optimizer import SectionUpdate, _truncate_to_token_budget
 from mpo.schema import TAG_STRING_RE, _parse_tag_line
@@ -382,12 +384,14 @@ class TestHistoryLinesMatchReference:
         assert list(_history_lines(states)) == expected
 
 
-def live_key(turns, params: GenerationParams) -> bytes:
-    return _request_key(((turn.role, turn.content) for turn in turns), _params_json(params.to_dict()))
+def recorded_digest(record: dict) -> str:
+    """``request_digest`` of a record's request, over its params exactly as recorded."""
+    turns = [ChatTurn(turn["role"], turn["content"]) for turn in record["request"]]
+    return request_digest(turns, SimpleNamespace(to_dict=lambda: record["params"]))
 
 
-# Few distinct values, so equal requests come up often; ":" and digits probe
-# the length framing.
+# Few distinct values, so equal requests come up often; ":", digits and quotes
+# are what an encoding of the turns could confuse.
 _REQUESTS = st.tuples(
     st.lists(
         st.builds(
@@ -408,20 +412,12 @@ _REQUESTS = st.tuples(
 
 class TestReplayKeyMatchesDigest:
     @settings(max_examples=300)
-    @given(a=_REQUESTS, b=_REQUESTS)
-    def test_keys_equal_exactly_when_digests_are(self, a, b):
-        assert (live_key(*a) == live_key(*b)) == (request_digest(*a) == request_digest(*b))
-
-    @settings(max_examples=300)
     @given(recorded=_REQUESTS, live=_REQUESTS)
     def test_served_exactly_when_digests_match(self, recorded, live):
         store = Transcript()
         RecordingBackend(ScriptedBackend("reply"), store).complete(*recorded)
         # Through JSON, as a transcript is loaded from disk.
-        loaded = Transcript(
-            TranscriptEntry.from_dict(json.loads(json.dumps(entry.to_dict(), ensure_ascii=False)))
-            for entry in store
-        )
+        loaded = Transcript(json.loads(json.dumps(record, ensure_ascii=False)) for record in store)
         try:
             served = ReplayBackend(loaded).complete(*live) == "reply"
         except ReplayMiss:
@@ -430,18 +426,16 @@ class TestReplayKeyMatchesDigest:
 
 
 class ReferenceReplay(CriticBackend):
-    """Replay as it was before requests in recorded order skipped the hash:
-    every recorded request hashed into an index at load, every live request
-    hashed for its lookup."""
+    """Replay by the documented match rule: every record indexed at load by
+    the digest of its request, every live request looked up by its digest."""
 
     def __init__(self, store: Transcript) -> None:
-        self._queues: dict[bytes, deque[str]] = {}
-        for entry in store:
-            key = _request_key(((t["role"], t["content"]) for t in entry.request), _params_json(entry.params))
-            self._queues.setdefault(key, deque()).append(entry.response)
+        self._queues: dict[str, deque[str]] = {}
+        for record in store:
+            self._queues.setdefault(recorded_digest(record), deque()).append(record["response"])
 
     def complete(self, turns, params) -> str:
-        queue = self._queues.get(live_key(turns, params))
+        queue = self._queues.get(request_digest(turns, params))
         if queue:
             return queue.popleft()
         raise ReplayMiss(
@@ -476,8 +470,10 @@ def replay_runs(draw) -> tuple[Transcript, list]:
         raw = json.loads(json.dumps(params.to_dict()))
         if draw(st.integers(0, 5)) == 0:
             del raw[draw(st.sampled_from(sorted(raw)))]
-        dicts = tuple(turn.to_dict() for turn in request)
-        entries.append(TranscriptEntry("label", dicts, raw, f"response {index}", ""))
+        entries.append({
+            "request_digest": "label", "request": [turn.to_dict() for turn in request],
+            "params": raw, "response": f"response {index}", "timestamp": "",
+        })
     split = draw(st.integers(0, len(recorded)))
     live = recorded[:split] + draw(st.permutations(recorded[split:]))
     for _ in range(draw(st.integers(0, 3))):
@@ -503,23 +499,31 @@ class TestReplayInOrderMatchesReference:
         assert replay_outcomes(ReplayBackend(store), live) == replay_outcomes(ReferenceReplay(store), live)
 
     @staticmethod
-    def replay_seed_run(data_dir, out) -> mock.MagicMock:
-        """Replay the pinned seed run into ``out``; the ``_request_key`` calls it made."""
+    def replay_seed_run(data_dir, out, monkeypatch) -> ReplayBackend:
+        """Replay the pinned seed run into ``out``; the backend that served it."""
         seed = data_dir / "seed_run"
         args = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--dedup", "lexical_then_llm"]
         args += ["--iterations", "2", "--replay", str(seed / "transcript.jsonl"), "--out", str(out)]
-        with mock.patch.object(backends, "_request_key", wraps=_request_key) as keys:
-            assert main(args) == 0
+        built: list[ReplayBackend] = []
+
+        def build(store: Transcript) -> ReplayBackend:
+            built.append(ReplayBackend(store))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "ReplayBackend", build)
+        assert main(args) == 0
         for name in ("history.jsonl", "gradients.jsonl", "metrics.json", "final_prompt.txt"):
             assert (out / name).read_bytes() == (seed / name).read_bytes(), name
-        return keys
+        assert not built[0]._pending
+        return built[0]
 
-    def test_in_order_seed_replay_hashes_nothing(self, data_dir, tmp_path, capsys):
-        assert self.replay_seed_run(data_dir, tmp_path / "o").call_count == 0
+    def test_in_order_seed_replay_hashes_nothing(self, data_dir, tmp_path, capsys, monkeypatch):
+        assert self.replay_seed_run(data_dir, tmp_path / "o", monkeypatch)._index is None
 
     def test_reversed_seed_replay_falls_back_to_the_index(self, data_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(optimizer, "step", functools.partial(step, process_order=CANONICAL_ORDER[::-1]))
-        assert self.replay_seed_run(data_dir, tmp_path / "o").call_count > 0
+        # Every record was served, and each key left once its queue emptied.
+        assert self.replay_seed_run(data_dir, tmp_path / "o", monkeypatch)._index == {}
 
     def test_threads_consume_each_entry_once(self):
         # Each of 4 requests recorded 25 times with its own responses, asked
@@ -539,7 +543,7 @@ class TestReplayInOrderMatchesReference:
                 served = list(pool.map(lambda request: replay.complete(*request), requests, timeout=60))
         finally:
             sys.setswitchinterval(previous)
-        assert sorted(served, key=int) == [entry.response for entry in store]
+        assert sorted(served, key=int) == [record["response"] for record in store]
         # Response n was recorded for request n, so it answers that request's turns.
         assert all(int(response) % 4 == i % 4 for i, response in enumerate(served))
 
@@ -550,15 +554,21 @@ class TestReplayInOrderMatchesReference:
         for request in requests:
             recorder.complete(*request)
         replay = ReplayBackend(store)
-        with mock.patch.object(backends, "_request_key", wraps=_request_key) as keys:
-            assert replay.complete(*requests[0]) == "A"
-            assert keys.call_count == 0
-            assert replay.complete(*requests[3]) == "C"
-            # Three unconsumed entries indexed, then the live request hashed.
-            assert keys.call_count == 4
-            assert [replay.complete(*requests[i]) for i in (2, 1)] == ["A", "B"]
-            with pytest.raises(ReplayMiss):
-                replay.complete(*requests[0])
+
+        def key(text: str) -> tuple:
+            return (("user", text),), _params_json(GenerationParams().to_dict())
+
+        assert replay.complete(*requests[0]) == "A"
+        assert replay._index is None
+        with pytest.raises(ReplayMiss):  # out of order: indexes the three unconsumed records
+            replay.complete((ChatTurn("user", "z"),), GenerationParams())
+        assert replay._index == {key("b"): deque(["B"]), key("a"): deque(["A"]), key("c"): deque(["C"])}
+        assert not replay._pending
+        assert replay.complete(*requests[3]) == "C"
+        assert [replay.complete(*requests[i]) for i in (2, 1)] == ["A", "B"]
+        assert replay._index == {}  # a key goes once its queue is empty
+        with pytest.raises(ReplayMiss):
+            replay.complete(*requests[0])
 
 
 def reference_optimize(initial: PromptState, critic, config: OptimizerConfig) -> list:
