@@ -6,11 +6,14 @@ scripted backend turns a constant or a callable into a deterministic stand-in;
 the recording wrapper captures request/response pairs into a transcript and
 the replay backend serves them back for the same turns and params, so whole
 optimization runs can be reproduced byte-for-byte without model access.
-``fan_out`` is the one ordered way callers spread independent calls across threads.
+``fan_out`` is the one ordered way callers spread independent calls across
+threads: it keeps only each item's result, a slow item holds up no other, and
+a stop or an error lets no thread take another item.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -19,11 +22,10 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
 if TYPE_CHECKING:
     import requests
@@ -124,26 +126,71 @@ def fan_out(
 ) -> list:
     """Apply ``fn`` to every item, at most ``width`` at a time, in item order.
 
-    Width 1 maps inline on the calling thread; wider fan-outs use a thread
-    pool. Results are consumed in item order either way, and after each one
-    ``stop(results_so_far)`` may end the run early, so the returned prefix
-    and the point where an exception from ``fn`` surfaces never depend on
-    the width. Stopping or raising cancels the work not yet started; results
-    of items past that point are dropped.
+    ``items`` is read into a list first. Width 1 maps inline on the calling
+    thread; wider fan-outs run on threads (:func:`_in_item_order`), where a
+    slow item holds up no other. Results are read in item order and only they
+    are kept; after each one ``stop(results_so_far)`` may end the run early,
+    so the returned prefix and the point where an exception from ``fn``
+    surfaces never depend on the width. A stop, an error or an interrupt lets
+    no thread take another item; calls in flight finish first, and their
+    results are dropped.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
+    items, results = list(items), []
+    outcomes = map(fn, items) if width == 1 else _in_item_order(fn, items, width)
     try:
-        results: list = []
-        for result in map(fn, items) if pool is None else pool.map(fn, items):
+        for result in outcomes:
             results.append(result)
             if stop is not None and stop(results):
                 break
         return results
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if width > 1:
+            outcomes.close()
+
+
+def _in_item_order(fn: Callable, items: list, width: int) -> Iterator:
+    """``fn`` of each item, yielded in item order, from ``min(width, len(items))``
+    threads that each take the next index; an exception from ``fn`` is raised at
+    its item. Closing the generator, or an exception leaving it, lets no thread
+    take another index and returns once the calls in flight have finished."""
+    done: dict[int, tuple] = {}  # (result, exception) by index, until it is yielded
+    cursor, ready = 0, threading.Condition()  # cursor: the next index a thread takes
+
+    def take() -> None:
+        nonlocal cursor
+        while True:
+            with ready:
+                index, cursor = cursor, cursor + 1
+            if index >= len(items):  # all taken, or moved past the end to stop
+                return
+            try:
+                outcome = fn(items[index]), None
+            except BaseException as exc:  # raised by the generator at this item
+                outcome = None, exc
+            with ready:
+                done[index] = outcome
+                ready.notify()
+
+    threads = []
+    try:
+        for _ in range(min(width, len(items))):
+            thread = threading.Thread(target=take)
+            thread.start()
+            threads.append(thread)
+        for index in range(len(items)):
+            with ready:
+                ready.wait_for(lambda: index in done)
+                result, error = done.pop(index)
+            if error is not None:
+                raise error
+            yield result
+    finally:
+        with ready:
+            cursor = len(items)
+        for thread in threads:
+            thread.join()
 
 
 class CriticBackend(ABC):
@@ -181,6 +228,25 @@ def _checked_record(line: str) -> dict:
     return record
 
 
+@contextlib.contextmanager
+def open_utf8(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` open for reading as UTF-8 text. A byte that is not UTF-8 raises
+    UnicodeDecodeError at its file byte offset, naming its line: the text reader
+    counts from its decode chunk, so on that error the bytes are decoded whole."""
+    with Path(path).open("r", encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as found:
+                line = data.count(b"\n", 0, found.start) + 1
+                found.reason += f" (line {line}, file byte offset {found.start})"
+                raise found from None
+            raise
+
+
 class Transcript:
     """Append-only store of recorded backend calls, persisted as JSON Lines.
 
@@ -216,9 +282,9 @@ class Transcript:
     def load(cls, path: str | Path) -> "Transcript":
         """Read a saved transcript, checking each record once. A line without one
         raises ValueError naming the line; text that is not UTF-8 raises
-        UnicodeDecodeError, also a ValueError."""
+        UnicodeDecodeError, also a ValueError, naming the line and byte offset."""
         records = []
-        with Path(path).open("r", encoding="utf-8") as handle:
+        with open_utf8(path) as handle:
             for number, line in enumerate(handle, start=1):
                 if line.strip():
                     try:

@@ -19,7 +19,7 @@ from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .backends import SOLVER_PARAMS, BackendError, ChatTurn, CriticBackend, GenerationParams, fan_out
+from .backends import SOLVER_PARAMS, BackendError, ChatTurn, CriticBackend, GenerationParams, fan_out, open_utf8
 from .schema import PromptState, render_prompt
 from .templating import PromptTemplate, default_template
 
@@ -252,7 +252,7 @@ def _load_arc_jsonl(path: Path) -> list[MCQItem]:
 
 def _load_mmlu_csv(path: Path, subject: str) -> list[MCQItem]:
     items = []
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with open_utf8(path, newline="") as handle:
         for rowno, row in enumerate(csv.reader(handle), start=1):
             where = f"{path}:{rowno}"
             if not row:
@@ -280,7 +280,7 @@ def _load_mmlu_csv(path: Path, subject: str) -> list[MCQItem]:
 
 
 def _jsonl_lines(path: Path):
-    with path.open("r", encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

@@ -10,12 +10,15 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mpo
 from mpo import (
@@ -126,6 +129,18 @@ class TestTranscript:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1
         assert list(json.loads(lines[0])) == ["request_digest", "request", "params", "response", "timestamp"]
+
+    def test_non_utf8_byte_named_by_line_and_file_offset(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        Transcript([transcript_record(f"out {n}") for n in range(100)]).save(path)
+        data = bytearray(path.read_bytes())
+        offset = data.index(b"out 77")
+        data[offset] = 0xFF
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as caught:
+            Transcript.load(path)
+        assert caught.value.start == offset > 8192  # past the text reader's first decode chunk
+        assert str(caught.value).endswith(f"invalid start byte (line 78, file byte offset {offset})")
 
     def test_concurrent_appends_all_land(self):
         store = Transcript()
@@ -325,6 +340,77 @@ class TestFanOut:
     def test_width_validated(self):
         with pytest.raises(ValueError):
             fan_out(str, [1], 0)
+
+    def test_stop_or_error_lets_no_thread_take_another_item(self):
+        seen = []
+
+        def slow_after_two(n):
+            seen.append(n)
+            if n == 2 and fail:
+                raise KeyError(n)
+            if n > 2:
+                time.sleep(0.05)
+            return n
+
+        for fail in (False, True):
+            seen.clear()
+            if fail:
+                with pytest.raises(KeyError):
+                    fan_out(slow_after_two, range(100), 4)
+            else:
+                assert fan_out(slow_after_two, range(100), 4, stop=lambda done: len(done) == 3) == [0, 1, 2]
+            assert len(seen) < 20  # the items in flight at the stop or the error, not all 100
+
+    def test_memory_per_item_is_its_result(self):
+        """No per-item bookkeeping: a pending Future per item costs about 1.6 KB."""
+        tracemalloc.start()
+        try:
+            fan_out(lambda n: n, range(50_000), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500 * 50_000
+
+    def test_slow_item_holds_up_no_other(self):
+        """Item 0 is released only once 30 later items have finished."""
+        finished, lock, released = [], threading.Lock(), threading.Event()
+
+        def work(n):
+            if n == 0:
+                return released.wait(timeout=5)
+            with lock:
+                finished.append(n)
+                if len(finished) == 30:
+                    released.set()
+            return True
+
+        assert fan_out(work, range(100), 4) == [True] * 100
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sleeps=st.lists(st.floats(0, 0.002), max_size=12),
+        fail_at=st.integers(0, 12),
+        stop_at=st.integers(1, 13),
+    )
+    def test_prefix_and_error_match_width_one(self, sleeps, fail_at, stop_at):
+        def run(width):
+            def work(n):
+                time.sleep(sleeps[n])
+                if n == fail_at:
+                    raise KeyError(n)
+                return n * n
+
+            before = threading.active_count()
+            try:
+                outcome = fan_out(work, range(len(sleeps)), width, stop=lambda done: len(done) == stop_at)
+            except KeyError as exc:
+                outcome = f"KeyError at {exc.args[0]}"
+            assert threading.active_count() == before
+            return outcome
+
+        expected = run(1)
+        for width in range(2, 7):
+            assert run(width) == expected
 
 
 class _Script(BaseHTTPRequestHandler):

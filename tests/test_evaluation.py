@@ -181,6 +181,29 @@ class TestLoaders:
         with pytest.raises(FormatError):
             load_dataset(path, "mmlu_csv")
 
+    def test_generic_non_utf8_byte_named_by_line_and_file_offset(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        rows = [{"id": str(n), "question": f"Question {n}?", "choices": {"A": "x" * 100, "B": "y"}, "answer": "A"} for n in range(100)]
+        data = bytearray("".join(json.dumps(row) + "\n" for row in rows), "utf-8")
+        offset = data.index(b"Question 77")
+        data[offset] = 0xFF
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as caught:
+            load_dataset(path, "generic_jsonl")
+        assert caught.value.start == offset > 8192  # past the text reader's first decode chunk
+        assert str(caught.value).endswith(f"invalid start byte (line 78, file byte offset {offset})")
+
+    def test_mmlu_non_utf8_byte_named_by_line_and_file_offset(self, tmp_path):
+        path = tmp_path / "history_test.csv"
+        data = bytearray("".join(f"Question {n} {'x' * 100}?,a,b,c,d,A\n" for n in range(100)), "utf-8")
+        offset = data.index(b"Question 77")
+        data[offset] = 0xFF
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as caught:
+            load_dataset(path, "mmlu_csv")
+        assert caught.value.start == offset > 8192  # past the text reader's first decode chunk
+        assert str(caught.value).endswith(f"invalid start byte (line 78, file byte offset {offset})")
+
     @pytest.mark.parametrize(
         ("filename", "subject"),
         [
