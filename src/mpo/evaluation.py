@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import re
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -81,12 +82,16 @@ class MCQItem:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("item id must be non-empty")
+        if not isinstance(self.question, str):
+            raise ValueError(f"item {self.id}: question must be text, got {type(self.question).__name__}")
         if not self.question.strip():
             raise ValueError(f"item {self.id}: question must be non-empty")
+        if self.subject is not None and not isinstance(self.subject, str):
+            raise ValueError(f"item {self.id}: subject must be text or null, got {type(self.subject).__name__}")
         if not 2 <= len(self.choices) <= 26:
             raise ValueError(f"item {self.id}: need 2 to 26 choices, got {len(self.choices)}")
         expected = tuple(LETTERS[i] for i in range(len(self.choices)))
-        letters = tuple(letter for letter, _ in self.choices)
+        letters = self.letters
         if letters != expected:
             raise ValueError(
                 f"item {self.id}: choice letters must run consecutively from A, got {letters}"
@@ -178,56 +183,48 @@ def load_dataset(
     path = Path(path)
     if format not in DATASET_FORMATS:
         raise ValueError(f"unknown dataset format {format!r}; expected one of {DATASET_FORMATS}")
-    if format == "generic_jsonl":
-        items = _load_generic_jsonl(path)
-        default_name = path.stem
-    elif format == "arc_jsonl":
-        items = _load_arc_jsonl(path)
-        default_name = path.stem
+    if format == "mmlu_csv":
+        default_name = _subject_from_filename(path)
+        rows = _read_mmlu_csv(path, default_name)
     else:
-        subject = _subject_from_filename(path)
-        items = _load_mmlu_csv(path, subject)
-        default_name = subject
+        default_name = path.stem
+        rows = (_read_generic_jsonl if format == "generic_jsonl" else _read_arc_jsonl)(path)
+    items: list[MCQItem] = []
+    seen: set[str] = set()
+    for where, item_id, question, pairs, answer, subject in rows:
+        pairs, answer = _normalize_keys(pairs, answer, where)
+        if item_id in seen:
+            raise DuplicateId(f"{where}: duplicate item id {item_id!r}")
+        seen.add(item_id)
+        try:
+            items.append(MCQItem(item_id, question, pairs, answer, subject))
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from None
     if not items:
         logger.warning("dataset file %s contains no items", path)
     return Dataset(name=name or default_name, split=split, items=tuple(items))
 
 
-def _load_generic_jsonl(path: Path) -> list[MCQItem]:
-    items = []
-    seen: set[str] = set()
-    for lineno, raw in _jsonl_lines(path):
-        where = f"{path}:{lineno}"
+# Each reader yields (where, id, question, [(label, text), ...], answer, subject)
+# per item, where is "path:line"; load_dataset builds and checks the items.
+
+
+def _read_generic_jsonl(path: Path):
+    for where, raw in _jsonl_lines(path):
         if "answer" not in raw:
             raise MissingAnswerKey(f"{where}: item has no 'answer' field")
         try:
-            item_id = str(raw["id"])
-            question = raw["question"]
-            choices = raw["choices"]
-            answer = str(raw["answer"])
-            subject = raw.get("subject")
+            item_id, question, choices = str(raw["id"]), raw["question"], raw["choices"]
         except KeyError as exc:
             raise FormatError(f"{where}: missing field {exc}") from None
         if not isinstance(choices, dict):
             raise FormatError(f"{where}: 'choices' must be an object mapping letters to text")
-        pairs, answer = _normalize_keys(
-            [(str(k), str(v)) for k, v in choices.items()], answer, where
-        )
-        _check_unique(item_id, seen, where)
-        try:
-            items.append(
-                MCQItem(id=item_id, question=question, choices=pairs, answer_key=answer, subject=subject)
-            )
-        except ValueError as exc:
-            raise FormatError(f"{where}: {exc}") from None
-    return items
+        pairs = [(str(k), str(v)) for k, v in choices.items()]
+        yield where, item_id, question, pairs, str(raw["answer"]), raw.get("subject")
 
 
-def _load_arc_jsonl(path: Path) -> list[MCQItem]:
-    items = []
-    seen: set[str] = set()
-    for lineno, raw in _jsonl_lines(path):
-        where = f"{path}:{lineno}"
+def _read_arc_jsonl(path: Path):
+    for where, raw in _jsonl_lines(path):
         if "answerKey" not in raw:
             raise MissingAnswerKey(f"{where}: item has no 'answerKey' field")
         try:
@@ -241,17 +238,10 @@ def _load_arc_jsonl(path: Path) -> list[MCQItem]:
             pairs = [(str(choice["label"]), str(choice["text"])) for choice in choice_list]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{where}: malformed choice entry ({exc})") from None
-        pairs, answer = _normalize_keys(pairs, answer, where)
-        _check_unique(item_id, seen, where)
-        try:
-            items.append(MCQItem(id=item_id, question=stem, choices=tuple(pairs), answer_key=answer))
-        except ValueError as exc:
-            raise FormatError(f"{where}: {exc}") from None
-    return items
+        yield where, item_id, stem, pairs, answer, None
 
 
-def _load_mmlu_csv(path: Path, subject: str) -> list[MCQItem]:
-    items = []
+def _read_mmlu_csv(path: Path, subject: str):
     with open_utf8(path, newline="") as handle:
         for rowno, row in enumerate(csv.reader(handle), start=1):
             where = f"{path}:{rowno}"
@@ -263,37 +253,24 @@ def _load_mmlu_csv(path: Path, subject: str) -> list[MCQItem]:
             answer = answer.strip()
             if not answer:
                 raise MissingAnswerKey(f"{where}: empty answer column")
-            pairs = tuple((LETTERS[i], text) for i, text in enumerate(texts))
-            try:
-                items.append(
-                    MCQItem(
-                        id=f"{subject}-{rowno:04d}",
-                        question=question,
-                        choices=pairs,
-                        answer_key=answer,
-                        subject=subject,
-                    )
-                )
-            except ValueError as exc:
-                raise FormatError(f"{where}: {exc}") from None
-    return items
+            pairs = [(LETTERS[i], text) for i, text in enumerate(texts)]
+            yield where, f"{subject}-{rowno:04d}", question, pairs, answer, subject
 
 
 def _jsonl_lines(path: Path):
+    """(``path:line``, object) for each non-blank line; any other JSON value is rejected."""
     with open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
-                yield lineno, json.loads(line)
+                raw = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-
-
-def _check_unique(item_id: str, seen: set[str], where: str) -> None:
-    if item_id in seen:
-        raise DuplicateId(f"{where}: duplicate item id {item_id!r}")
-    seen.add(item_id)
+                raise FormatError(f"{where}: invalid JSON ({exc})") from None
+            if not isinstance(raw, dict):
+                raise FormatError(f"{where}: expected a JSON object, got {type(raw).__name__}")
+            yield where, raw
 
 
 def _subject_from_filename(path: Path) -> str:
@@ -374,7 +351,8 @@ class ItemRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ItemRecord":
-        return cls(
+        """Read a record back, rejecting what :func:`evaluate` cannot have written."""
+        record = cls(
             id=data["id"],
             raw_response=data["raw_response"],
             extracted=data["extracted"],
@@ -383,6 +361,17 @@ class ItemRecord:
             subject=data.get("subject"),
             note=data.get("note", ""),
         )
+        for name in ("id", "raw_response", "gold", "note"):
+            if not isinstance(getattr(record, name), str):
+                raise ValueError(f"record field {name!r} must be a string")
+        for name in ("extracted", "subject"):
+            if getattr(record, name) is not None and not isinstance(getattr(record, name), str):
+                raise ValueError(f"record field {name!r} must be a string or null")
+        if record.correct is not (record.extracted == record.gold):
+            raise ValueError(
+                f"record {record.id!r}: 'correct' is {record.correct!r} for extracted {record.extracted!r}, gold {record.gold!r}"
+            )
+        return record
 
 
 def _macro_accuracy(per_subject: dict[str, tuple[int, int, float]]) -> float | None:
@@ -393,45 +382,28 @@ def _macro_accuracy(per_subject: dict[str, tuple[int, int, float]]) -> float | N
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Aggregate exact-match accuracy plus the per-item records behind it."""
+    """Per-item records plus the exact-match counts read from them."""
 
     dataset_name: str
     split: str
     prompt_digest: str
     records: tuple[ItemRecord, ...]
-    accuracy: float
-    total: int
-    correct: int
-    unparseable: int
 
-    def __post_init__(self) -> None:
-        if self.total != len(self.records):
-            raise ValueError("total must equal the number of records")
-        if self.total and self.accuracy != self.correct / self.total:
-            raise ValueError("accuracy must equal correct / total")
+    @property
+    def total(self) -> int:
+        return len(self.records)
 
-    @classmethod
-    def from_records(
-        cls,
-        dataset_name: str,
-        split: str,
-        prompt_digest: str,
-        records: Sequence[ItemRecord],
-    ) -> "EvalResult":
-        records = tuple(records)
-        total = len(records)
-        correct = sum(1 for record in records if record.correct)
-        unparseable = sum(1 for record in records if record.extracted is None)
-        return cls(
-            dataset_name=dataset_name,
-            split=split,
-            prompt_digest=prompt_digest,
-            records=records,
-            accuracy=(correct / total) if total else 0.0,
-            total=total,
-            correct=correct,
-            unparseable=unparseable,
-        )
+    @property
+    def correct(self) -> int:
+        return sum(record.correct for record in self.records)
+
+    @property
+    def unparseable(self) -> int:
+        return sum(record.extracted is None for record in self.records)
+
+    @property
+    def accuracy(self) -> float:
+        return self.correct / self.total if self.records else 0.0
 
     @property
     def ids_digest(self) -> str:
@@ -479,11 +451,11 @@ class EvalResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalResult":
-        return cls.from_records(
+        return cls(
             dataset_name=data["dataset_name"],
             split=data["split"],
             prompt_digest=data["prompt_digest"],
-            records=[ItemRecord.from_dict(r) for r in data["records"]],
+            records=tuple(ItemRecord.from_dict(r) for r in data["records"]),
         )
 
 
@@ -499,10 +471,14 @@ def evaluate(
     """Score a prompt on a dataset with exact-match accuracy.
 
     Per-item solver failures are recorded as unparseable (hence incorrect)
-    with a note; once failures exceed half the dataset, counted in dataset
-    order, the run aborts with the partial result attached, so the abort
-    point is the same at any ``concurrency``. Record order follows dataset
-    order.
+    with a note, and logged as their records are read in dataset order. Once
+    failures exceed half the dataset, counted in dataset order, the run
+    aborts with the partial result attached, so the abort point is the same
+    at any ``concurrency``. Above width 1, once more than half the items have
+    failed in whatever order they finished, an item past the last failed one
+    is not sent to the solver: the records through that failure already
+    abort the run, so its record would never be read. Record order follows
+    dataset order.
     """
     if not dataset.items:
         raise DatasetError(f"dataset {dataset.name} has no items")
@@ -510,23 +486,25 @@ def evaluate(
         raise ValueError("concurrency must be >= 1")
     template = template or default_template("question")
     rendered = render_prompt(state) + "\n"  # the prompt is the same for every item
+    items, total = dataset.items, len(dataset.items)
+    lock = threading.Lock()
+    finished_failures, last_failure = 0, -1  # in any order, for the skip
 
-    def solve(item: MCQItem) -> ItemRecord:
+    def solve(index: int) -> ItemRecord | None:
+        nonlocal finished_failures, last_failure
+        with lock:
+            if finished_failures * 2 > total and index > last_failure:
+                return None
+        item = items[index]
         posed = rendered + _question_block(item, template)
         try:
-            response = solver.complete((ChatTurn("user", posed),), params)
+            response, note = solver.complete((ChatTurn("user", posed),), params), ""
         except BackendError as exc:
-            logger.warning("solver failed on item %s: %s", item.id, exc)
-            return ItemRecord(
-                id=item.id,
-                raw_response="",
-                extracted=None,
-                gold=item.answer_key,
-                correct=False,
-                subject=item.subject,
-                note=f"solver failed: {exc}",
-            )
-        extracted = extract_answer(response, item.valid_letters)
+            with lock:
+                finished_failures += 1
+                last_failure = max(last_failure, index)
+            response, note = "", f"solver failed: {exc}"
+        extracted = extract_answer(response, item.valid_letters)  # None for a failure's ""
         return ItemRecord(
             id=item.id,
             raw_response=response,
@@ -534,18 +512,20 @@ def evaluate(
             gold=item.answer_key,
             correct=extracted == item.answer_key,
             subject=item.subject,
+            note=note,
         )
 
-    total = len(dataset.items)
     failed = 0
 
     def too_many_failures(records: list[ItemRecord]) -> bool:
         nonlocal failed
-        failed += bool(records[-1].note)
+        if records[-1].note:
+            failed += 1
+            logger.warning("item %s: %s", records[-1].id, records[-1].note)
         return failed * 2 > total
 
-    records = fan_out(solve, dataset.items, concurrency, stop=too_many_failures)
-    result = EvalResult.from_records(dataset.name, dataset.split, state.digest, records)
+    records = fan_out(solve, range(total), concurrency, stop=too_many_failures)
+    result = EvalResult(dataset.name, dataset.split, state.digest, tuple(records))
     if failed * 2 > total:
         raise EvaluationAborted(f"{failed} of {total} items failed; aborting", result)
     return result
@@ -560,6 +540,7 @@ class Comparison:
     """
 
     rows: tuple[tuple[str, "EvalResult"], ...] = field(repr=False)
+    _KEYS = ("label", "accuracy", "accuracy_pct", "delta_pct", "unparseable", "total")
 
     def __post_init__(self) -> None:
         if len(self.rows) < 2:
@@ -571,48 +552,35 @@ class Comparison:
                     f"result {label!r} covers a different item set than the baseline"
                 )
 
-    def to_dict(self) -> dict:
+    def _cells(self) -> list[tuple]:
+        """One row of ``_KEYS`` values per result; the baseline's delta is empty."""
         base = self.rows[0][1].accuracy
-        entries = []
-        for index, (label, result) in enumerate(self.rows):
-            entries.append(
-                {
-                    "label": label,
-                    "accuracy": result.accuracy,
-                    "accuracy_pct": _pct(result.accuracy),
-                    "delta_pct": "" if index == 0 else _delta(result.accuracy, base),
-                    "unparseable": result.unparseable,
-                    "total": result.total,
-                }
+        return [
+            (
+                label,
+                result.accuracy,
+                f"{result.accuracy * 100:.2f}",
+                f"{(result.accuracy - base) * 100:+.2f}" if index else "",
+                result.unparseable,
+                result.total,
             )
-        return {"dataset": self.rows[0][1].dataset_name, "rows": entries}
+            for index, (label, result) in enumerate(self.rows)
+        ]
+
+    def to_dict(self) -> dict:
+        rows = [dict(zip(self._KEYS, cells)) for cells in self._cells()]
+        return {"dataset": self.rows[0][1].dataset_name, "rows": rows}
 
     def to_text(self) -> str:
-        base = self.rows[0][1].accuracy
-        header = ("label", "accuracy", "delta", "unparseable")
-        table = [header]
-        for index, (label, result) in enumerate(self.rows):
-            table.append(
-                (
-                    label,
-                    _pct(result.accuracy),
-                    "" if index == 0 else _delta(result.accuracy, base),
-                    f"{result.unparseable}/{result.total}",
-                )
-            )
-        widths = [max(len(row[col]) for row in table) for col in range(len(header))]
-        lines = []
-        for row in table:
-            lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-        return "\n".join(lines)
-
-
-def _pct(accuracy: float) -> str:
-    return f"{accuracy * 100:.2f}"
-
-
-def _delta(accuracy: float, base: float) -> str:
-    return f"{(accuracy - base) * 100:+.2f}"
+        table = [("label", "accuracy", "delta", "unparseable")]
+        table += [
+            (label, pct, delta, f"{unparseable}/{total}")
+            for label, _, pct, delta, unparseable, total in self._cells()
+        ]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        return "\n".join(
+            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in table
+        )
 
 
 def compare(results: Sequence[tuple[str, EvalResult]]) -> Comparison:

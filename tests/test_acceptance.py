@@ -225,7 +225,7 @@ def test_09_comparison_formatting(clock):
             )
             for i in range(1000)
         )
-        return EvalResult.from_records("synthetic", "test", "digest", records)
+        return EvalResult("synthetic", "test", "digest", records)
 
     baseline = synthetic(750)
     tuned = synthetic(791)

@@ -843,6 +843,16 @@ class TestCompare:
         assert main(["compare", str(a), str(b)]) == 2
         assert "different item set" in capsys.readouterr().err
 
+    def test_record_correct_flag_must_match_its_letters(self, tagged_prompt, dataset_file, tmp_path, capsys):
+        dataset = load_dataset(dataset_file, "generic_jsonl")
+        a = self._write_result(tmp_path, "a.json", 0, dataset, tagged_prompt)
+        payload = json.loads(a.read_text(encoding="utf-8"))
+        payload["records"][0]["correct"] = "false"  # a non-empty string, so truthy
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["compare", str(a), str(b)]) == 2
+        assert "'correct' is 'false'" in capsys.readouterr().err
+
     def test_non_result_file_exits_two(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import threading
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpo import (
@@ -31,7 +34,7 @@ from mpo import (
     render_prompt,
     sample_items,
 )
-
+from mpo.backends import fan_out
 
 from solvers import gold_solver, scored_solver
 
@@ -140,6 +143,27 @@ class TestLoaders:
         path = self._write(tmp_path, [row, row])
         with pytest.raises(DuplicateId, match=r"data\.jsonl:2"):
             load_dataset(path, "generic_jsonl")
+
+    def test_question_must_be_text(self, tmp_path):
+        path = self._write(
+            tmp_path, [{"id": "x", "question": 5, "choices": {"A": "a", "B": "b"}, "answer": "A"}]
+        )
+        with pytest.raises(FormatError, match=r"data\.jsonl:1: item x: question must be text"):
+            load_dataset(path, "generic_jsonl")
+
+    def test_subject_must_be_text_or_null(self, tmp_path):
+        row = {"question": "Q", "choices": {"A": "a", "B": "b"}, "answer": "A"}
+        path = self._write(tmp_path, [{**row, "id": "x", "subject": "s"}, {**row, "id": "y", "subject": 5}])
+        with pytest.raises(FormatError, match=r"data\.jsonl:2: item y: subject must be text or null"):
+            load_dataset(path, "generic_jsonl")
+
+    @pytest.mark.parametrize("line", ['"answer"', '["answer"]'])
+    @pytest.mark.parametrize("format", ["generic_jsonl", "arc_jsonl"])
+    def test_line_must_hold_an_object(self, tmp_path, line, format):
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"data\.jsonl:2: expected a JSON object"):
+            load_dataset(path, format)
 
     def test_digit_label_zero_rejected(self, tmp_path):
         path = self._write(
@@ -367,6 +391,89 @@ class TestEvaluate:
         assert partials[0] == partials[1]
         assert partials[0].total == 6
 
+    @staticmethod
+    def _numbered(count):
+        items = tuple(MCQItem(f"q{n:02d}", f"Question {n}?", (("A", "x"), ("B", "y")), "A") for n in range(count))
+        return Dataset(name="numbered", split="test", items=items)
+
+    @staticmethod
+    def _number(turns):
+        return int(re.search(r"Question (\d+)\?", turns[-1].content).group(1))
+
+    def test_aborted_run_calls_no_item_past_the_last_failure(self, tagged_prompt, caplog):
+        called, last_called = [], threading.Event()
+
+        def reply(turns, params):
+            number = self._number(turns)
+            called.append(number)
+            if number == 39:
+                last_called.set()
+            if number == 20:
+                last_called.wait(timeout=0.5)
+            raise BackendError("down")
+
+        with caplog.at_level("WARNING", logger="mpo.evaluation"), pytest.raises(EvaluationAborted) as caught:
+            evaluate(tagged_prompt, self._numbered(40), ScriptedBackend(reply), concurrency=8)
+        records = caught.value.result.records
+        assert len(records) == 21
+        # While item 20 waits, at most 7 taken items are unfinished, so by the
+        # time item 28 is taken more than 20 have failed: it and every later
+        # item are skipped.
+        assert max(called) <= 27
+        assert [message.split(":")[0] for message in caplog.messages] == [f"item {r.id}" for r in records]
+
+    def test_item_taken_before_later_failures_is_still_solved(self, tagged_prompt, monkeypatch):
+        # Item 3 is taken but only reaches the solver after items 4-9 have
+        # failed, more than half of all ten: its record is still read.
+        later_failed, done = threading.Event(), []
+
+        def delayed_fan_out(fn, items, width, stop):
+            def call(index):
+                if index == 3:
+                    later_failed.wait(timeout=5)
+                try:
+                    return fn(index)
+                finally:
+                    done.append(index)
+                    if len([i for i in done if i > 3]) == 6:
+                        later_failed.set()
+
+            return fan_out(call, items, width, stop)
+
+        def reply(turns, params):
+            if self._number(turns) > 3:
+                raise BackendError("down")
+            return "Answer: A"
+
+        monkeypatch.setattr("mpo.evaluation.fan_out", delayed_fan_out)
+        with pytest.raises(EvaluationAborted) as caught:
+            evaluate(tagged_prompt, self._numbered(10), ScriptedBackend(reply), concurrency=8)
+        assert later_failed.is_set()
+        assert [record.correct for record in caught.value.result.records] == [True] * 4 + [False] * 6
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        failing=st.sets(st.integers(0, 11)),
+        delays=st.lists(st.integers(0, 2), min_size=12, max_size=12),
+        count=st.integers(1, 12),
+        width=st.integers(2, 8),
+    )
+    def test_records_and_abort_point_match_width_one(self, tagged_prompt, failing, delays, count, width):
+        def run(width):
+            def reply(turns, params):
+                number = self._number(turns)
+                time.sleep(delays[number] / 1000 if width > 1 else 0)
+                if number in failing:
+                    raise BackendError("down")
+                return "Answer: A"
+
+            try:
+                return evaluate(tagged_prompt, self._numbered(count), ScriptedBackend(reply), concurrency=width)
+            except EvaluationAborted as exc:
+                return "aborted", exc.result
+
+        assert run(width) == run(1)
+
     def test_empty_dataset_rejected(self, tagged_prompt):
         empty = Dataset(name="none", split="test", items=())
         with pytest.raises(DatasetError, match="no items"):
@@ -385,6 +492,31 @@ class TestEvaluate:
         assert "per_subject" not in result.to_dict()
 
 
+class TestItemRecord:
+    ROW = {"id": "a", "raw_response": "B", "extracted": "B", "gold": "A", "correct": False, "subject": None, "note": ""}
+
+    def test_round_trip(self):
+        record = ItemRecord.from_dict(self.ROW)
+        assert record.to_dict() == self.ROW
+
+    @pytest.mark.parametrize("name", ["id", "raw_response", "gold", "note"])
+    def test_text_fields_must_be_strings(self, name):
+        with pytest.raises(ValueError, match=f"'{name}' must be a string$"):
+            ItemRecord.from_dict({**self.ROW, name: 5})
+
+    @pytest.mark.parametrize("name", ["extracted", "subject"])
+    def test_optional_fields_must_be_strings_or_null(self, name):
+        with pytest.raises(ValueError, match=f"'{name}' must be a string or null"):
+            ItemRecord.from_dict({**self.ROW, name: 5})
+
+    @pytest.mark.parametrize(
+        ("extracted", "correct"), [("B", "false"), ("B", True), ("A", 1), ("A", False), (None, None)]
+    )
+    def test_correct_must_be_extracted_equals_gold(self, extracted, correct):
+        with pytest.raises(ValueError, match="'correct' is"):
+            ItemRecord.from_dict({**self.ROW, "extracted": extracted, "correct": correct})
+
+
 class TestEvalResult:
     def _result(self, tagged_prompt, ten_items) -> EvalResult:
         return evaluate(tagged_prompt, ten_items, gold_solver(ten_items))
@@ -397,25 +529,9 @@ class TestEvalResult:
         payload = self._result(tagged_prompt, ten_items).to_dict()
         assert json.loads(json.dumps(payload)) == payload
 
-    def test_total_must_match_records(self):
-        record = ItemRecord("a", "Answer: A", "A", "A", True)
-        with pytest.raises(ValueError, match="total"):
-            EvalResult(
-                dataset_name="d", split="test", prompt_digest="x",
-                records=(record,), accuracy=1.0, total=2, correct=1, unparseable=0,
-            )
-
-    def test_accuracy_must_match_counts(self):
-        record = ItemRecord("a", "Answer: A", "A", "A", True)
-        with pytest.raises(ValueError, match="accuracy"):
-            EvalResult(
-                dataset_name="d", split="test", prompt_digest="x",
-                records=(record,), accuracy=0.5, total=1, correct=1, unparseable=0,
-            )
-
     def test_ids_digest_order_insensitive(self, tagged_prompt, ten_items):
         result = self._result(tagged_prompt, ten_items)
-        reversed_result = EvalResult.from_records(
+        reversed_result = EvalResult(
             result.dataset_name,
             result.split,
             result.prompt_digest,
