@@ -107,12 +107,21 @@ SOLVER_PARAMS = GenerationParams(max_output_tokens=64)
 
 def request_digest(turns: Sequence[ChatTurn], params: GenerationParams) -> str:
     """Deterministic content hash of a request, stable across processes."""
-    payload = {
-        "turns": [turn.to_dict() for turn in turns],
-        "params": params.to_dict(),
-    }
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _encoded_request(turns, params)[0]
+
+
+def _encoded_request(turns: Sequence[ChatTurn], params: GenerationParams) -> tuple[str, list[tuple[str, str]]]:
+    """The request's digest and each turn's role and content as JSON, escaped once. The
+    digest is SHA-256 of the canonical ``{"params":...,"turns":[...]}`` (sorted keys, no
+    spaces), fed piece by piece so that no copy of the whole request is built."""
+    escaped = [(json.dumps(turn.role), json.dumps(turn.content, ensure_ascii=False)) for turn in turns]
+    digest = hashlib.sha256(f'{{"params":{_params_json(params.to_dict())},"turns":['.encode())
+    for index, (role, content) in enumerate(escaped):
+        digest.update(b',{"content":' if index else b'{"content":')
+        digest.update(content.encode("utf-8"))
+        digest.update(f',"role":{role}}}'.encode())
+    digest.update(b"]}")
+    return digest.hexdigest(), escaped
 
 
 def _params_json(params: dict) -> str:
@@ -252,31 +261,40 @@ class Transcript:
 
     A call is one record, the object on one line: ``request_digest`` (a
     label), ``request`` (the turns as role and content objects), ``params``,
-    ``response`` and ``timestamp``. Appends are serialized internally, and
-    iteration goes over a snapshot.
+    ``response`` and ``timestamp``. A recorded call is kept as its line, which
+    :meth:`save` writes unchanged, and a loaded one as its checked record.
+    Given a ``stream``, each call is written there and flushed as it is
+    appended, and none is kept. Appends are serialized internally, and
+    iteration decodes a snapshot into records.
     """
 
-    def __init__(self, records: Iterable[dict] = ()) -> None:
-        self._records: list[dict] = list(records)
+    def __init__(self, records: Iterable[dict] = (), stream: TextIO | None = None) -> None:
+        self._calls: list[str | dict] = list(records)
+        self._stream = stream
         self._lock = threading.Lock()
 
-    def append(self, record: dict) -> None:
+    def append(self, call: str | dict) -> None:
+        """Add a call as its transcript line or as its record."""
         with self._lock:
-            self._records.append(record)
+            if self._stream is None:
+                self._calls.append(call)
+            else:
+                self._stream.write(_line(call))
+                self._stream.flush()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._calls)
 
     def __iter__(self) -> Iterator[dict]:
         with self._lock:
-            return iter(tuple(self._records))
+            calls = tuple(self._calls)
+        return (json.loads(call) if isinstance(call, str) else call for call in calls)
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            for record in self:
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        with self._lock, path.open("w", encoding="utf-8") as handle:
+            handle.writelines(map(_line, self._calls))
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
@@ -294,12 +312,17 @@ class Transcript:
         return cls(records)
 
 
+def _line(call: str | dict) -> str:
+    return call if isinstance(call, str) else json.dumps(call, ensure_ascii=False) + "\n"
+
+
 class RecordingBackend(CriticBackend):
-    """Wraps a backend and appends every call to a transcript.
+    """Wraps a backend and appends every call to a transcript as its line.
 
     Responses pass through unchanged, and the wrapper keeps the inner
     backend's identity so recorded runs and live runs label their outputs the
-    same way.
+    same way. The line is joined from the request as escaped for its digest
+    and equals ``json.dumps(record, ensure_ascii=False)`` plus a newline.
     """
 
     def __init__(self, inner: CriticBackend, store: Transcript) -> None:
@@ -310,15 +333,14 @@ class RecordingBackend(CriticBackend):
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
         response = self.inner.complete(turns, params)
-        self.store.append(
-            {
-                "request_digest": request_digest(turns, params),
-                "request": [turn.to_dict() for turn in turns],
-                "params": params.to_dict(),
-                "response": response,
-                "timestamp": datetime.now(timezone.utc).isoformat(),
-            }
-        )
+        digest, escaped = _encoded_request(turns, params)
+        line = [f'{{"request_digest": "{digest}", "request": [']
+        for index, (role, content) in enumerate(escaped):
+            line += (', {"role": ' if index else '{"role": ', role, ', "content": ', content, "}")
+        params_json, stamp = json.dumps(params.to_dict(), ensure_ascii=False), datetime.now(timezone.utc).isoformat()
+        line += (f'], "params": {params_json}, "response": ', json.dumps(response, ensure_ascii=False))
+        line.append(f', "timestamp": "{stamp}"}}\n')
+        self.store.append("".join(line))
         return response
 
 

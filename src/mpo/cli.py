@@ -215,12 +215,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 @dataclass
 class BackendBundle:
-    """The three model roles plus the shared transcript when recording."""
+    """The three model roles."""
 
     critic: CriticBackend
     solver: CriticBackend
     extractor: CriticBackend
-    transcript: Transcript | None = None
 
 
 def build_backends(config: RunConfig) -> BackendBundle:
@@ -233,29 +232,15 @@ def build_backends(config: RunConfig) -> BackendBundle:
             raise CLIError(f"malformed transcript {config.replay_path}: {exc}") from exc
         return BackendBundle(critic=replay, solver=replay, extractor=replay)
     if config.mode == "mock":
-        bundle = BackendBundle(
-            critic=MockCritic(), solver=MockSolver(), extractor=HeadingRuleExtractor()
+        return BackendBundle(critic=MockCritic(), solver=MockSolver(), extractor=HeadingRuleExtractor())
+    try:
+        return BackendBundle(
+            critic=HTTPBackend(config.critic_model, config.base_url, timeout=config.timeout),
+            solver=HTTPBackend(config.solver_model, config.base_url, timeout=config.timeout),
+            extractor=HTTPBackend(config.extractor_model, config.base_url, timeout=config.timeout),
         )
-    else:
-        try:
-            bundle = BackendBundle(
-                critic=HTTPBackend(config.critic_model, config.base_url, timeout=config.timeout),
-                solver=HTTPBackend(config.solver_model, config.base_url, timeout=config.timeout),
-                extractor=HTTPBackend(
-                    config.extractor_model, config.base_url, timeout=config.timeout
-                ),
-            )
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
-    if config.record:
-        transcript = Transcript()
-        bundle = BackendBundle(
-            critic=RecordingBackend(bundle.critic, transcript),
-            solver=RecordingBackend(bundle.solver, transcript),
-            extractor=RecordingBackend(bundle.extractor, transcript),
-            transcript=transcript,
-        )
-    return bundle
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
 
 
 def _read_text(path: Path) -> str:
@@ -274,18 +259,25 @@ def _load_state(path: Path) -> PromptState:
 
 @contextlib.contextmanager
 def _run_backends(config: RunConfig) -> Iterator[tuple[BackendBundle, Path]]:
-    """Backends and output directory for one command. A recorded transcript
-    is saved however the command ends: success, abort, error or Ctrl-C."""
+    """Backends and output directory for one command. ``--record`` opens
+    ``OUT/transcript.jsonl`` before the first call, which writes its line when it
+    finishes; the file is closed however the command ends, Ctrl-C included."""
     bundle = build_backends(config)
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CLIError(f"cannot create output directory {config.out_dir}: {exc}") from exc
-    try:
+    stream = contextlib.nullcontext()
+    if config.record:
+        path = config.out_dir / "transcript.jsonl"
+        try:
+            stream = path.open("w", encoding="utf-8")
+        except OSError as exc:
+            raise CLIError(f"cannot write transcript {path}: {exc}") from exc
+        transcript = Transcript(stream=stream)
+        bundle = BackendBundle(*(RecordingBackend(backend, transcript) for backend in vars(bundle).values()))
+    with stream:
         yield bundle, config.out_dir
-    finally:
-        if bundle.transcript is not None:
-            bundle.transcript.save(config.out_dir / "transcript.jsonl")
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -487,9 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH", help="INI config file; flags override it")
     shared.add_argument("--out", metavar="DIR", help="output directory (default mpo-run)")
-    shared.add_argument(
-        "--record", action="store_true", help="record backend calls to OUT/transcript.jsonl"
-    )
+    shared.add_argument("--record", action="store_true", help="write each backend call to OUT/transcript.jsonl")
     shared.add_argument(
         "--replay", metavar="PATH", help="serve backend calls from a recorded transcript"
     )

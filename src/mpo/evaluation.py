@@ -214,13 +214,13 @@ def _read_generic_jsonl(path: Path):
         if "answer" not in raw:
             raise MissingAnswerKey(f"{where}: item has no 'answer' field")
         try:
-            item_id, question, choices = str(raw["id"]), raw["question"], raw["choices"]
+            item_id, question, choices = _text(raw["id"], "id", where), raw["question"], raw["choices"]
         except KeyError as exc:
             raise FormatError(f"{where}: missing field {exc}") from None
         if not isinstance(choices, dict):
             raise FormatError(f"{where}: 'choices' must be an object mapping letters to text")
-        pairs = [(str(k), str(v)) for k, v in choices.items()]
-        yield where, item_id, question, pairs, str(raw["answer"]), raw.get("subject")
+        pairs = [(k, _text(v, f"choice {k!r}", where)) for k, v in choices.items()]
+        yield where, item_id, question, pairs, _text(raw["answer"], "answer", where), raw.get("subject")
 
 
 def _read_arc_jsonl(path: Path):
@@ -228,17 +228,25 @@ def _read_arc_jsonl(path: Path):
         if "answerKey" not in raw:
             raise MissingAnswerKey(f"{where}: item has no 'answerKey' field")
         try:
-            item_id = str(raw["id"])
+            item_id = _text(raw["id"], "id", where)
             stem = raw["question"]["stem"]
             choice_list = raw["question"]["choices"]
-            answer = str(raw["answerKey"])
+            answer = _text(raw["answerKey"], "answerKey", where)
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{where}: not in ARC layout ({exc})") from None
         try:
-            pairs = [(str(choice["label"]), str(choice["text"])) for choice in choice_list]
+            pairs = [(choice["label"], choice["text"]) for choice in choice_list]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{where}: malformed choice entry ({exc})") from None
+        pairs = [(_text(label, "choice label", where), _text(text, "choice text", where)) for label, text in pairs]
         yield where, item_id, stem, pairs, answer, None
+
+
+def _text(value, what: str, where: str) -> str:
+    """A JSON id, choice or answer as text: a string as it is, a number as its digits."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise FormatError(f"{where}: {what} must be a string or a number, got {json.dumps(value)[:60]}")
+    return str(value)
 
 
 def _read_mmlu_csv(path: Path, subject: str):

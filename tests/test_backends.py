@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import re
@@ -288,6 +290,72 @@ class TestRecordReplay:
         replay = ReplayBackend(loaded)
         served = [replay.complete(turns, PARAMS) for turns in requests[::-1]]
         assert served == [text[::-1] for text in self.AWKWARD[::-1]]
+
+
+def reference_digest(turns, params: GenerationParams) -> str:
+    """``request_digest`` as one ``json.dumps`` of the whole request: the form
+    the pinned transcripts were recorded with."""
+    payload = {"turns": [turn.to_dict() for turn in turns], "params": params.to_dict()}
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# Text a JSON line holds raw (U+2028, \x85, astral), escapes (\x1c, NUL, CR,
+# LF, quotes, backslashes), or both, mixed with any other non-surrogate text.
+_AWKWARD_TEXT = st.text(
+    st.sampled_from("\u2028\x85\x1c\x00\r\n\"\\\U0001f600\u6f22") | st.characters(codec="utf-8"), max_size=30
+)
+
+
+class TestRecordedLine:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        turns=st.lists(st.builds(ChatTurn, st.sampled_from(("system", "user", "assistant")), _AWKWARD_TEXT), max_size=4),
+        params=st.builds(
+            GenerationParams,
+            temperature=st.sampled_from([0, 0.0, 1]) | st.floats(0, 2),
+            max_output_tokens=st.integers(1, 4096),
+            seed=st.none() | st.integers(-(2**63), 2**63),
+        ),
+        response=_AWKWARD_TEXT,
+    )
+    def test_line_is_json_dumps_of_its_record(self, turns, params, response):
+        stream = io.StringIO()
+        RecordingBackend(ScriptedBackend(response), Transcript(stream=stream)).complete(turns, params)
+        line = stream.getvalue()
+        record = json.loads(line)
+        assert line == json.dumps(record, ensure_ascii=False) + "\n"
+        assert record["request_digest"] == request_digest(turns, params) == reference_digest(turns, params)
+        assert record["request"] == [turn.to_dict() for turn in turns]
+        assert json.dumps(record["params"]) == json.dumps(params.to_dict())  # 0 stays 0, 0.0 stays 0.0
+        assert record["response"] == response
+        # Kept in memory, the same line is saved unchanged and read back as its record.
+        store = Transcript()
+        RecordingBackend(ScriptedBackend(response), store).complete(turns, params)
+        assert [{**entry, "timestamp": ""} for entry in store] == [{**record, "timestamp": ""}]
+
+    def test_lone_surrogate_fails_after_the_call_and_records_nothing(self):
+        # The call is made; encoding its request to UTF-8 for the digest then
+        # raises, and no line is kept.
+        calls, store = [], Transcript()
+        backend = RecordingBackend(ScriptedBackend(lambda turns, params: calls.append(turns) or "reply"), store)
+        with pytest.raises(UnicodeEncodeError):
+            backend.complete((ChatTurn("user", "a\ud800b"),), PARAMS)
+        assert len(calls) == 1 and len(store) == 0
+        with pytest.raises(UnicodeEncodeError):
+            request_digest((ChatTurn("user", "a\ud800b"),), PARAMS)
+
+    def test_streamed_call_is_on_disk_when_the_call_returns(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with path.open("w", encoding="utf-8") as handle:
+            store = Transcript(stream=handle)
+            recorder = RecordingBackend(ScriptedBackend("reply"), store)
+            for expected in (1, 2):
+                recorder.complete(TURNS, PARAMS)
+                assert len(Transcript.load(path)) == expected
+            store.append(transcript_record("built"))
+            assert list(Transcript.load(path))[-1] == transcript_record("built")
+        assert len(store) == 0  # nothing is kept in memory
 
 
 class TestFanOut:

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import random
 import re
+import signal
+import subprocess
+import sys
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,6 +38,29 @@ from mpo import (
 from mpo import cli, optimizer
 from mpo.cli import BackendBundle, CLIError, build_parser, build_run_config, main
 from solvers import gold_solver, scored_solver
+
+# ``mpo.cli.main`` on argv[2:] with a mock critic that SIGKILLs the process
+# on its argv[1]-th call.
+_KILLED_AT_CALL = """
+import os, signal, sys, threading
+import mpo.cli
+
+kill_at, calls, lock = int(sys.argv[1]), [], threading.Lock()
+
+
+class KillingCritic(mpo.cli.MockCritic):
+    def complete(self, turns, params):
+        with lock:
+            calls.append(turns)
+            number = len(calls)
+        if number == kill_at:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().complete(turns, params)
+
+
+mpo.cli.MockCritic = KillingCritic
+sys.exit(mpo.cli.main(sys.argv[2:]))
+"""
 
 DEDUP_RUNS = [("lexical", []), ("llm", ["--concurrency", "5"])]
 
@@ -499,6 +527,42 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert f"cannot read {prompt}: " in err and "utf-8" in err
 
+    def test_unwritable_transcript_exits_two_before_any_call(self, tagged_file, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        class CountingCritic(MockCritic):
+            def complete(self, turns, params):
+                calls.append(turns)
+                return super().complete(turns, params)
+
+        monkeypatch.setattr("mpo.cli.MockCritic", CountingCritic)
+        out = tmp_path / "run"
+        (out / "transcript.jsonl").mkdir(parents=True)
+        assert main(["optimize", str(tagged_file), "--mock", "--record", "--out", str(out)]) == 2
+        assert f"error: cannot write transcript {out / 'transcript.jsonl'}: " in capsys.readouterr().err
+        assert calls == [] and [path.name for path in out.iterdir()] == ["transcript.jsonl"]
+
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_killed_run_keeps_its_finished_calls(self, tagged_file, tmp_path, width):
+        # The mock critic SIGKILLs the process on its 7th call: nothing of the
+        # run's own cleanup runs, yet every line written so far is whole.
+        out, kill_at = tmp_path / "run", 7
+        args = ["optimize", str(tagged_file), "--mock", "--record", "--dedup", "llm", "--iterations", "3"]
+        args += ["--concurrency", str(width), "--out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-c", _KILLED_AT_CALL, str(kill_at), *args],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == -signal.SIGKILL, result.stderr
+        loaded = Transcript.load(out / "transcript.jsonl")
+        if width == 1:
+            assert len(loaded) == kill_at - 1
+        text = (out / "transcript.jsonl").read_text(encoding="utf-8")
+        assert text == "" or text.endswith("}\n")
+
     def test_interrupted_run_keeps_transcript(self, tagged_file, tmp_path, monkeypatch):
         class InterruptedCritic(MockCritic):
             calls = 0
@@ -606,6 +670,33 @@ class TestOptimize:
 
 
 class TestEval:
+    def test_recorded_eval_holds_no_calls_in_memory(self, tagged_prompt_text, tmp_path):
+        # Each solve sends the whole prompt, here about 20 KB, so the transcript
+        # is far larger than anything else the run holds.
+        rules = "".join(f"- Rule {n}: state the answer to question {n} exactly.\n" for n in range(400))
+        prompt = tmp_path / "prompt.txt"
+        prompt.write_text(tagged_prompt_text.replace("<Constraints>\n", "<Constraints>\n" + rules), encoding="utf-8")
+        dataset = tmp_path / "items.jsonl"
+        dataset.write_text(
+            "".join(
+                json.dumps({"id": f"q{n}", "question": f"Which is {n}?", "choices": {"A": "x", "B": "y"}, "answer": "AB"[n % 2]})
+                + "\n"
+                for n in range(200)
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "run"
+        args = ["eval", str(prompt), str(dataset), "--mock", "--record", "--concurrency", "4", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (out / "transcript.jsonl").stat().st_size
+        assert len(Transcript.load(out / "transcript.jsonl")) == 200 and size > 4_000_000
+        assert peak < size / 4, (peak, size)
+
     def test_mock_eval_prints_accuracy(self, tagged_file, dataset_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["eval", str(tagged_file), str(dataset_file), "--out", str(out)])

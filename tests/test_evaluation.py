@@ -173,6 +173,44 @@ class TestLoaders:
         with pytest.raises(FormatError, match="out of range"):
             load_dataset(path, "generic_jsonl")
 
+    # JSON values that have no text of their own: str() would turn null into
+    # "None" and true into "True", and score against them.
+    NOT_TEXT = pytest.mark.parametrize(
+        "bad, shown", [(None, "null"), (True, "true"), (["A"], '["A"]'), ({"A": 1}, '{"A": 1}')]
+    )
+
+    @NOT_TEXT
+    @pytest.mark.parametrize("field", ["id", "choice 'A'", "answer"])
+    def test_generic_fields_must_be_strings_or_numbers(self, tmp_path, field, bad, shown):
+        good = {"id": 7, "question": "Q", "choices": {"A": "a", "B": 2}, "answer": "A"}
+        (item,) = load_dataset(self._write(tmp_path, [good]), "generic_jsonl").items
+        assert (item.id, item.choices) == ("7", (("A", "a"), ("B", "2")))  # numbers keep their digits
+        row = {**good, "id": 8, "choices": dict(good["choices"])}
+        if field == "choice 'A'":
+            row["choices"]["A"] = bad
+        else:
+            row[field] = bad
+        path = self._write(tmp_path, [good, row])
+        with pytest.raises(FormatError, match=re.escape(f"data.jsonl:2: {field} must be a string or a number, got {shown}")):
+            load_dataset(path, "generic_jsonl")
+
+    @NOT_TEXT
+    @pytest.mark.parametrize("field", ["id", "choice label", "choice text", "answerKey"])
+    def test_arc_fields_must_be_strings_or_numbers(self, tmp_path, field, bad, shown):
+        choices = [{"label": 1, "text": "a"}, {"label": 2, "text": 3}]
+        row = {"id": 7, "question": {"stem": "Q", "choices": choices}, "answerKey": 2}
+        path = tmp_path / "arc.jsonl"
+        path.write_text(json.dumps(row), encoding="utf-8")
+        (item,) = load_dataset(path, "arc_jsonl").items
+        assert (item.id, item.choices, item.answer_key) == ("7", (("A", "a"), ("B", "3")), "B")
+        if field.startswith("choice"):
+            choices[0][field.split()[1]] = bad
+        else:
+            row[field] = bad
+        path.write_text(json.dumps(row), encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"arc.jsonl:1: {field} must be a string or a number, got {shown}")):
+            load_dataset(path, "arc_jsonl")
+
     def test_arc_missing_answer_key(self, tmp_path):
         path = tmp_path / "arc.jsonl"
         row = {"id": "x", "question": {"stem": "Q", "choices": [{"label": "A", "text": "a"}, {"label": "B", "text": "b"}]}}
