@@ -4,8 +4,9 @@ Every backend exposes one operation, ``complete(turns, params) -> str``.  The
 live backend speaks the common ``/v1/chat/completions`` wire protocol; the
 scripted backend turns a constant or a callable into a deterministic stand-in;
 the recording wrapper captures request/response pairs into a transcript and
-the replay backend serves them back for the same turns and params, so whole
-optimization runs can be reproduced byte-for-byte without model access.
+the replay backend indexes them once by request and serves each back for the
+same turns and params, in any arrival order, so whole optimization runs can
+be reproduced byte-for-byte without model access.
 ``fan_out`` is the one ordered way callers spread independent calls across
 threads: it keeps only each item's result, a slow item holds up no other, and
 a stop or an error lets no thread take another item.
@@ -344,43 +345,33 @@ class RecordingBackend(CriticBackend):
         return response
 
 
-def _recorded_request(record: dict) -> tuple[tuple[tuple[str, str], ...], str]:
-    """A record's request as replay matches it: (role, content) turns and canonical params JSON."""
-    return tuple((turn["role"], turn["content"]) for turn in record["request"]), _params_json(record["params"])
-
-
 class ReplayBackend(CriticBackend):
     """Serves recorded responses to requests with the same turns and params.
 
     A request matches a record when their (role, content) turns and canonical
     params JSON (:func:`_params_json`) are equal; the stored
-    ``request_digest`` is a label only. Requests in recorded order are each
-    compared with the first unconsumed record. The first out of order indexes
-    the unconsumed records by the request they hold, and from then on a
-    request gets its earliest unconsumed match. Neither path computes a
-    digest; both consume duplicates in recorded order, serialized, and release
-    a consumed record's request text. A request with no unconsumed match raises
-    :class:`ReplayMiss`: the run diverged from the recording.
+    ``request_digest`` is a label only. Every record is indexed once, when the
+    backend is built, by the request it holds; a request gets its earliest
+    unconsumed match, whatever order requests arrive in. Duplicates are
+    consumed in recorded order, serialized, and a key leaves the index with
+    its last record, releasing its request text. No digest is computed unless
+    a request has no unconsumed match, which raises :class:`ReplayMiss`: the
+    run diverged from the recording.
     """
 
     name = "replay"
     model = "transcript"
 
     def __init__(self, store: Transcript) -> None:
-        self._pending: deque[dict] = deque(store)
-        self._index: dict[tuple, deque[str]] | None = None
+        self._index: dict[tuple, deque[str]] = {}
+        for record in store:
+            turns = tuple((turn["role"], turn["content"]) for turn in record["request"])
+            self._index.setdefault((turns, _params_json(record["params"])), deque()).append(record["response"])
         self._lock = threading.Lock()
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
         request = (tuple((turn.role, turn.content) for turn in turns), _params_json(params.to_dict()))
         with self._lock:
-            if self._index is None:
-                if self._pending and _recorded_request(self._pending[0]) == request:
-                    return self._pending.popleft()["response"]
-                self._index = {}
-                for record in self._pending:
-                    self._index.setdefault(_recorded_request(record), deque()).append(record["response"])
-                self._pending.clear()
             if queue := self._index.get(request):
                 if len(queue) == 1:  # the key holds the request text: drop it with its last record
                     del self._index[request]
@@ -528,6 +519,6 @@ class HTTPBackend(CriticBackend):
             content = payload["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
-        if content is None:
-            raise BackendError("completion response has null content")
+        if not isinstance(content, str):
+            raise BackendError(f"malformed completion response: content is {type(content).__name__}, not a string")
         return content

@@ -213,32 +213,19 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-@dataclass
-class BackendBundle:
-    """The three model roles."""
-
-    critic: CriticBackend
-    solver: CriticBackend
-    extractor: CriticBackend
-
-
-def build_backends(config: RunConfig) -> BackendBundle:
+def build_backend(config: RunConfig, role: str) -> CriticBackend:
+    """The backend for one model role: ``critic``, ``solver`` or ``extractor``."""
     if config.mode == "replay":
         try:
-            replay = ReplayBackend(Transcript.load(config.replay_path))
+            return ReplayBackend(Transcript.load(config.replay_path))
         except OSError as exc:
             raise CLIError(f"cannot read transcript: {exc}") from exc
         except ValueError as exc:  # not JSON, not a record, or not UTF-8
             raise CLIError(f"malformed transcript {config.replay_path}: {exc}") from exc
-        return BackendBundle(critic=replay, solver=replay, extractor=replay)
     if config.mode == "mock":
-        return BackendBundle(critic=MockCritic(), solver=MockSolver(), extractor=HeadingRuleExtractor())
+        return {"critic": MockCritic, "solver": MockSolver, "extractor": HeadingRuleExtractor}[role]()
     try:
-        return BackendBundle(
-            critic=HTTPBackend(config.critic_model, config.base_url, timeout=config.timeout),
-            solver=HTTPBackend(config.solver_model, config.base_url, timeout=config.timeout),
-            extractor=HTTPBackend(config.extractor_model, config.base_url, timeout=config.timeout),
-        )
+        return HTTPBackend(getattr(config, f"{role}_model"), config.base_url, timeout=config.timeout)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
 
@@ -258,11 +245,13 @@ def _load_state(path: Path) -> PromptState:
 
 
 @contextlib.contextmanager
-def _run_backends(config: RunConfig) -> Iterator[tuple[BackendBundle, Path]]:
-    """Backends and output directory for one command. ``--record`` opens
-    ``OUT/transcript.jsonl`` before the first call, which writes its line when it
-    finishes; the file is closed however the command ends, Ctrl-C included."""
-    bundle = build_backends(config)
+def _run_backend(config: RunConfig, role: str) -> Iterator[tuple[CriticBackend, Path]]:
+    """The command's one backend and its output directory. Commands read their
+    inputs first, so an input error leaves ``OUT`` as it was. ``--record``
+    opens ``OUT/transcript.jsonl`` before the first call, which writes its line
+    when it finishes; the file is closed however the command ends, Ctrl-C
+    included."""
+    backend = build_backend(config, role)
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -274,10 +263,9 @@ def _run_backends(config: RunConfig) -> Iterator[tuple[BackendBundle, Path]]:
             stream = path.open("w", encoding="utf-8")
         except OSError as exc:
             raise CLIError(f"cannot write transcript {path}: {exc}") from exc
-        transcript = Transcript(stream=stream)
-        bundle = BackendBundle(*(RecordingBackend(backend, transcript) for backend in vars(bundle).values()))
+        backend = RecordingBackend(backend, Transcript(stream=stream))
     with stream:
-        yield bundle, config.out_dir
+        yield backend, config.out_dir
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -338,12 +326,12 @@ def _write_run_artifacts(history: RunHistory, out_dir: Path) -> None:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    with _run_backends(config) as (bundle, out_dir):
-        text = _read_text(Path(args.input))
+    text, template = _read_text(Path(args.input)), config.template("decompose")
+    if not text.strip():
+        raise CLIError("decomposition failed: cannot decompose an empty prompt")
+    with _run_backend(config, "extractor") as (extractor, out_dir):
         try:
-            state = decompose_unstructured(
-                text, bundle.extractor, template=config.template("decompose")
-            )
+            state = decompose_unstructured(text, extractor, template=template)
         except SchemaError as exc:
             raise CLIError(f"decomposition failed: {exc}") from exc
     out_path = out_dir / "decomposed_prompt.txt"
@@ -357,15 +345,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    with _run_backends(config) as (bundle, out_dir):
-        state = _load_state(Path(args.input))
+    state, optimizer_config = _load_state(Path(args.input)), config.optimizer_config()
+    gradient, consolidate = config.template("gradient"), config.template("consolidate")
+    with _run_backend(config, "critic") as (critic, out_dir):
         try:
             history = optimize(
-                state,
-                bundle.critic,
-                config.optimizer_config(),
-                gradient_template=config.template("gradient"),
-                consolidate_template=config.template("consolidate"),
+                state, critic, optimizer_config, gradient_template=gradient, consolidate_template=consolidate
             )
         except OptimizationAborted as exc:
             _write_run_artifacts(exc.history, out_dir)
@@ -385,31 +370,23 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    with _run_backends(config) as (bundle, out_dir):
-        state = _load_state(Path(args.prompt))
+    state, template = _load_state(Path(args.prompt)), config.template("question")
+    try:
+        dataset = load_dataset(Path(args.dataset), config.dataset_format, split=config.split)
+    except (DatasetError, OSError) as exc:
+        raise CLIError(f"cannot load dataset: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CLIError(f"cannot load dataset {args.dataset}: {exc}") from exc
+    if not dataset.items:
+        raise CLIError(f"dataset {args.dataset} has no items")
+    if config.limit is not None:
         try:
-            dataset = load_dataset(
-                Path(args.dataset), config.dataset_format, split=config.split
-            )
-        except (DatasetError, OSError) as exc:
-            raise CLIError(f"cannot load dataset: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise CLIError(f"cannot load dataset {args.dataset}: {exc}") from exc
-        if not dataset.items:
-            raise CLIError(f"dataset {args.dataset} has no items")
-        if config.limit is not None:
-            try:
-                dataset = sample_items(dataset, config.limit, config.seed)
-            except ValueError as exc:
-                raise CLIError(str(exc)) from exc
+            dataset = sample_items(dataset, config.limit, config.seed)
+        except ValueError as exc:
+            raise CLIError(str(exc)) from exc
+    with _run_backend(config, "solver") as (solver, out_dir):
         try:
-            result = evaluate(
-                state,
-                dataset,
-                bundle.solver,
-                concurrency=config.concurrency,
-                template=config.template("question"),
-            )
+            result = evaluate(state, dataset, solver, concurrency=config.concurrency, template=template)
         except EvaluationAborted as exc:
             path = out_dir / "eval_result.partial.json"
             _write_json(path, exc.result.to_dict())

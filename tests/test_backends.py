@@ -262,7 +262,8 @@ class TestRecordReplay:
             params = GenerationParams.from_dict(entry["params"])
             assert entry["request_digest"] == request_digest(turns, params)
             assert replay.complete(turns, params) == entry["response"]
-        assert replay._index is None  # served in recorded order, so nothing was indexed
+        with pytest.raises(ReplayMiss):  # each record is served once
+            replay.complete(turns, params)
 
     def test_seed_run_transcript_resaves_byte_identically(self, data_dir, tmp_path):
         pinned = data_dir / "seed_run" / "transcript.jsonl"
@@ -286,7 +287,7 @@ class TestRecordReplay:
         assert list(loaded) == list(store)
         replay = ReplayBackend(loaded)
         assert [replay.complete(turns, PARAMS) for turns in requests] == [text[::-1] for text in self.AWKWARD]
-        # And out of recorded order, through the index.
+        # And out of recorded order.
         replay = ReplayBackend(loaded)
         served = [replay.complete(turns, PARAMS) for turns in requests[::-1]]
         assert served == [text[::-1] for text in self.AWKWARD[::-1]]
@@ -659,6 +660,13 @@ class TestHTTPBackend:
         base_url, script = http_server
         script.script.append((200, {"choices": []}))
         with pytest.raises(BackendError, match="malformed"):
+            self._backend(base_url).complete(TURNS, PARAMS)
+
+    @pytest.mark.parametrize("content", [5, ["a"], {"text": "a"}, None], ids=["number", "list", "object", "null"])
+    def test_non_string_content_rejected(self, http_server, content):
+        base_url, script = http_server
+        script.script.append((200, {"choices": [{"message": {"content": content}}]}))
+        with pytest.raises(BackendError, match="malformed completion response: content is"):
             self._backend(base_url).complete(TURNS, PARAMS)
 
     def test_transport_errors_retry_then_fail(self):

@@ -23,7 +23,9 @@ from mpo import (
     DedupMode,
     EvalResult,
     GenerationParams,
+    HeadingRuleExtractor,
     MockCritic,
+    MockSolver,
     RecordingBackend,
     ScriptedBackend,
     SectionKind,
@@ -36,7 +38,7 @@ from mpo import (
     step,
 )
 from mpo import cli, optimizer
-from mpo.cli import BackendBundle, CLIError, build_parser, build_run_config, main
+from mpo.cli import CLIError, build_parser, build_run_config, main
 from solvers import gold_solver, scored_solver
 
 # ``mpo.cli.main`` on argv[2:] with a mock critic that SIGKILLs the process
@@ -293,6 +295,69 @@ class TestRunConfig:
             )
         assert config.record is False
         assert any("no effect" in message for message in caplog.messages)
+
+
+class TestOneBackendPerCommand:
+    # Each command reads every input before it builds its backend or opens
+    # OUT: an input error exits 2 and leaves a recorded run in OUT as it was.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "{missing}"],
+            ["decompose", "{empty}"],
+            ["decompose", "{prompt}", "--config", "{templates}"],
+            ["optimize", "{missing}"],
+            ["optimize", "{malformed}"],
+            ["optimize", "{prompt}", "--config", "{templates}"],
+            ["eval", "{malformed}", "{dataset}"],
+            ["eval", "{prompt}", "{missing}"],
+            ["eval", "{prompt}", "{empty}"],
+            ["eval", "{prompt}", "{dataset}", "--config", "{templates}"],
+        ],
+        ids=lambda argv: " ".join(argv).replace("{", "").replace("}", ""),
+    )
+    def test_input_error_keeps_the_recorded_run(self, argv, tagged_file, dataset_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["optimize", str(tagged_file), "--mock", "--iterations", "1", "--record", "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert before["transcript.jsonl"]
+        paths = {"prompt": tagged_file, "dataset": dataset_file, "missing": tmp_path / "missing.txt"}
+        for name, text in [("malformed", "no sections here\n"), ("empty", ""), ("templates", "[templates]\n")]:
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text, encoding="utf-8")
+        with paths["templates"].open("a", encoding="utf-8") as handle:
+            handle.writelines(f"{name} = {paths['missing']}\n" for name in cli.TEMPLATE_NAMES)
+        argv = [arg.format(**paths) for arg in argv] + ["--mock", "--record", "--out"]
+        assert main(argv + [str(out)]) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert main(argv + [str(tmp_path / "fresh")]) == 2
+        assert not (tmp_path / "fresh").exists()
+
+    def test_live_builds_one_http_backend_for_its_role(
+        self, tagged_file, dataset_file, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        built, mocks = [], {"critic": MockCritic(), "solver": MockSolver(), "extractor": HeadingRuleExtractor()}
+
+        class MockedHTTPBackend(cli.HTTPBackend):
+            def __init__(self, model, *args, **kwargs):
+                super().__init__(model, *args, **kwargs)
+                built.append(model)
+
+            def complete(self, turns, params):
+                return mocks[self.model].complete(turns, params)
+
+        monkeypatch.setattr(cli, "HTTPBackend", MockedHTTPBackend)
+        monkeypatch.setenv("MPO_BASE_URL", "http://127.0.0.1:9")
+        runs = [
+            (["decompose", str(data_dir / "multi_task_raw.txt")], "extractor"),
+            (["optimize", str(tagged_file), "--iterations", "1"], "critic"),
+            (["eval", str(tagged_file), str(dataset_file)], "solver"),
+        ]
+        for argv, role in runs:
+            built.clear()
+            assert main(argv + ["--live", "--record", "--out", str(tmp_path / role)]) == 0
+            assert built == [role]
+            assert Transcript.load(tmp_path / role / "transcript.jsonl")
 
 
 class TestDecompose:
@@ -810,12 +875,7 @@ class TestEval:
         def failing(turns, params):
             raise BackendError("service down")
 
-        bundle = BackendBundle(
-            critic=MockCritic(),
-            solver=ScriptedBackend(failing),
-            extractor=MockCritic(),
-        )
-        monkeypatch.setattr("mpo.cli.build_backends", lambda config: bundle)
+        monkeypatch.setattr("mpo.cli.build_backend", lambda config, role: ScriptedBackend(failing))
         out = tmp_path / "out"
         code = main(["eval", str(tagged_file), str(dataset_file), "--out", str(out)])
         assert code == 3
@@ -832,10 +892,7 @@ class TestEval:
         def failing(turns, params):
             raise BackendError("service down")
 
-        bundle = BackendBundle(
-            critic=MockCritic(), solver=ScriptedBackend(failing), extractor=MockCritic()
-        )
-        monkeypatch.setattr("mpo.cli.build_backends", lambda config: bundle)
+        monkeypatch.setattr("mpo.cli.build_backend", lambda config, role: ScriptedBackend(failing))
         partials = []
         for width in ("1", "4"):
             out = tmp_path / f"width{width}"

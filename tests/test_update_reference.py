@@ -76,7 +76,7 @@ from mpo import (
     step,
     token_count,
 )
-from mpo import cli, optimizer, schema
+from mpo import backends, cli, optimizer, schema
 from mpo.backends import CriticBackend, Transcript, _params_json
 from mpo.cli import _history_lines, main
 from mpo.optimizer import SectionUpdate, _truncate_to_token_budget
@@ -514,16 +514,18 @@ class TestReplayInOrderMatchesReference:
         assert main(args) == 0
         for name in ("history.jsonl", "gradients.jsonl", "metrics.json", "final_prompt.txt"):
             assert (out / name).read_bytes() == (seed / name).read_bytes(), name
-        assert not built[0]._pending
+        # Every record was served, and each key left once its queue emptied.
+        assert built[0]._index == {}
         return built[0]
 
     def test_in_order_seed_replay_hashes_nothing(self, data_dir, tmp_path, capsys, monkeypatch):
-        assert self.replay_seed_run(data_dir, tmp_path / "o", monkeypatch)._index is None
+        # A served request is looked up by its turns and params: no digest.
+        monkeypatch.setattr(backends, "request_digest", mock.Mock(side_effect=AssertionError("digest computed")))
+        self.replay_seed_run(data_dir, tmp_path / "o", monkeypatch)
 
-    def test_reversed_seed_replay_falls_back_to_the_index(self, data_dir, tmp_path, capsys, monkeypatch):
+    def test_reversed_seed_replay_writes_the_pins(self, data_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(optimizer, "step", functools.partial(step, process_order=CANONICAL_ORDER[::-1]))
-        # Every record was served, and each key left once its queue emptied.
-        assert self.replay_seed_run(data_dir, tmp_path / "o", monkeypatch)._index == {}
+        self.replay_seed_run(data_dir, tmp_path / "o", monkeypatch)
 
     def test_threads_consume_each_entry_once(self):
         # Each of 4 requests recorded 25 times with its own responses, asked
@@ -547,9 +549,10 @@ class TestReplayInOrderMatchesReference:
         # Response n was recorded for request n, so it answers that request's turns.
         assert all(int(response) % 4 == i % 4 for i, response in enumerate(served))
 
-    def test_out_of_order_request_indexes_the_unconsumed_entries(self):
-        store = Transcript()
-        recorder = RecordingBackend(ScriptedBackend(lambda turns, params: turns[0].content.upper()), store)
+    def test_every_record_is_indexed_at_build(self):
+        store, served = Transcript(), itertools.count()
+        script = ScriptedBackend(lambda turns, params: turns[0].content.upper() + str(next(served)))
+        recorder = RecordingBackend(script, store)
         requests = [((ChatTurn("user", text),), GenerationParams()) for text in ("a", "b", "a", "c")]
         for request in requests:
             recorder.complete(*request)
@@ -558,15 +561,15 @@ class TestReplayInOrderMatchesReference:
         def key(text: str) -> tuple:
             return (("user", text),), _params_json(GenerationParams().to_dict())
 
-        assert replay.complete(*requests[0]) == "A"
-        assert replay._index is None
-        with pytest.raises(ReplayMiss):  # out of order: indexes the three unconsumed records
+        assert replay._index == {key("a"): deque(["A0", "A2"]), key("b"): deque(["B1"]), key("c"): deque(["C3"])}
+        assert replay.complete(*requests[3]) == "C3"
+        assert key("c") not in replay._index  # a key goes once its queue is empty
+        assert replay.complete(*requests[0]) == "A0"
+        with pytest.raises(ReplayMiss):
             replay.complete((ChatTurn("user", "z"),), GenerationParams())
-        assert replay._index == {key("b"): deque(["B"]), key("a"): deque(["A"]), key("c"): deque(["C"])}
-        assert not replay._pending
-        assert replay.complete(*requests[3]) == "C"
-        assert [replay.complete(*requests[i]) for i in (2, 1)] == ["A", "B"]
-        assert replay._index == {}  # a key goes once its queue is empty
+        assert replay._index == {key("a"): deque(["A2"]), key("b"): deque(["B1"])}
+        assert [replay.complete(*requests[i]) for i in (2, 1)] == ["A2", "B1"]
+        assert replay._index == {}
         with pytest.raises(ReplayMiss):
             replay.complete(*requests[0])
 
