@@ -3,7 +3,7 @@
 Commands: ``decompose`` (structure a free-form prompt), ``optimize`` (run the
 refinement loop), ``eval`` (score a prompt on a dataset), ``compare`` (line
 up result files), ``diff`` (per-section prompt diff). Exit codes: 0 success,
-1 semantic difference (``diff`` only), 2 input error, 3 aborted run.
+1 semantic difference (``diff`` only), 2 input error or unwritable output, 3 aborted run.
 
 Settings come from an INI config file and command-line flags; flags win.
 Backends run in one of three modes: ``mock`` (deterministic built-ins, the
@@ -21,7 +21,7 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .backends import (
     BackendError,
@@ -61,7 +61,7 @@ from .schema import (
     parse_structured_prompt,
     render_prompt,
 )
-from .templating import PromptTemplate
+from .templating import PromptTemplate, default_template
 
 logger = logging.getLogger(__name__)
 
@@ -111,8 +111,11 @@ class RunConfig:
             raise CLIError(str(exc)) from exc
 
     def template(self, name: str) -> PromptTemplate | None:
-        path = self.templates.get(name)
-        return None if path is None else PromptTemplate(_read_text(path))
+        """The custom template, if any: it keeps the built-in's placeholders, which each call fills."""
+        template = (path := self.templates.get(name)) and PromptTemplate(_read_text(path))
+        if template and (missing := default_template(name).placeholders - template.placeholders):
+            raise CLIError(f"template {path} lacks the placeholders {', '.join(f'{{{p}}}' for p in sorted(missing))}")
+        return template
 
 
 def _one_of(choices, convert=str) -> tuple:
@@ -268,12 +271,21 @@ def _run_backend(config: RunConfig, role: str) -> Iterator[tuple[CriticBackend, 
         yield backend, config.out_dir
 
 
+def _write(path: Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path``; a failed open or write exits 2, naming it."""
+    try:
+        with path.open("w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+    except OSError as exc:
+        raise CLIError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    _write(path, [json.dumps(data, indent=2, ensure_ascii=False) + "\n"])
 
 
-def _gradient_line(index: int, updates: tuple[SectionUpdate, ...], failures) -> dict:
-    return {
+def _gradient_line(index: int, updates: tuple[SectionUpdate, ...], failures) -> str:
+    return json.dumps({
         "iteration": index,
         "gradients": [
             {
@@ -289,7 +301,7 @@ def _gradient_line(index: int, updates: tuple[SectionUpdate, ...], failures) -> 
         "failures": [
             {"section": kind.value, "reason": reason} for kind, reason in failures
         ],
-    }
+    }, ensure_ascii=False) + "\n"
 
 
 def _history_lines(states: tuple[PromptState, ...]) -> Iterator[str]:
@@ -309,11 +321,8 @@ def _history_lines(states: tuple[PromptState, ...]) -> Iterator[str]:
 
 
 def _write_run_artifacts(history: RunHistory, out_dir: Path) -> None:
-    with (out_dir / "history.jsonl").open("w", encoding="utf-8") as handle:
-        handle.writelines(_history_lines(history.states))
-    with (out_dir / "gradients.jsonl").open("w", encoding="utf-8") as handle:
-        for index, round_ in enumerate(zip(history.updates, history.failures)):
-            handle.write(json.dumps(_gradient_line(index, *round_), ensure_ascii=False) + "\n")
+    _write(out_dir / "history.jsonl", _history_lines(history.states))
+    _write(out_dir / "gradients.jsonl", map(_gradient_line, range(history.iterations), history.updates, history.failures))
     metrics = {
         "iterations": history.iterations,
         "digests": list(history.digests),
@@ -321,7 +330,7 @@ def _write_run_artifacts(history: RunHistory, out_dir: Path) -> None:
         "growth": growth_metrics(history).to_dict(),
     }
     _write_json(out_dir / "metrics.json", metrics)
-    (out_dir / "final_prompt.txt").write_text(render_prompt(history.final), encoding="utf-8")
+    _write(out_dir / "final_prompt.txt", [render_prompt(history.final)])
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -335,7 +344,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         except SchemaError as exc:
             raise CLIError(f"decomposition failed: {exc}") from exc
     out_path = out_dir / "decomposed_prompt.txt"
-    out_path.write_text(render_prompt(state), encoding="utf-8")
+    _write(out_path, [render_prompt(state)])
     for section in state.sections:
         marker = " (empty)" if section.is_empty else ""
         print(f"{section.kind.display_name}: {section.provenance.value}{marker}")

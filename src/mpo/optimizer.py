@@ -13,8 +13,6 @@ from __future__ import annotations
 import enum
 import functools
 import logging
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import AbstractSet, NamedTuple
 
@@ -142,22 +140,12 @@ class _LinePass(NamedTuple):
         return _LinePass(self.kept + tuple(kept), seen, count, dropped, tokens)
 
 
-_PASSES: OrderedDict[str, _LinePass] = OrderedDict()  # least recently used first
-_PASSES_LOCK = threading.Lock()
-
-
-def _line_pass(content: str, known: _LinePass | None = None) -> _LinePass:
-    """``content``'s pass: ``known`` if given, else cached, else one scan. A
-    pass is a function of the content alone, so an eviction costs a rescan."""
-    with _PASSES_LOCK:
-        known = known or _PASSES.get(content)
-        if known:
-            _PASSES[content] = known
-            _PASSES.move_to_end(content)
-            if len(_PASSES) > 16:  # a width-5 step reads at most 15 passes
-                _PASSES.popitem(last=False)
-            return known
-    return _line_pass(content, _LinePass().then(content))
+def _line_pass(section: Section) -> _LinePass:
+    """``section``'s pass, scanned once and kept on it like its token count; a
+    pass depends on the content alone, so two threads that race store equal ones."""
+    if (found := section.__dict__.get("line_pass")) is None:
+        found = section.__dict__["line_pass"] = _LinePass().then(section.content)
+    return found
 
 
 def lexical_dedup(content: str) -> str:
@@ -166,9 +154,9 @@ def lexical_dedup(content: str) -> str:
     Blank lines never participate: internal ones are kept as paragraph
     separators, leading and trailing ones are trimmed so repeated cleanup is
     a no-op. Lines that normalize to nothing (e.g. a bare "-") are kept.
-    Reads the cached line pass over ``content``; :func:`step` extends it.
+    One scan of ``content``, the pass :func:`step` keeps on each section.
     """
-    kept = list(_line_pass(content).kept)
+    kept = list(_LinePass().then(content).kept)
     while kept and not kept[0].strip():
         kept.pop(0)
     while kept and not kept[-1].strip():
@@ -178,8 +166,8 @@ def lexical_dedup(content: str) -> str:
 
 def duplicate_line_count(content: str) -> int:
     """Number of non-blank lines that repeat an earlier line's normalized form,
-    the lines :func:`lexical_dedup` drops, read from the same cached pass."""
-    return _line_pass(content).dropped
+    the lines :func:`lexical_dedup` drops, from one scan of ``content``."""
+    return _LinePass().then(content).dropped
 
 
 def _truncate_to_token_budget(section: Section, budget: int) -> tuple[Section, int]:
@@ -278,8 +266,9 @@ def step(
     consolidated, since the budget, which keeps the oldest lines, would cut
     its directives.
 
-    Lexical dedup extends the incoming section's cached line pass over the
-    appended lines only, so an update costs time in proportion to them.
+    Lexical dedup extends the line pass kept on the incoming section over the
+    appended lines only, so an update costs time in proportion to them; the
+    landed section keeps its own pass, so runs in one process share nothing.
     """
     config = config or OptimizerConfig()
     order = process_order or CANONICAL_ORDER
@@ -290,7 +279,7 @@ def step(
 
     def update(kind: SectionKind) -> tuple[Section, SectionUpdate]:
         section = state.section(kind)
-        before = grown = _line_pass(section.content)
+        before = grown = _line_pass(section)
         if kind in saturated:
             gradient = TextualGradient.empty(kind, critic_identity=critic.identity)
             dropped = before.dropped
@@ -317,7 +306,7 @@ def step(
                 logger.warning("update failed for %s: %s", kind.display_name, exc)
                 landed = section
                 failure = f"update failed: {exc}"
-        after = _line_pass(landed.content)
+        after = _line_pass(landed)
         removed = max(0, grown.lines + grown.dropped - after.lines - after.dropped - truncated)
         return landed, SectionUpdate(gradient, failure, grown.dropped, after.dropped, removed, truncated)
 
@@ -338,16 +327,17 @@ def _dedup(
 ) -> Section:
     if config.dedup_mode is DedupMode.LLM:
         return consolidate(critic, expanded, template=template)
-    kept = list(grown.kept)  # the lines, not copies, so cached passes share them
+    kept = list(grown.kept)  # the lines, not copies, so the two passes share them
     while not kept[-1].strip():
         kept.pop()
     kept[-1] = kept[-1].rstrip()  # as Section strips it
     content = "\n".join(kept)
-    _line_pass(content, grown._replace(kept=tuple(kept), dropped=0))
     cleaned = Section.of_valid_lines(expanded.kind, content, expanded.provenance, grown.tokens)
+    cleaned.__dict__["line_pass"] = grown._replace(kept=tuple(kept), dropped=0)
     if config.dedup_mode is DedupMode.LEXICAL:
         return cleaned
-    return consolidate(critic, cleaned, template=template)
+    reply = consolidate(critic, cleaned, template=template)
+    return cleaned if reply.content == cleaned.content else reply  # keeps cleaned's pass
 
 
 @dataclass(frozen=True)

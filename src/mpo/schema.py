@@ -167,11 +167,11 @@ class Section:
     @functools.cached_property
     def token_count(self) -> int:
         """Whitespace-delimited token count (a model-independent proxy), counted
-        once; the cache is no field, and pickling drops it (``__getstate__``)."""
+        once; like the optimizer's ``line_pass``, no field, and not pickled."""
         return len(self.content.split())
 
     def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name != "token_count"}
+        return {name: value for name, value in vars(self).items() if name not in ("token_count", "line_pass")}
 
 
 @dataclass(frozen=True)

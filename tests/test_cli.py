@@ -333,6 +333,48 @@ class TestOneBackendPerCommand:
         assert main(argv + [str(tmp_path / "fresh")]) == 2
         assert not (tmp_path / "fresh").exists()
 
+    @pytest.mark.parametrize(
+        "argv, name, text, missing",
+        [
+            (["decompose", "{raw}"], "decompose", "Split this prompt into sections.\n", "{PROMPT}"),
+            (["optimize", "{prompt}"], "gradient", "Critique {SECTION_KIND}.\n", "{CONTEXT}, {SECTION_CONTENT}"),
+            (["eval", "{prompt}", "{dataset}"], "question", "{QUESTION}\nAnswer:\n", "{CHOICES}"),
+        ],
+        ids=["decompose", "optimize", "eval"],
+    )
+    def test_template_without_a_builtin_placeholder_exits_two(
+        self, argv, name, text, missing, tagged_file, dataset_file, data_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "metrics.json").write_text("kept\n", encoding="utf-8")
+        template, config = tmp_path / f"{name}.txt", tmp_path / "mpo.ini"
+        template.write_text(text, encoding="utf-8")
+        config.write_text(f"[templates]\n{name} = {template}\n", encoding="utf-8")
+        paths = {"raw": data_dir / "multi_task_raw.txt", "prompt": tagged_file, "dataset": dataset_file}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv + ["--mock", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: template {template} lacks the placeholders {missing}\n" in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == ["metrics.json"]
+        assert (out / "metrics.json").read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize(
+        "argv, artifact",
+        [
+            (["decompose", "{raw}"], "decomposed_prompt.txt"),
+            (["optimize", "{prompt}", "--iterations", "1"], "metrics.json"),
+            (["eval", "{prompt}", "{dataset}"], "eval_result.json"),
+        ],
+        ids=["decompose", "optimize", "eval"],
+    )
+    def test_unwritable_artifact_exits_two(self, argv, artifact, tagged_file, dataset_file, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / artifact).mkdir(parents=True)
+        paths = {"raw": data_dir / "multi_task_raw.txt", "prompt": tagged_file, "dataset": dataset_file}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv + ["--mock", "--out", str(out)]) == 2
+        assert f"error: cannot write {out / artifact}: " in capsys.readouterr().err
+
     def test_live_builds_one_http_backend_for_its_role(
         self, tagged_file, dataset_file, data_dir, tmp_path, capsys, monkeypatch
     ):

@@ -212,13 +212,15 @@ class TestCachedTokenCount:
     def test_cached_section_behaves_like_fresh(self, section):
         fresh = Section(section.kind, section.content, section.provenance)
         assert section.token_count == len(section.content.split())
-        assert "token_count" in vars(section) and "token_count" not in vars(fresh)
+        assert optimizer._line_pass(section) == optimizer._LinePass().then(section.content)
+        cached = {"token_count", "line_pass"}
+        assert cached <= vars(section).keys() and not cached & vars(fresh).keys()
         assert section == fresh
         assert hash(section) == hash(fresh)
         assert repr(section) == repr(fresh)
         assert pickle.dumps(section) == pickle.dumps(fresh)
         restored = pickle.loads(pickle.dumps(section))
-        assert restored == fresh
+        assert restored == fresh and not cached & vars(restored).keys()
         assert restored.token_count == section.token_count
 
     def test_fields_unchanged(self):
@@ -761,7 +763,7 @@ class TestSectionUpdateMatchesReference:
         assert landed.token_count == len(expected.content.split())
         assert update == expected_update
         # A pass stored for a landed section equals a fresh scan of its content.
-        assert optimizer._line_pass(landed.content) == optimizer._LinePass().then(landed.content)
+        assert optimizer._line_pass(landed) == optimizer._LinePass().then(landed.content)
 
     @settings(max_examples=200)
     @given(case=section_updates())
@@ -840,23 +842,49 @@ class TestEachLineScannedOnce:
         assert cut and max(seen.values()) == 2
         assert {line for line, count in seen.items() if count == 2} <= cut
 
+    @pytest.mark.parametrize("runs", [2, 4])
+    def test_runs_sharing_a_process_normalize_each_line_once(self, runs):
+        # Each section keeps its own pass, so the steps of other runs in
+        # between evict nothing a run reads next.
+        states = [
+            PromptState.from_sections(
+                Section(kind, "\n".join(f"run {run} {kind.value} line {i}" for i in range(4)))
+                for kind in CANONICAL_ORDER
+            )
+            for run in range(runs)
+        ]
+        critic, seen = unique_rule_critic(), Counter()
+
+        def counting(line: str) -> str:
+            seen[line] += 1
+            return normalize_line(line)
+
+        config = OptimizerConfig(dedup_mode=DedupMode.LEXICAL, max_section_tokens=10_000)
+        with mock.patch.object(optimizer, "normalize_line", counting):
+            for _ in range(8):
+                states = [step(state, critic, config).state for state in states]
+        assert all(state.iteration == 8 for state in states)
+        assert seen and max(seen.values()) == 1
+
 
 class TestPassCacheUnderThreads:
-    """The pass cache is shared by fan-out workers: under forced thread
-    switches every pass read must equal a fresh scan, the cache must stay
-    bounded, and a run must give the same digests at width 1 and width 5."""
+    """A section's pass is kept on the section, which fan-out workers may
+    read at once: under forced thread switches every pass read must equal a
+    fresh scan, and a run must give the same digests at width 1 and width 5."""
 
     def test_reads_match_fresh_scans(self):
-        contents = ["\n".join(f"- rule {i % (n // 2 + 1)}" for i in range(n)) for n in range(1, 150)]
+        sections = [
+            Section(SectionKind.CONSTRAINTS, "\n".join(f"- rule {i % (n // 2 + 1)}" for i in range(n)))
+            for n in range(1, 150)
+        ]
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                found = list(pool.map(optimizer._line_pass, contents * 3, timeout=60))
+                found = list(pool.map(optimizer._line_pass, sections * 3, timeout=60))
         finally:
             sys.setswitchinterval(previous)
-        assert found == [optimizer._LinePass().then(content) for content in contents * 3]
-        assert len(optimizer._PASSES) <= 16
+        assert found == [optimizer._LinePass().then(section.content) for section in sections * 3]
 
     @settings(max_examples=30, deadline=None)
     @given(run=saturating_runs(), salt=st.integers(0, 1000))
