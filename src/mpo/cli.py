@@ -65,7 +65,7 @@ from .templating import PromptTemplate, default_template
 
 logger = logging.getLogger(__name__)
 
-TEMPLATE_NAMES = ("gradient", "consolidate", "decompose", "rewrite", "question")
+TEMPLATE_NAMES = ("gradient", "consolidate", "decompose", "question")
 
 
 class CLIError(Exception):
@@ -153,7 +153,8 @@ _SETTINGS: tuple[tuple[str, str, tuple, str | None], ...] = (
     ("optimizer", "concurrency", _checked(int, lambda v: v >= 1, "an integer >= 1"), "concurrency"),
     ("optimizer", "max_section_tokens", _checked(int, lambda v: v >= 1, "an integer >= 1"), None),
     ("eval", "dataset_format", _one_of(DATASET_FORMATS), "format"),
-    ("eval", "split", (str, "text"), "split"),
+    # Dataset rejects an empty split too, but without naming the key or flag.
+    ("eval", "split", _checked(str, bool, "non-empty text"), "split"),
     ("eval", "limit", _checked(int, lambda v: v >= 1, "an integer >= 1"), "limit"),
     ("eval", "seed", (int, "an integer"), "seed"),
     *(("templates", name, (Path, "a path"), None) for name in TEMPLATE_NAMES),
@@ -382,9 +383,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     state, template = _load_state(Path(args.prompt)), config.template("question")
     try:
         dataset = load_dataset(Path(args.dataset), config.dataset_format, split=config.split)
-    except (DatasetError, OSError) as exc:
-        raise CLIError(f"cannot load dataset: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except (DatasetError, OSError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
         raise CLIError(f"cannot load dataset {args.dataset}: {exc}") from exc
     if not dataset.items:
         raise CLIError(f"dataset {args.dataset} has no items")
@@ -402,8 +401,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"aborted: {exc}", file=sys.stderr)
             print(f"partial result kept in {path}", file=sys.stderr)
             return 3
-        except DatasetError as exc:
-            raise CLIError(str(exc)) from exc
     path = out_dir / "eval_result.json"
     _write_json(path, data := result.to_dict())
     print(f"accuracy: {result.accuracy * 100:.2f}%")

@@ -1,8 +1,12 @@
-"""Scripted solvers keyed on the question text inside the posed prompt."""
+"""Scripted backends: solvers keyed on the question text inside the posed
+prompt, and a wrapper that answers every call differently."""
 
 from __future__ import annotations
 
-from mpo import BackendError, Dataset, ScriptedBackend
+import itertools
+import threading
+
+from mpo import BackendError, CriticBackend, Dataset, ScriptedBackend
 
 
 def gold_solver(dataset: Dataset) -> ScriptedBackend:
@@ -34,3 +38,17 @@ def scored_solver(dataset: Dataset, correct_ids: set[str]) -> ScriptedBackend:
         raise BackendError("posed text matched no known question")
 
     return ScriptedBackend(reply, name="scored", model="script")
+
+
+def counter_backend(inner: CriticBackend) -> ScriptedBackend:
+    """``inner``'s reply with the call's number as a last line of its own: every
+    call is answered differently, equal requests included, so a replay that
+    serves one call another call's record writes different artifacts."""
+    calls, lock = itertools.count(), threading.Lock()
+
+    def reply(turns, params):
+        with lock:
+            number = next(calls)
+        return f"{inner.complete(turns, params)}\nCall {number}."
+
+    return ScriptedBackend(reply, name="counter", model=inner.identity)

@@ -187,6 +187,14 @@ class TestRunConfig:
         with pytest.raises(CLIError, match=r"unknown config key"):
             parse_config(["optimize", "p.txt", "--config", str(ini)])
 
+    def test_rewrite_template_key_exits_two(self, tagged_file, tmp_path, capsys):
+        # No command sends the rewrite template, so it has no config key.
+        ini = tmp_path / "mpo.ini"
+        ini.write_text("[templates]\nrewrite = my_rewrite.txt\n", encoding="utf-8")
+        assert main(["optimize", str(tagged_file), "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+        assert "error: unknown config key 'rewrite' in [templates]\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "text",
         ["[DEFAULT]\nbogus = 1\n", "[DEFAULT]\nseed = 1\n[optimizer]\niterations = 2\n"],
@@ -312,6 +320,7 @@ class TestOneBackendPerCommand:
             ["eval", "{malformed}", "{dataset}"],
             ["eval", "{prompt}", "{missing}"],
             ["eval", "{prompt}", "{empty}"],
+            ["eval", "{prompt}", "{bad_items}"],
             ["eval", "{prompt}", "{dataset}", "--config", "{templates}"],
         ],
         ids=lambda argv: " ".join(argv).replace("{", "").replace("}", ""),
@@ -322,7 +331,10 @@ class TestOneBackendPerCommand:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         assert before["transcript.jsonl"]
         paths = {"prompt": tagged_file, "dataset": dataset_file, "missing": tmp_path / "missing.txt"}
-        for name, text in [("malformed", "no sections here\n"), ("empty", ""), ("templates", "[templates]\n")]:
+        bad_items = '{"id": "q1", "question": 5, "choices": {"A": "x", "B": "y"}, "answer": "A"}\n'
+        for name, text in [
+            ("malformed", "no sections here\n"), ("empty", ""), ("bad_items", bad_items), ("templates", "[templates]\n")
+        ]:
             paths[name] = tmp_path / f"{name}.txt"
             paths[name].write_text(text, encoding="utf-8")
         with paths["templates"].open("a", encoding="utf-8") as handle:
@@ -508,33 +520,11 @@ class TestOptimize:
         assert "iterations: 2" in stdout
         assert "final digest: " in stdout
 
-    def test_llm_dedup_artifacts_identical_at_any_width(self, tagged_file, tmp_path, capsys):
-        outs = []
-        for width in ("1", "5"):
-            out = tmp_path / f"width{width}"
-            args = ["optimize", str(tagged_file), "--dedup", "llm", "--iterations", "3"]
-            assert main(args + ["--concurrency", width, "--out", str(out)]) == 0
-            outs.append(out)
-        for name in ("history.jsonl", "gradients.jsonl"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
     def test_unstructured_input_exits_two(self, tmp_path, capsys):
         path = tmp_path / "loose.txt"
         path.write_text("no tags at all\n", encoding="utf-8")
         assert main(["optimize", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "not a structured prompt" in capsys.readouterr().err
-
-    def test_record_then_replay_reproduces_run(self, tagged_file, tmp_path, capsys):
-        recorded = tmp_path / "recorded"
-        replayed = tmp_path / "replayed"
-        args = ["optimize", str(tagged_file), "--iterations", "2"]
-        assert main(args + ["--out", str(recorded), "--record"]) == 0
-        transcript = recorded / "transcript.jsonl"
-        assert len(Transcript.load(transcript)) == 10  # 5 sections x 2 rounds
-
-        assert main(args + ["--out", str(replayed), "--replay", str(transcript)]) == 0
-        for name in ("final_prompt.txt", "history.jsonl"):
-            assert (replayed / name).read_bytes() == (recorded / name).read_bytes()
 
     def test_replay_shortfall_aborts_with_partial_artifacts(
         self, tagged_file, tmp_path, capsys
@@ -973,6 +963,29 @@ class TestEval:
         assert main(["eval", str(tagged_file), dataset, "--format", "mmlu_csv", "--out", str(tmp_path / "o")]) == 0
         assert "college_biology: " in capsys.readouterr().out
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "extra, config, dataset, error",
+        [
+            (["--split", ""], None, None, "split must be non-empty text, got ''"),
+            ([], "[eval]\nsplit =\n", None, "split must be non-empty text, got ''"),
+            (["--format", "mmlu_csv"], None, "_test.csv", "cannot load dataset {dataset}: dataset name must be non-empty"),
+        ],
+        ids=["split-flag", "split-key", "mmlu-csv-without-subject"],
+    )
+    def test_empty_dataset_name_or_split_exits_two(
+        self, tagged_file, dataset_file, data_dir, tmp_path, capsys, extra, config, dataset, error
+    ):
+        if config:
+            (tmp_path / "mpo.ini").write_text(config, encoding="utf-8")
+            extra = ["--config", str(tmp_path / "mpo.ini")]
+        if dataset:
+            dataset_file = tmp_path / dataset
+            dataset_file.write_bytes((data_dir / "college_biology_test.csv").read_bytes())
+        out = tmp_path / "o"
+        assert main(["eval", str(tagged_file), str(dataset_file), *extra, "--out", str(out)]) == 2
+        assert f"error: {error.format(dataset=dataset_file)}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_dataset_exits_two(self, tagged_file, tmp_path, capsys):
         dataset = tmp_path / "items.jsonl"
