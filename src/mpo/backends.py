@@ -90,14 +90,6 @@ class GenerationParams:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenerationParams":
-        return cls(
-            temperature=data.get("temperature", 0.0),
-            max_output_tokens=data.get("max_output_tokens", 512),
-            seed=data.get("seed"),
-        )
-
 
 # Determinism-biased defaults: temperature 0 everywhere, output budgets sized
 # per use (short critiques, longer consolidations, one-letter answers).
@@ -258,48 +250,38 @@ def open_utf8(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
 
 
 class Transcript:
-    """Append-only store of recorded backend calls, persisted as JSON Lines.
+    """Append-only writer of recorded backend calls, as JSON Lines.
 
     A call is one record, the object on one line: ``request_digest`` (a
     label), ``request`` (the turns as role and content objects), ``params``,
-    ``response`` and ``timestamp``. A recorded call is kept as its line, which
-    :meth:`save` writes unchanged, and a loaded one as its checked record.
-    Given a ``stream``, each call is written there and flushed as it is
-    appended, and none is kept. Appends are serialized internally, and
-    iteration decodes a snapshot into records.
+    ``response`` and ``timestamp``. Each call is appended as the line
+    :class:`RecordingBackend` built. Given a ``stream``, the line is written
+    there and flushed, and none is kept; otherwise the lines are kept in order
+    and :meth:`save` writes them unchanged. Appends are serialized internally.
+    :meth:`load` reads a saved transcript back as its records.
     """
 
-    def __init__(self, records: Iterable[dict] = (), stream: TextIO | None = None) -> None:
-        self._calls: list[str | dict] = list(records)
+    def __init__(self, stream: TextIO | None = None) -> None:
+        self._lines: list[str] = []
         self._stream = stream
         self._lock = threading.Lock()
 
-    def append(self, call: str | dict) -> None:
-        """Add a call as its transcript line or as its record."""
+    def append(self, line: str) -> None:
+        """Add a call as its transcript line, newline included."""
         with self._lock:
             if self._stream is None:
-                self._calls.append(call)
+                self._lines.append(line)
             else:
-                self._stream.write(_line(call))
+                self._stream.write(line)
                 self._stream.flush()
 
-    def __len__(self) -> int:
-        return len(self._calls)
-
-    def __iter__(self) -> Iterator[dict]:
-        with self._lock:
-            calls = tuple(self._calls)
-        return (json.loads(call) if isinstance(call, str) else call for call in calls)
-
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with self._lock, path.open("w", encoding="utf-8") as handle:
-            handle.writelines(map(_line, self._calls))
+        with self._lock, Path(path).open("w", encoding="utf-8") as handle:
+            handle.writelines(self._lines)
 
     @classmethod
-    def load(cls, path: str | Path) -> "Transcript":
-        """Read a saved transcript, checking each record once. A line without one
+    def load(cls, path: str | Path) -> list[dict]:
+        """The records of a saved transcript, each checked once. A line without one
         raises ValueError naming the line; text that is not UTF-8 raises
         UnicodeDecodeError, also a ValueError, naming the line and byte offset."""
         records = []
@@ -310,11 +292,7 @@ class Transcript:
                         records.append(_checked_record(line))
                     except ValueError as exc:
                         raise ValueError(f"line {number}: {exc}") from None
-        return cls(records)
-
-
-def _line(call: str | dict) -> str:
-    return call if isinstance(call, str) else json.dumps(call, ensure_ascii=False) + "\n"
+        return records
 
 
 class RecordingBackend(CriticBackend):
@@ -362,9 +340,9 @@ class ReplayBackend(CriticBackend):
     name = "replay"
     model = "transcript"
 
-    def __init__(self, store: Transcript) -> None:
+    def __init__(self, records: Iterable[dict]) -> None:
         self._index: dict[tuple, deque[str]] = {}
-        for record in store:
+        for record in records:
             turns = tuple((turn["role"], turn["content"]) for turn in record["request"])
             self._index.setdefault((turns, _params_json(record["params"])), deque()).append(record["response"])
         self._lock = threading.Lock()

@@ -100,15 +100,12 @@ class RunConfig:
     templates: dict[str, Path] = field(default_factory=dict)
 
     def optimizer_config(self) -> OptimizerConfig:
-        try:
-            return OptimizerConfig(
-                iterations=self.iterations,
-                dedup_mode=self.dedup,
-                concurrency_width=self.concurrency,
-                max_section_tokens=self.max_section_tokens,
-            )
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+        return OptimizerConfig(
+            iterations=self.iterations,
+            dedup_mode=self.dedup,
+            concurrency_width=self.concurrency,
+            max_section_tokens=self.max_section_tokens,
+        )
 
     def template(self, name: str) -> PromptTemplate | None:
         """The custom template, if any: it keeps the built-in's placeholders, which each call fills."""
@@ -388,10 +385,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not dataset.items:
         raise CLIError(f"dataset {args.dataset} has no items")
     if config.limit is not None:
-        try:
-            dataset = sample_items(dataset, config.limit, config.seed)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+        dataset = sample_items(dataset, config.limit, config.seed)
     with _run_backend(config, "solver") as (solver, out_dir):
         try:
             result = evaluate(state, dataset, solver, concurrency=config.concurrency, template=template)

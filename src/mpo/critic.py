@@ -43,7 +43,6 @@ class TextualGradient:
 
     target: SectionKind
     directives: tuple[str, ...]
-    raw_response: str = ""
     critic_identity: str = ""
 
     def __post_init__(self) -> None:
@@ -58,8 +57,8 @@ class TextualGradient:
         return not self.directives
 
     @classmethod
-    def empty(cls, target: SectionKind, raw_response: str = "", critic_identity: str = "") -> "TextualGradient":
-        return cls(target=target, directives=(), raw_response=raw_response, critic_identity=critic_identity)
+    def empty(cls, target: SectionKind, critic_identity: str = "") -> "TextualGradient":
+        return cls(target=target, directives=(), critic_identity=critic_identity)
 
 
 def parse_directives(text: str) -> tuple[str, ...]:
@@ -94,7 +93,6 @@ def request_gradient(
     return TextualGradient(
         target=section.kind,
         directives=parse_directives(response),
-        raw_response=response,
         critic_identity=backend.identity,
     )
 

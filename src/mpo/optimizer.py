@@ -51,10 +51,9 @@ class TargetMismatch(Exception):
 class OptimizationAborted(Exception):
     """A run stopped early; carries the states completed so far."""
 
-    def __init__(self, message: str, history: "RunHistory", cause: Exception | None = None):
+    def __init__(self, message: str, history: "RunHistory"):
         super().__init__(message)
         self.history = history
-        self.cause = cause
 
 
 class DedupMode(enum.Enum):
@@ -425,7 +424,7 @@ def optimize(
         except Exception as exc:
             partial = RunHistory(states=tuple(states), updates=tuple(rounds))
             raise OptimizationAborted(
-                f"run aborted at iteration {len(rounds)}: {exc}", partial, exc
+                f"run aborted at iteration {len(rounds)}: {exc}", partial
             ) from exc
         states.append(result.state)
         rounds.append(result.updates)

@@ -213,10 +213,6 @@ class PromptState:
         ordered = tuple(by_kind.get(kind, Section(kind)) for kind in CANONICAL_ORDER)
         return cls(ordered, iteration, parent_digest)
 
-    @classmethod
-    def empty(cls) -> "PromptState":
-        return cls.from_sections(())
-
     def successor(self, sections: tuple[Section, ...]) -> "PromptState":
         """The next state in the digest chain, holding ``sections``. When each
         is this state's own object the rendered prompt is the same, so the

@@ -11,7 +11,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Z_]+)\}")
 
@@ -46,10 +45,6 @@ class PromptTemplate:
         return _PLACEHOLDER_RE.sub(
             lambda match: values.get(match.group(1), match.group(0)), self.text
         )
-
-
-def load_template(path: str | Path) -> PromptTemplate:
-    return PromptTemplate(Path(path).read_text(encoding="utf-8"))
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,15 @@
 """Scripted backends: solvers keyed on the question text inside the posed
-prompt, and a wrapper that answers every call differently."""
+prompt, a wrapper that answers every call differently, and a recorder that
+reads back the records it wrote."""
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
 import threading
 
-from mpo import BackendError, CriticBackend, Dataset, ScriptedBackend
+from mpo import BackendError, CriticBackend, Dataset, RecordingBackend, ScriptedBackend, Transcript
 
 
 def gold_solver(dataset: Dataset) -> ScriptedBackend:
@@ -52,3 +55,16 @@ def counter_backend(inner: CriticBackend) -> ScriptedBackend:
         return f"{inner.complete(turns, params)}\nCall {number}."
 
     return ScriptedBackend(reply, name="counter", model=inner.identity)
+
+
+class Recorder(RecordingBackend):
+    """A :class:`RecordingBackend` whose transcript streams into memory."""
+
+    def __init__(self, inner: CriticBackend) -> None:
+        self.stream = io.StringIO()
+        super().__init__(inner, Transcript(self.stream))
+
+    def records(self) -> list[dict]:
+        """The records written so far, in call order. Lines are split at "\\n"
+        only: a line may hold a raw U+2028 or \\x85, where str.splitlines breaks."""
+        return [json.loads(line) for line in self.stream.getvalue().split("\n") if line]

@@ -43,6 +43,7 @@ from mpo.backends import (
     SOLVER_PARAMS,
     fan_out,
 )
+from solvers import Recorder
 
 TURNS = (ChatTurn("user", "hello"),)
 PARAMS = GenerationParams()
@@ -74,7 +75,7 @@ class TestGenerationParams:
 
     def test_dict_round_trip(self):
         params = GenerationParams(temperature=0.5, max_output_tokens=10, seed=7)
-        assert GenerationParams.from_dict(params.to_dict()) == params
+        assert GenerationParams(**params.to_dict()) == params
 
 
 class TestRequestDigest:
@@ -117,24 +118,33 @@ def transcript_record(response: str = "out", digest: str | None = None) -> dict:
     }
 
 
+def line_of(record: dict) -> str:
+    """A record as its transcript line, the form ``Transcript.append`` takes."""
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def saved(path: Path, records: list[dict]) -> Path:
+    """``records`` appended to an in-memory transcript and saved to ``path``."""
+    store = Transcript()
+    for record in records:
+        store.append(line_of(record))
+    store.save(path)
+    return path
+
+
 class TestTranscript:
     def test_save_load_round_trip(self, tmp_path):
-        store = Transcript([transcript_record("a"), transcript_record("b")])
-        path = tmp_path / "t.jsonl"
-        store.save(path)
-        loaded = Transcript.load(path)
-        assert list(loaded) == list(store)
+        records = [transcript_record("a"), transcript_record("b")]
+        assert Transcript.load(saved(tmp_path / "t.jsonl", records)) == records
 
     def test_jsonl_layout(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        Transcript([transcript_record()]).save(path)
+        path = saved(tmp_path / "t.jsonl", [transcript_record()])
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1
         assert list(json.loads(lines[0])) == ["request_digest", "request", "params", "response", "timestamp"]
 
     def test_non_utf8_byte_named_by_line_and_file_offset(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        Transcript([transcript_record(f"out {n}") for n in range(100)]).save(path)
+        path = saved(tmp_path / "t.jsonl", [transcript_record(f"out {n}") for n in range(100)])
         data = bytearray(path.read_bytes())
         offset = data.index(b"out 77")
         data[offset] = 0xFF
@@ -144,57 +154,57 @@ class TestTranscript:
         assert caught.value.start == offset > 8192  # past the text reader's first decode chunk
         assert str(caught.value).endswith(f"invalid start byte (line 78, file byte offset {offset})")
 
-    def test_concurrent_appends_all_land(self):
+    def test_concurrent_appends_all_land(self, tmp_path):
         store = Transcript()
         threads = [
-            threading.Thread(target=lambda: store.append(transcript_record()))
-            for _ in range(16)
+            threading.Thread(target=lambda n=n: store.append(line_of(transcript_record(f"out {n}"))))
+            for n in range(16)
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert len(store) == 16
+        store.save(tmp_path / "t.jsonl")
+        served = sorted(record["response"] for record in Transcript.load(tmp_path / "t.jsonl"))
+        assert served == sorted(f"out {n}" for n in range(16))
 
 
 class TestRecordReplay:
     def test_recording_passes_through_and_stores(self):
-        store = Transcript()
-        backend = RecordingBackend(ScriptedBackend("reply", name="s", model="m"), store)
+        backend = Recorder(ScriptedBackend("reply", name="s", model="m"))
         assert backend.complete(TURNS, PARAMS) == "reply"
         assert backend.identity == "s:m"
-        (entry,) = store
+        (entry,) = backend.records()
         assert entry["response"] == "reply"
         assert entry["request_digest"] == request_digest(TURNS, PARAMS)
         assert entry["request"] == [{"role": "user", "content": "hello"}]
         assert entry["params"] == PARAMS.to_dict()
 
     def test_replay_serves_recorded_response(self):
-        store = Transcript()
-        RecordingBackend(ScriptedBackend("reply"), store).complete(TURNS, PARAMS)
-        assert ReplayBackend(store).complete(TURNS, PARAMS) == "reply"
+        recorder = Recorder(ScriptedBackend("reply"))
+        recorder.complete(TURNS, PARAMS)
+        assert ReplayBackend(recorder.records()).complete(TURNS, PARAMS) == "reply"
 
     def test_duplicate_digests_consumed_in_order(self):
         other = (ChatTurn("user", "other"),)
         calls = iter(["first", "middle", "second"])
-        store = Transcript()
-        recorder = RecordingBackend(ScriptedBackend(lambda t, p: next(calls)), store)
+        recorder = Recorder(ScriptedBackend(lambda t, p: next(calls)))
         for turns in (TURNS, other, TURNS):
             recorder.complete(turns, PARAMS)
-        replay = ReplayBackend(store)
+        replay = ReplayBackend(recorder.records())
         assert replay.complete(TURNS, PARAMS) == "first"
         assert replay.complete(TURNS, PARAMS) == "second"
         assert replay.complete(other, PARAMS) == "middle"
 
     def test_miss_raises(self):
-        replay = ReplayBackend(Transcript())
+        replay = ReplayBackend([])
         with pytest.raises(ReplayMiss, match=request_digest(TURNS, PARAMS)):
             replay.complete(TURNS, PARAMS)
 
     def test_exhausted_entries_raise(self):
-        store = Transcript()
-        RecordingBackend(ScriptedBackend("only"), store).complete(TURNS, PARAMS)
-        replay = ReplayBackend(store)
+        recorder = Recorder(ScriptedBackend("only"))
+        recorder.complete(TURNS, PARAMS)
+        replay = ReplayBackend(recorder.records())
         replay.complete(TURNS, PARAMS)
         with pytest.raises(ReplayMiss):
             replay.complete(TURNS, PARAMS)
@@ -213,9 +223,9 @@ class TestRecordReplay:
 
     @staticmethod
     def _replay_of(turns, params=PARAMS) -> ReplayBackend:
-        store = Transcript()
-        RecordingBackend(ScriptedBackend("reply"), store).complete(turns, params)
-        return ReplayBackend(store)
+        recorder = Recorder(ScriptedBackend("reply"))
+        recorder.complete(turns, params)
+        return ReplayBackend(recorder.records())
 
     @pytest.mark.parametrize(
         "recorded, live",
@@ -250,25 +260,43 @@ class TestRecordReplay:
 
     def test_stored_digest_is_a_label_not_the_lookup(self):
         entry = transcript_record("reply", digest="label")
-        assert ReplayBackend(Transcript([entry])).complete(TURNS, PARAMS) == "reply"
+        assert ReplayBackend([entry]).complete(TURNS, PARAMS) == "reply"
+
+    def test_kept_and_streamed_recordings_of_a_run_are_byte_identical(self, tagged_prompt, tmp_path, monkeypatch):
+        # The two branches of append: each line kept and then saved, or written to the stream.
+        class FixedClock(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return datetime(2024, 1, 1, tzinfo=tz)
+
+        monkeypatch.setattr(mpo.backends, "datetime", FixedClock)
+        config = mpo.OptimizerConfig(iterations=2, dedup_mode=mpo.DedupMode.LLM)
+        kept = Transcript()
+        mpo.optimize(tagged_prompt, RecordingBackend(mpo.MockCritic(), kept), config)
+        kept.save(tmp_path / "kept.jsonl")
+        with (tmp_path / "streamed.jsonl").open("w", encoding="utf-8") as stream:
+            mpo.optimize(tagged_prompt, RecordingBackend(mpo.MockCritic(), Transcript(stream)), config)
+        kept_bytes = (tmp_path / "kept.jsonl").read_bytes()
+        assert kept_bytes == (tmp_path / "streamed.jsonl").read_bytes()
+        assert len(Transcript.load(tmp_path / "kept.jsonl")) > 5  # critiques and consolidations
 
     def test_seed_run_entries_serve_their_own_requests(self, data_dir):
         # The pinned transcript's labels agree with its requests, and each
         # request is served its own recorded response, in recorded order.
-        store = Transcript.load(data_dir / "seed_run" / "transcript.jsonl")
-        replay = ReplayBackend(store)
-        for entry in store:
+        records = Transcript.load(data_dir / "seed_run" / "transcript.jsonl")
+        replay = ReplayBackend(records)
+        for entry in records:
             turns = tuple(ChatTurn(turn["role"], turn["content"]) for turn in entry["request"])
-            params = GenerationParams.from_dict(entry["params"])
+            params = GenerationParams(**entry["params"])
             assert entry["request_digest"] == request_digest(turns, params)
             assert replay.complete(turns, params) == entry["response"]
         with pytest.raises(ReplayMiss):  # each record is served once
             replay.complete(turns, params)
 
-    def test_seed_run_transcript_resaves_byte_identically(self, data_dir, tmp_path):
+    def test_seed_run_records_redump_to_the_file_bytes(self, data_dir):
         pinned = data_dir / "seed_run" / "transcript.jsonl"
-        Transcript.load(pinned).save(tmp_path / "t.jsonl")
-        assert (tmp_path / "t.jsonl").read_bytes() == pinned.read_bytes()
+        redumped = "".join(map(line_of, Transcript.load(pinned)))
+        assert redumped.encode("utf-8") == pinned.read_bytes()
 
     # U+2028 and \x85, which a JSON line holds raw and str.splitlines would
     # break it at; \x1c and NUL, which it escapes; quotes and backslashes.
@@ -284,7 +312,9 @@ class TestRecordReplay:
         store.save(path)
         assert len(path.read_text(encoding="utf-8").split("\n")) == len(self.AWKWARD) + 1
         loaded = Transcript.load(path)
-        assert list(loaded) == list(store)
+        assert [(record["request"], record["response"]) for record in loaded] == [
+            ([turn.to_dict() for turn in turns], turns[0].content[::-1]) for turns in requests
+        ]
         replay = ReplayBackend(loaded)
         assert [replay.complete(turns, PARAMS) for turns in requests] == [text[::-1] for text in self.AWKWARD]
         # And out of recorded order.
@@ -320,7 +350,7 @@ class TestRecordedLine:
         ),
         response=_AWKWARD_TEXT,
     )
-    def test_line_is_json_dumps_of_its_record(self, turns, params, response):
+    def test_line_is_json_dumps_of_its_record(self, tmp_path_factory, turns, params, response):
         stream = io.StringIO()
         RecordingBackend(ScriptedBackend(response), Transcript(stream=stream)).complete(turns, params)
         line = stream.getvalue()
@@ -331,18 +361,20 @@ class TestRecordedLine:
         assert json.dumps(record["params"]) == json.dumps(params.to_dict())  # 0 stays 0, 0.0 stays 0.0
         assert record["response"] == response
         # Kept in memory, the same line is saved unchanged and read back as its record.
-        store = Transcript()
+        store, path = Transcript(), tmp_path_factory.getbasetemp() / "line.jsonl"
         RecordingBackend(ScriptedBackend(response), store).complete(turns, params)
-        assert [{**entry, "timestamp": ""} for entry in store] == [{**record, "timestamp": ""}]
+        store.save(path)
+        assert [{**entry, "timestamp": ""} for entry in Transcript.load(path)] == [{**record, "timestamp": ""}]
 
-    def test_lone_surrogate_fails_after_the_call_and_records_nothing(self):
+    def test_lone_surrogate_fails_after_the_call_and_records_nothing(self, tmp_path):
         # The call is made; encoding its request to UTF-8 for the digest then
         # raises, and no line is kept.
         calls, store = [], Transcript()
         backend = RecordingBackend(ScriptedBackend(lambda turns, params: calls.append(turns) or "reply"), store)
         with pytest.raises(UnicodeEncodeError):
             backend.complete((ChatTurn("user", "a\ud800b"),), PARAMS)
-        assert len(calls) == 1 and len(store) == 0
+        store.save(tmp_path / "t.jsonl")
+        assert len(calls) == 1 and (tmp_path / "t.jsonl").read_bytes() == b""
         with pytest.raises(UnicodeEncodeError):
             request_digest((ChatTurn("user", "a\ud800b"),), PARAMS)
 
@@ -354,9 +386,10 @@ class TestRecordedLine:
             for expected in (1, 2):
                 recorder.complete(TURNS, PARAMS)
                 assert len(Transcript.load(path)) == expected
-            store.append(transcript_record("built"))
-            assert list(Transcript.load(path))[-1] == transcript_record("built")
-        assert len(store) == 0  # nothing is kept in memory
+            store.append(line_of(transcript_record("built")))
+            assert Transcript.load(path)[-1] == transcript_record("built")
+        store.save(tmp_path / "kept.jsonl")  # nothing is kept in memory
+        assert (tmp_path / "kept.jsonl").read_bytes() == b""
 
 
 class TestFanOut:

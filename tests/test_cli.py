@@ -207,12 +207,19 @@ class TestRunConfig:
             parse_config(["optimize", "p.txt", "--config", str(ini)])
 
     @pytest.mark.parametrize(
-        "flag, value, what",
-        [("--iterations", "-1", "an integer >= 0"), ("--limit", "0", "an integer >= 1")],
+        "command, flag, value, what",
+        [
+            ("optimize", "--iterations", "-1", "an integer >= 0"),
+            ("optimize", "--concurrency", "0", "an integer >= 1"),
+            ("eval", "--limit", "0", "an integer >= 1"),
+        ],
     )
-    def test_out_of_range_flag_rejected(self, flag, value, what):
-        with pytest.raises(CLIError, match=f"^{flag[2:]} must be {what}, got {value}$"):
-            parse_config(["eval", "p.txt", "d.jsonl", flag, value])
+    def test_out_of_range_flag_exits_two(self, tagged_file, dataset_file, tmp_path, capsys, command, flag, value, what):
+        # The settings table rejects the value, naming its key, before the optimizer or the sampler sees it.
+        inputs = [str(tagged_file), str(dataset_file)] if command == "eval" else [str(tagged_file)]
+        assert main([command, *inputs, flag, value, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {flag[2:]} must be {what}, got {value}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_config_mode_replay_rejected(self, tmp_path):
         ini = tmp_path / "mpo.ini"
@@ -464,7 +471,7 @@ class TestDecompose:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         transcript_path = tmp_path / "t.jsonl"
-        Transcript([entry]).save(transcript_path)
+        transcript_path.write_text(json.dumps(entry, ensure_ascii=False) + "\n", encoding="utf-8")
         code = main(
             [
                 "decompose",

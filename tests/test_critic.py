@@ -48,14 +48,15 @@ class TestTextualGradient:
         assert gradient.is_empty
         assert gradient.target is SectionKind.CONSTRAINTS
         assert gradient.directives == ()
+        assert gradient.critic_identity == "critic:m"
 
     def test_rejects_blank_directive(self):
         with pytest.raises(ValueError):
-            TextualGradient(SectionKind.CONSTRAINTS, ("",), "", "c:m")
+            TextualGradient(SectionKind.CONSTRAINTS, ("",), "c:m")
 
     def test_rejects_multiline_directive(self):
         with pytest.raises(ValueError):
-            TextualGradient(SectionKind.CONSTRAINTS, ("a\nb",), "", "c:m")
+            TextualGradient(SectionKind.CONSTRAINTS, ("a\nb",), "c:m")
 
 
 class TestRequestGradient:

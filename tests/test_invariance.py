@@ -20,8 +20,8 @@ short calls.
 Every artifact of a run is compared byte for byte with the recording's; a
 replay's ``gradients.jsonl`` with ``critic_identity`` masked, since replay
 names itself as the critic. Every transcript holds one line per backend call
-the run made, loads and saves to the same bytes, and a replay serves each of
-its lines once. A wider run makes as many calls as the recording.
+the run made, whose loaded records dump back to the file's bytes, and a
+replay serves each of its lines once. A wider run makes as many calls as the recording.
 
 The matrix runs in one process; :func:`test_record_and_replay_in_fresh_processes`
 records and replays ``eval-40`` in two more, each with its own hash seed and
@@ -147,10 +147,11 @@ def expected_calls(command: str, out: Path) -> int:
     return sum((not g["saturated"]) + (consolidates and bool(g["directives"])) for g in gradients)
 
 
-def assert_one_line_per_call(transcript: Path, calls: int, resaved: Path) -> None:
+def assert_one_line_per_call(transcript: Path, calls: int) -> None:
+    """One line per call, and the loaded records dump back to the file's bytes."""
     assert len(transcript.read_bytes().splitlines()) == calls
-    Transcript.load(transcript).save(resaved)
-    assert resaved.read_bytes() == transcript.read_bytes()
+    redumped = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in Transcript.load(transcript))
+    assert redumped.encode("utf-8") == transcript.read_bytes()
 
 
 def assert_same_artifacts(recorded: Path, out: Path, replayed: bool) -> None:
@@ -187,7 +188,7 @@ def test_run_writes_the_recorded_artifacts(recordings, tmp_path, command, backen
     argv, recorded, recorded_calls = recordings(command, backend)
     transcript = recorded / "transcript.jsonl"
     if run == "record":
-        assert_one_line_per_call(transcript, recorded_calls, tmp_path / "resaved.jsonl")
+        assert_one_line_per_call(transcript, recorded_calls)
         assert recorded_calls == expected_calls(command, recorded)
         if command.endswith("-55"):  # cut back, then saturated, as the budget_run_55 pins show
             lines = (recorded / "gradients.jsonl").read_text(encoding="utf-8").splitlines()
@@ -200,7 +201,7 @@ def test_run_writes_the_recorded_artifacts(recordings, tmp_path, command, backen
         width = "8" if command == "eval-2000" else "5"
         calls = run_cli([*argv, "--mock", "--record", "--concurrency", width], out, backend)
         assert calls == recorded_calls  # no item or section is called twice, or skipped, when wider
-        assert_one_line_per_call(out / "transcript.jsonl", calls, tmp_path / "resaved.jsonl")
+        assert_one_line_per_call(out / "transcript.jsonl", calls)
         assert_same_artifacts(recorded, out, replayed=False)
         return
     width, order = run.removeprefix("replay").split("-")

@@ -28,7 +28,6 @@ from mpo import (
     TagCollision,
     TargetMismatch,
     TextualGradient,
-    Transcript,
     apply_gradient,
     baseline_global_step,
     duplicate_line_count,
@@ -39,6 +38,7 @@ from mpo import (
     step,
 )
 from mpo.schema import CANONICAL_ORDER
+from solvers import Recorder
 
 
 def _gradient(kind: SectionKind, *directives: str) -> TextualGradient:
@@ -493,18 +493,15 @@ class TestOptimize:
 
     def test_replay_miss_aborts_with_partial_history(self, build_state):
         state = build_state(task_details="Answer each question.")
-        transcript = Transcript()
-        from mpo import RecordingBackend
-
-        recorder = RecordingBackend(MockCritic(), transcript)
+        recorder = Recorder(MockCritic())
         optimize(state, recorder, OptimizerConfig(iterations=1))
         # The transcript holds exactly one round; asking for two must abort
         # on the second, keeping the first round's result.
-        replay = ReplayBackend(transcript)
+        replay = ReplayBackend(recorder.records())
         with pytest.raises(OptimizationAborted) as excinfo:
             optimize(state, replay, OptimizerConfig(iterations=2))
         aborted = excinfo.value
-        assert isinstance(aborted.cause, ReplayMiss)
+        assert isinstance(aborted.__cause__, ReplayMiss)
         assert aborted.history.iterations == 1
         assert aborted.history.initial is state
 

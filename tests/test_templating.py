@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from mpo.templating import PromptTemplate, TemplateError, default_template, load_template
+from mpo.templating import PromptTemplate, TemplateError, default_template
 
 BUILTIN_NAMES = ("gradient", "consolidate", "decompose", "rewrite", "question")
 
@@ -44,12 +44,6 @@ def test_lowercase_braces_are_not_placeholders():
     template = PromptTemplate("{A} {a}")
     assert template.placeholders == {"A"}
     assert template.fill(A="x") == "x {a}"
-
-
-def test_load_template(tmp_path):
-    path = tmp_path / "custom.txt"
-    path.write_text("Hello {WHO}", encoding="utf-8")
-    assert load_template(path).fill(WHO="world") == "Hello world"
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

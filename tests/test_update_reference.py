@@ -56,7 +56,6 @@ from mpo import (
     OptimizerConfig,
     PromptState,
     Provenance,
-    RecordingBackend,
     ReplayBackend,
     ReplayMiss,
     RunHistory,
@@ -77,10 +76,11 @@ from mpo import (
     token_count,
 )
 from mpo import backends, cli, optimizer, schema
-from mpo.backends import CriticBackend, Transcript, _params_json
+from mpo.backends import CriticBackend, _params_json
 from mpo.cli import _history_lines, main
 from mpo.optimizer import SectionUpdate, _truncate_to_token_budget
 from mpo.schema import TAG_STRING_RE, _parse_tag_line
+from solvers import Recorder
 
 
 def reference_truncate(section: Section, budget: int) -> tuple[Section, int, tuple | None]:
@@ -416,12 +416,10 @@ class TestReplayKeyMatchesDigest:
     @settings(max_examples=300)
     @given(recorded=_REQUESTS, live=_REQUESTS)
     def test_served_exactly_when_digests_match(self, recorded, live):
-        store = Transcript()
-        RecordingBackend(ScriptedBackend("reply"), store).complete(*recorded)
-        # Through JSON, as a transcript is loaded from disk.
-        loaded = Transcript(json.loads(json.dumps(record, ensure_ascii=False)) for record in store)
-        try:
-            served = ReplayBackend(loaded).complete(*live) == "reply"
+        recorder = Recorder(ScriptedBackend("reply"))
+        recorder.complete(*recorded)
+        try:  # the records are read back from their lines, as a transcript is loaded from disk
+            served = ReplayBackend(recorder.records()).complete(*live) == "reply"
         except ReplayMiss:
             served = False
         assert served == (request_digest(*recorded) == request_digest(*live))
@@ -431,9 +429,9 @@ class ReferenceReplay(CriticBackend):
     """Replay by the documented match rule: every record indexed at load by
     the digest of its request, every live request looked up by its digest."""
 
-    def __init__(self, store: Transcript) -> None:
+    def __init__(self, records: list[dict]) -> None:
         self._queues: dict[str, deque[str]] = {}
-        for record in store:
+        for record in records:
             self._queues.setdefault(recorded_digest(record), deque()).append(record["response"])
 
     def complete(self, turns, params) -> str:
@@ -456,7 +454,7 @@ _LIVE_PARAMS = st.builds(
 
 
 @st.composite
-def replay_runs(draw) -> tuple[Transcript, list]:
+def replay_runs(draw) -> tuple[list[dict], list]:
     """A recording from a small pool of requests, so duplicates come up, with
     params as raw JSON (some missing a key, so no live request matches), and
     the live requests: a prefix in recorded order, the rest shuffled, with
@@ -480,7 +478,7 @@ def replay_runs(draw) -> tuple[Transcript, list]:
     live = recorded[:split] + draw(st.permutations(recorded[split:]))
     for _ in range(draw(st.integers(0, 3))):
         live.insert(draw(st.integers(0, len(live))), draw(st.sampled_from(pool)))
-    return Transcript(entries), live
+    return entries, live
 
 
 def replay_outcomes(backend, live: list) -> list:
@@ -497,8 +495,8 @@ class TestReplayInOrderMatchesReference:
     @settings(max_examples=400)
     @given(run=replay_runs())
     def test_same_response_and_same_misses_in_any_arrival_order(self, run):
-        store, live = run
-        assert replay_outcomes(ReplayBackend(store), live) == replay_outcomes(ReferenceReplay(store), live)
+        records, live = run
+        assert replay_outcomes(ReplayBackend(records), live) == replay_outcomes(ReferenceReplay(records), live)
 
     @staticmethod
     def replay_seed_run(data_dir, out, monkeypatch) -> ReplayBackend:
@@ -508,8 +506,8 @@ class TestReplayInOrderMatchesReference:
         args += ["--iterations", "2", "--replay", str(seed / "transcript.jsonl"), "--out", str(out)]
         built: list[ReplayBackend] = []
 
-        def build(store: Transcript) -> ReplayBackend:
-            built.append(ReplayBackend(store))
+        def build(records: list[dict]) -> ReplayBackend:
+            built.append(ReplayBackend(records))
             return built[-1]
 
         monkeypatch.setattr(cli, "ReplayBackend", build)
@@ -533,13 +531,12 @@ class TestReplayInOrderMatchesReference:
         # Each of 4 requests recorded 25 times with its own responses, asked
         # for by 8 threads under forced switches: every response is served
         # exactly once, none twice and none lost.
-        store = Transcript()
         responses = iter(range(100))
-        recorder = RecordingBackend(ScriptedBackend(lambda turns, params: str(next(responses))), store)
+        recorder = Recorder(ScriptedBackend(lambda turns, params: str(next(responses))))
         requests = [((ChatTurn("user", str(i % 4)),), GenerationParams()) for i in range(100)]
         for request in requests:
             recorder.complete(*request)
-        replay = ReplayBackend(store)
+        replay = ReplayBackend(recorder.records())
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -547,18 +544,17 @@ class TestReplayInOrderMatchesReference:
                 served = list(pool.map(lambda request: replay.complete(*request), requests, timeout=60))
         finally:
             sys.setswitchinterval(previous)
-        assert sorted(served, key=int) == [record["response"] for record in store]
+        assert sorted(served, key=int) == [record["response"] for record in recorder.records()]
         # Response n was recorded for request n, so it answers that request's turns.
         assert all(int(response) % 4 == i % 4 for i, response in enumerate(served))
 
     def test_every_record_is_indexed_at_build(self):
-        store, served = Transcript(), itertools.count()
-        script = ScriptedBackend(lambda turns, params: turns[0].content.upper() + str(next(served)))
-        recorder = RecordingBackend(script, store)
+        served = itertools.count()
+        recorder = Recorder(ScriptedBackend(lambda turns, params: turns[0].content.upper() + str(next(served))))
         requests = [((ChatTurn("user", text),), GenerationParams()) for text in ("a", "b", "a", "c")]
         for request in requests:
             recorder.complete(*request)
-        replay = ReplayBackend(store)
+        replay = ReplayBackend(recorder.records())
 
         def key(text: str) -> tuple:
             return (("user", text),), _params_json(GenerationParams().to_dict())
