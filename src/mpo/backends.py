@@ -15,6 +15,7 @@ a stop or an error lets no thread take another item.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import logging
@@ -90,6 +91,15 @@ class GenerationParams:
             "seed": self.seed,
         }
 
+    @functools.cached_property
+    def canonical_json(self) -> str:
+        """:func:`_params_json` of these params, built once per instance, never shared between
+        equal ones (``0`` and ``0.0`` are equal but encode apart); no field, and not pickled."""
+        return _params_json(self.to_dict())
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "canonical_json"}
+
 
 # Determinism-biased defaults: temperature 0 everywhere, output budgets sized
 # per use (short critiques, longer consolidations, one-letter answers).
@@ -108,7 +118,7 @@ def _encoded_request(turns: Sequence[ChatTurn], params: GenerationParams) -> tup
     digest is SHA-256 of the canonical ``{"params":...,"turns":[...]}`` (sorted keys, no
     spaces), fed piece by piece so that no copy of the whole request is built."""
     escaped = [(json.dumps(turn.role), json.dumps(turn.content, ensure_ascii=False)) for turn in turns]
-    digest = hashlib.sha256(f'{{"params":{_params_json(params.to_dict())},"turns":['.encode())
+    digest = hashlib.sha256(f'{{"params":{params.canonical_json},"turns":['.encode())
     for index, (role, content) in enumerate(escaped):
         digest.update(b',{"content":' if index else b'{"content":')
         digest.update(content.encode("utf-8"))
@@ -348,7 +358,7 @@ class ReplayBackend(CriticBackend):
         self._lock = threading.Lock()
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
-        request = (tuple((turn.role, turn.content) for turn in turns), _params_json(params.to_dict()))
+        request = (tuple((turn.role, turn.content) for turn in turns), params.canonical_json)
         with self._lock:
             if queue := self._index.get(request):
                 if len(queue) == 1:  # the key holds the request text: drop it with its last record

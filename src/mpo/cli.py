@@ -407,10 +407,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _result_labels(paths: list[Path]) -> list[str]:
-    stems = [path.stem for path in paths]
-    if len(set(stems)) == len(stems):
-        return stems
-    return [f"{path.parent.name}/{path.stem}" for path in paths]
+    """Each file's stem; if two collide, its parent-qualified stem; if those collide too, its path."""
+    for labels in ([path.stem for path in paths], [f"{path.parent.name}/{path.stem}" for path in paths]):
+        if len(set(labels)) == len(labels):
+            return labels
+    return [str(path) for path in paths]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -429,7 +430,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except DatasetMismatch as exc:
         raise CLIError(str(exc)) from exc
     print(comparison.to_text())
-    if getattr(args, "out", None):
+    if args.out:
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -453,24 +454,14 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", metavar="PATH", help="INI config file; flags override it")
-    shared.add_argument("--out", metavar="DIR", help="output directory (default mpo-run)")
-    shared.add_argument("--record", action="store_true", help="write each backend call to OUT/transcript.jsonl")
-    shared.add_argument(
-        "--replay", metavar="PATH", help="serve backend calls from a recorded transcript"
-    )
-    shared.add_argument("--mock", action="store_true", help="use the deterministic mock backends")
-    shared.add_argument("--live", action="store_true", help="use the HTTP backends")
-    shared.add_argument("--limit", type=int, metavar="N", help="evaluate at most N sampled items")
-    shared.add_argument("--seed", type=int, metavar="N", help="seed for dataset sampling")
-    shared.add_argument("--iterations", type=int, metavar="N", help="refinement iterations")
-    shared.add_argument("--concurrency", type=int, metavar="N", help="updates or items run at once")
-    shared.add_argument(
-        "--dedup",
-        choices=[mode.value for mode in DedupMode],
-        help="de-duplication mode after each update",
-    )
+    """Each command takes only the flags it reads; the three that call a model share the run flags."""
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", metavar="PATH", help="INI config file; flags override it")
+    run.add_argument("--out", metavar="DIR", help="output directory (default mpo-run)")
+    run.add_argument("--record", action="store_true", help="write each backend call to OUT/transcript.jsonl")
+    run.add_argument("--replay", metavar="PATH", help="serve backend calls from a recorded transcript")
+    run.add_argument("--mock", action="store_true", help="use the deterministic mock backends")
+    run.add_argument("--live", action="store_true", help="use the HTTP backends")
 
     parser = argparse.ArgumentParser(
         prog="mpo",
@@ -478,36 +469,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    decompose = commands.add_parser(
-        "decompose", parents=[shared], help="structure a free-form prompt into tagged sections"
-    )
+    decompose = commands.add_parser("decompose", parents=[run], help="structure a free-form prompt into tagged sections")
     decompose.add_argument("input", help="prompt file, free-form or already tagged")
     decompose.set_defaults(func=cmd_decompose)
 
-    optimize_cmd = commands.add_parser(
-        "optimize", parents=[shared], help="run the refinement loop on a structured prompt"
-    )
+    optimize_cmd = commands.add_parser("optimize", parents=[run], help="run the refinement loop on a structured prompt")
     optimize_cmd.add_argument("input", help="structured prompt file")
+    optimize_cmd.add_argument("--iterations", type=int, metavar="N", help="refinement iterations")
+    optimize_cmd.add_argument("--concurrency", type=int, metavar="N", help="section updates run at once")
+    optimize_cmd.add_argument("--dedup", choices=[m.value for m in DedupMode], help="de-duplication mode after each update")
     optimize_cmd.set_defaults(func=cmd_optimize)
 
-    eval_cmd = commands.add_parser(
-        "eval", parents=[shared], help="score a structured prompt on a dataset"
-    )
+    eval_cmd = commands.add_parser("eval", parents=[run], help="score a structured prompt on a dataset")
     eval_cmd.add_argument("prompt", help="structured prompt file")
     eval_cmd.add_argument("dataset", help="dataset file")
+    eval_cmd.add_argument("--concurrency", type=int, metavar="N", help="items run at once")
     eval_cmd.add_argument("--format", choices=DATASET_FORMATS, help="dataset file format")
     eval_cmd.add_argument("--split", help="split label recorded in the result")
+    eval_cmd.add_argument("--limit", type=int, metavar="N", help="evaluate at most N sampled items")
+    eval_cmd.add_argument("--seed", type=int, metavar="N", help="seed for dataset sampling")
     eval_cmd.set_defaults(func=cmd_eval)
 
-    compare_cmd = commands.add_parser(
-        "compare", parents=[shared], help="compare evaluation result files"
-    )
+    compare_cmd = commands.add_parser("compare", help="compare evaluation result files")
     compare_cmd.add_argument("results", nargs="+", help="two or more result files")
+    compare_cmd.add_argument("--out", metavar="DIR", help="also write DIR/comparison.json")
     compare_cmd.set_defaults(func=cmd_compare)
 
-    diff_cmd = commands.add_parser(
-        "diff", parents=[shared], help="per-section diff of two structured prompts"
-    )
+    diff_cmd = commands.add_parser("diff", help="per-section diff of two structured prompts")
     diff_cmd.add_argument("a", help="baseline prompt file")
     diff_cmd.add_argument("b", help="changed prompt file")
     diff_cmd.add_argument("--json", action="store_true", help="emit the diff as JSON")

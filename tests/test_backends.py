@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -249,14 +250,26 @@ class TestRecordReplay:
 
     @pytest.mark.parametrize(
         "changed",
-        [{"temperature": 0.5}, {"max_output_tokens": 16}, {"seed": 1}],
-        ids=["temperature", "max_output_tokens", "seed"],
+        # An int temperature equals PARAMS' 0.0 but encodes apart, so it misses too.
+        [{"temperature": 0.5}, {"max_output_tokens": 16}, {"seed": 1}, {"temperature": 0}],
+        ids=["temperature", "max_output_tokens", "seed", "temperature_int"],
     )
     def test_each_param_is_part_of_the_match(self, changed):
         replay = self._replay_of(TURNS)
         with pytest.raises(ReplayMiss):
             replay.complete(TURNS, GenerationParams(**changed))
         assert replay.complete(TURNS, PARAMS) == "reply"
+
+    def test_request_side_encodes_params_once_per_instance(self, monkeypatch):
+        replay = self._replay_of(TURNS)  # the index reads record dicts, before counting starts
+        encoded, params_json = [], mpo.backends._params_json
+        monkeypatch.setattr(mpo.backends, "_params_json", lambda params: encoded.append(params) or params_json(params))
+        params = GenerationParams()
+        Recorder(ScriptedBackend("reply")).complete(TURNS, params)
+        request_digest(TURNS, params)
+        assert replay.complete(TURNS, params) == "reply"
+        assert encoded == [params.to_dict()]
+        assert pickle.dumps(params) == pickle.dumps(GenerationParams())  # the cache is not pickled
 
     def test_stored_digest_is_a_label_not_the_lookup(self):
         entry = transcript_record("reply", digest="label")

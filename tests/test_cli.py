@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import os
@@ -77,6 +78,33 @@ def tagged_file(tmp_path, tagged_prompt_text):
 @pytest.fixture
 def dataset_file(data_dir):
     return data_dir / "mcq_ten.jsonl"
+
+
+# The flags each command reads, and so accepts: the six run flags of the
+# commands that call a model, and what each command reads besides.
+RUN_FLAGS = ("--config", "--out", "--record", "--replay", "--mock", "--live")
+COMMAND_FLAGS = {
+    "decompose": RUN_FLAGS,
+    "optimize": (*RUN_FLAGS, "--iterations", "--concurrency", "--dedup"),
+    "eval": (*RUN_FLAGS, "--concurrency", "--format", "--split", "--limit", "--seed"),
+    "compare": ("--out",),
+    "diff": ("--json",),
+}
+# A value for each flag; None for a switch.
+FLAG_VALUES = {
+    "--config": "mpo.ini", "--out": "o", "--record": None, "--replay": "t.jsonl", "--mock": None, "--live": None,
+    "--iterations": "1", "--concurrency": "2", "--dedup": "llm", "--format": "arc_jsonl", "--split": "dev",
+    "--limit": "5", "--seed": "1", "--json": None,
+}
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """Each command's option strings, read from its subparser, help aside."""
+    (commands,) = (action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    return {
+        name: {option for action in sub._actions for option in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
 
 
 def parse_config(argv: list[str]):
@@ -257,7 +285,9 @@ class TestRunConfig:
     def test_bad_file_value_rejected_under_flag(self, tmp_path, section, key, value, flag):
         ini = tmp_path / "mpo.ini"
         ini.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
-        argv = ["eval", "p.txt", "d.jsonl", "--config", str(ini), *flag]
+        # Each flag goes to a command that reads it: [optimizer] keys to optimize, the rest to eval.
+        command = ["optimize", "p.txt"] if section == "optimizer" else ["eval", "p.txt", "d.jsonl"]
+        argv = [*command, "--config", str(ini), *flag]
         with pytest.raises(CLIError, match=f"^{key} must be .*, got '{value}'$"):
             parse_config(argv)
 
@@ -293,8 +323,17 @@ class TestRunConfig:
         assert pairs == {(section, key) for section, key, *_ in cli._SETTINGS}
 
     def test_table_flags_exist(self):
-        args = build_parser().parse_args(["eval", "p.txt", "d.jsonl"])
-        assert all(hasattr(args, flag) for *_, flag in cli._SETTINGS if flag)
+        # Each flag of the table is on exactly the commands that read its setting.
+        flags = parser_flags()
+        for flag in (f"--{row[-1]}" for row in cli._SETTINGS if row[-1]):
+            readers = {command for command, read in COMMAND_FLAGS.items() if flag in read}
+            assert readers and {command for command, options in flags.items() if flag in options} == readers
+
+    def test_readme_flag_table(self):
+        """The README's per-command flag table names exactly each command's flags."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, flags=re.M)
+        assert {command: set(re.findall(r"`(--[\w-]+)", cell)) for command, cell in rows} == parser_flags()
 
     def test_non_positive_timeout_exits_two(self, tmp_path, tagged_file, capsys):
         ini = tmp_path / "mpo.ini"
@@ -1040,6 +1079,13 @@ class TestCompare:
         stdout = capsys.readouterr().out
         assert "x/result" in stdout
         assert "y/result" in stdout
+        # When the parent-qualified labels collide too, each row is labelled by its path as given.
+        a = self._write_result(tmp_path, "x/run/eval_result.json", 5, dataset, tagged_prompt)
+        b = self._write_result(tmp_path, "y/run/eval_result.json", 8, dataset, tagged_prompt)
+        assert main(["compare", str(a), str(b), "--out", str(tmp_path / "cmp")]) == 0
+        rows = json.loads((tmp_path / "cmp" / "comparison.json").read_text(encoding="utf-8"))["rows"]
+        assert [row["label"] for row in rows] == [str(a), str(b)]
+        assert f"{a}  " in capsys.readouterr().out
 
     def test_item_set_mismatch_exits_two(
         self, tagged_prompt, dataset_file, data_dir, tmp_path, capsys
@@ -1113,6 +1159,43 @@ class TestDiff:
         loose = tmp_path / "loose.txt"
         loose.write_text("free text\n", encoding="utf-8")
         assert main(["diff", str(tagged_file), str(loose)]) == 2
+
+
+class TestCommandFlags:
+    @staticmethod
+    def _inputs(command: str, data_dir: Path, tmp_path: Path) -> list[str]:
+        prompt, dataset = str(data_dir / "multi_task_tagged.txt"), data_dir / "mcq_ten.jsonl"
+        if command == "compare":
+            items = load_dataset(dataset, "generic_jsonl")
+            state = parse_structured_prompt(Path(prompt).read_text(encoding="utf-8"))
+            result = json.dumps(evaluate(state, items, gold_solver(items)).to_dict())
+            for name in ("a.json", "b.json"):
+                (tmp_path / name).write_text(result, encoding="utf-8")
+            return [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        return {"decompose": [prompt], "optimize": [prompt], "eval": [prompt, str(dataset)], "diff": [prompt, prompt]}[command]
+
+    @pytest.mark.parametrize("flag", FLAG_VALUES)
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_command_takes_only_the_flags_it_reads(self, command, flag, data_dir, tmp_path, monkeypatch, capsys):
+        value = FLAG_VALUES[flag]
+        argv = [command, *self._inputs(command, data_dir, tmp_path), flag, *([value] if value else [])]
+        if flag in COMMAND_FLAGS[command]:
+            parsed = getattr(build_parser().parse_args(argv), flag[2:])
+            assert parsed == (True if value is None else type(parsed)(value))
+            return
+        # Run from an empty directory: neither OUT nor the default mpo-run may appear in it.
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"mpo: error: unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not any(cwd.iterdir())
+
+    def test_parsers_hold_exactly_the_listed_flags(self):
+        assert parser_flags() == {command: set(flags) for command, flags in COMMAND_FLAGS.items()}
+        assert sum(map(len, COMMAND_FLAGS.values())) == 28
 
 
 class TestArgumentErrors:

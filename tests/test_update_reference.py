@@ -389,7 +389,7 @@ class TestHistoryLinesMatchReference:
 def recorded_digest(record: dict) -> str:
     """``request_digest`` of a record's request, over its params exactly as recorded."""
     turns = [ChatTurn(turn["role"], turn["content"]) for turn in record["request"]]
-    return request_digest(turns, SimpleNamespace(to_dict=lambda: record["params"]))
+    return request_digest(turns, SimpleNamespace(canonical_json=_params_json(record["params"])))
 
 
 # Few distinct values, so equal requests come up often; ":", digits and quotes
