@@ -18,6 +18,7 @@ import configparser
 import contextlib
 import json
 import logging
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,11 +36,11 @@ from .backends import (
 from .decompose import decompose_unstructured
 from .evaluation import (
     DATASET_FORMATS,
+    Comparison,
     DatasetError,
     DatasetMismatch,
     EvalResult,
     EvaluationAborted,
-    compare,
     evaluate,
     load_dataset,
     sample_items,
@@ -325,7 +326,7 @@ def _write_run_artifacts(history: RunHistory, out_dir: Path) -> None:
         "iterations": history.iterations,
         "digests": list(history.digests),
         "failure_count": sum(len(round_) for round_ in history.failures),
-        "growth": growth_metrics(history).to_dict(),
+        "growth": growth_metrics(history),
     }
     _write_json(out_dir / "metrics.json", metrics)
     _write(out_dir / "final_prompt.txt", [render_prompt(history.final)])
@@ -418,6 +419,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     paths = [Path(p) for p in args.results]
     if len(paths) < 2:
         raise CLIError("compare needs at least two result files")
+    for index, given in enumerate(args.results):
+        with contextlib.suppress(OSError):  # a missing file is reported when it is read
+            if any(os.path.samefile(given, earlier) for earlier in args.results[:index]):
+                raise CLIError(f"{given} is given twice")
     results = []
     for label, path in zip(_result_labels(paths), paths):
         try:
@@ -426,7 +431,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CLIError(f"{path} is not an evaluation result file: {exc}") from exc
     try:
-        comparison = compare(results)
+        comparison = Comparison(tuple(results))
     except DatasetMismatch as exc:
         raise CLIError(str(exc)) from exc
     print(comparison.to_text())
@@ -513,10 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ReplayMiss as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 3
-    except BackendError as exc:
+    except (ReplayMiss, BackendError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
 

@@ -13,13 +13,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .backends import (
-    CONSOLIDATION_PARAMS,
-    GRADIENT_PARAMS,
-    ChatTurn,
-    CriticBackend,
-    GenerationParams,
-)
+from .backends import CONSOLIDATION_PARAMS, GRADIENT_PARAMS, ChatTurn, CriticBackend
 from .schema import TAG_STRING_RE, Provenance, Section, SectionKind, strip_code_fences
 from .templating import PromptTemplate, default_template
 
@@ -76,7 +70,6 @@ def request_gradient(
     section: Section,
     context: str,
     template: PromptTemplate | None = None,
-    params: GenerationParams = GRADIENT_PARAMS,
 ) -> TextualGradient:
     """Ask the critic for directives scoped to ``section``.
 
@@ -89,7 +82,7 @@ def request_gradient(
         SECTION_CONTENT=section.content,
         CONTEXT=context,
     )
-    response = backend.complete((ChatTurn("user", filled),), params)
+    response = backend.complete((ChatTurn("user", filled),), GRADIENT_PARAMS)
     return TextualGradient(
         target=section.kind,
         directives=parse_directives(response),
@@ -101,7 +94,6 @@ def consolidate(
     backend: CriticBackend,
     section: Section,
     template: PromptTemplate | None = None,
-    params: GenerationParams = CONSOLIDATION_PARAMS,
 ) -> Section:
     """Ask the critic to drop duplicated instructions from one section.
 
@@ -113,7 +105,7 @@ def consolidate(
         SECTION_KIND=section.kind.display_name,
         SECTION_CONTENT=section.content,
     )
-    response = strip_code_fences(backend.complete((ChatTurn("user", filled),), params))
+    response = strip_code_fences(backend.complete((ChatTurn("user", filled),), CONSOLIDATION_PARAMS))
     if TAG_STRING_RE.search(response):
         raise ConsolidationRejected(
             f"consolidation reply for {section.kind.display_name} contains section tags"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import re
 
-from .backends import BackendError, ChatTurn, CriticBackend, GenerationParams
+from .backends import ChatTurn, CriticBackend, GenerationParams
 from .schema import (
     TAG_STRING_RE,
     PromptState,
@@ -31,7 +31,7 @@ class EmptyInput(SchemaError):
 
 
 class ExtractorFailure(SchemaError):
-    """The decomposition backend failed or returned unusable output."""
+    """The decomposition backend returned unusable output."""
 
 
 def _words(text: str) -> set[str]:
@@ -76,6 +76,8 @@ def decompose_unstructured(
     keep ``Provenance.ORIGINAL``; anything else is marked ``INFERRED``.
     Content words absent from the source are logged as a warning, never
     asserted: a live extractor may paraphrase, a deterministic one must not.
+    A failing extractor raises its :class:`BackendError`; an unusable reply
+    raises :class:`ExtractorFailure`.
     """
     if not text.strip():
         raise EmptyInput("cannot decompose an empty prompt")
@@ -91,12 +93,7 @@ def decompose_unstructured(
 
     template = template or default_template("decompose")
     filled = template.fill(PROMPT=text)
-    try:
-        response = extractor.complete(
-            (ChatTurn("user", filled),), GenerationParams(max_output_tokens=1024)
-        )
-    except BackendError as exc:
-        raise ExtractorFailure(f"extractor backend failed: {exc}") from exc
+    response = extractor.complete((ChatTurn("user", filled),), GenerationParams(max_output_tokens=1024))
     try:
         parsed = parse_structured_prompt(strip_code_fences(response))
     except SchemaError as exc:

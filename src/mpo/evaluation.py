@@ -20,7 +20,7 @@ from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .backends import SOLVER_PARAMS, BackendError, ChatTurn, CriticBackend, GenerationParams, fan_out, open_utf8
+from .backends import SOLVER_PARAMS, BackendError, ChatTurn, CriticBackend, fan_out, open_utf8
 from .schema import PromptState, render_prompt
 from .templating import PromptTemplate, default_template
 
@@ -62,7 +62,8 @@ class DatasetMismatch(Exception):
 
 
 class EvaluationAborted(Exception):
-    """Too many solver failures; carries the partial result."""
+    """Too many solver failures, or an error such as a replay miss; carries
+    the records read before it as a partial result."""
 
     def __init__(self, message: str, result: "EvalResult"):
         super().__init__(message)
@@ -130,18 +131,6 @@ class Dataset:
                 raise DuplicateId(f"duplicate item id {item.id!r} in dataset {self.name}")
             seen.add(item.id)
 
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def ids_digest(self) -> str:
-        return _ids_digest(item.id for item in self.items)
-
-
-def _ids_digest(ids) -> str:
-    blob = json.dumps(sorted(ids), ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
 
 def sample_items(dataset: Dataset, limit: int, seed: int = 0) -> Dataset:
     """Deterministic subsample of ``limit`` items, preserving dataset order."""
@@ -176,7 +165,6 @@ def load_dataset(
     path: str | Path,
     format: str,
     *,
-    name: str | None = None,
     split: str = "test",
 ) -> Dataset:
     """Load and normalize a dataset file into lettered multiple-choice items."""
@@ -202,7 +190,7 @@ def load_dataset(
             raise FormatError(f"{where}: {exc}") from None
     if not items:
         logger.warning("dataset file %s contains no items", path)
-    return Dataset(name=name or default_name, split=split, items=tuple(items))
+    return Dataset(name=default_name, split=split, items=tuple(items))
 
 
 # Each reader yields (where, id, question, [(label, text), ...], answer, subject)
@@ -382,12 +370,6 @@ class ItemRecord:
         return record
 
 
-def _macro_accuracy(per_subject: dict[str, tuple[int, int, float]]) -> float | None:
-    if not per_subject:
-        return None
-    return sum(acc for _, _, acc in per_subject.values()) / len(per_subject)
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """Per-item records plus the exact-match counts read from them."""
@@ -415,7 +397,8 @@ class EvalResult:
 
     @property
     def ids_digest(self) -> str:
-        return _ids_digest(record.id for record in self.records)
+        blob = json.dumps(sorted(record.id for record in self.records), ensure_ascii=False, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     @property
     def per_subject(self) -> dict[str, tuple[int, int, float]]:
@@ -431,11 +414,6 @@ class EvalResult:
             subject: (correct, total, correct / total)
             for subject, (correct, total) in sorted(counts.items())
         }
-
-    @property
-    def macro_accuracy(self) -> float | None:
-        """Unweighted mean of per-subject accuracies; None without subjects."""
-        return _macro_accuracy(self.per_subject)
 
     def to_dict(self) -> dict:
         data = {
@@ -454,7 +432,8 @@ class EvalResult:
                 subject: {"correct": c, "total": t, "accuracy": a}
                 for subject, (c, t, a) in per_subject.items()
             }
-            data["macro_accuracy"] = _macro_accuracy(per_subject)
+            # the unweighted mean of the per-subject accuracies
+            data["macro_accuracy"] = sum(a for _, _, a in per_subject.values()) / len(per_subject)
         return data
 
     @classmethod
@@ -471,7 +450,6 @@ def evaluate(
     state: PromptState,
     dataset: Dataset,
     solver: CriticBackend,
-    params: GenerationParams = SOLVER_PARAMS,
     *,
     concurrency: int = 1,
     template: PromptTemplate | None = None,
@@ -485,8 +463,9 @@ def evaluate(
     at any ``concurrency``. Above width 1, once more than half the items have
     failed in whatever order they finished, an item past the last failed one
     is not sent to the solver: the records through that failure already
-    abort the run, so its record would never be read. Record order follows
-    dataset order.
+    abort the run, so its record would never be read. Any other error, such
+    as a replay miss, aborts at its item with the records before it. Record
+    order follows dataset order.
     """
     if not dataset.items:
         raise DatasetError(f"dataset {dataset.name} has no items")
@@ -506,7 +485,7 @@ def evaluate(
         item = items[index]
         posed = rendered + _question_block(item, template)
         try:
-            response, note = solver.complete((ChatTurn("user", posed),), params), ""
+            response, note = solver.complete((ChatTurn("user", posed),), SOLVER_PARAMS), ""
         except BackendError as exc:
             with lock:
                 finished_failures += 1
@@ -523,17 +502,22 @@ def evaluate(
             note=note,
         )
 
-    failed = 0
+    failed, read = 0, []
 
     def too_many_failures(records: list[ItemRecord]) -> bool:
         nonlocal failed
+        read.append(records[-1])
         if records[-1].note:
             failed += 1
             logger.warning("item %s: %s", records[-1].id, records[-1].note)
         return failed * 2 > total
 
-    records = fan_out(solve, range(total), concurrency, stop=too_many_failures)
-    result = EvalResult(dataset.name, dataset.split, state.digest, tuple(records))
+    try:
+        fan_out(solve, range(total), concurrency, stop=too_many_failures)
+    except Exception as exc:  # a replay that diverged, say; its item is the next unread one
+        partial = EvalResult(dataset.name, dataset.split, state.digest, tuple(read))
+        raise EvaluationAborted(f"run aborted at item {items[len(read)].id}: {exc}", partial) from exc
+    result = EvalResult(dataset.name, dataset.split, state.digest, tuple(read))
     if failed * 2 > total:
         raise EvaluationAborted(f"{failed} of {total} items failed; aborting", result)
     return result
@@ -589,7 +573,3 @@ class Comparison:
         return "\n".join(
             "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in table
         )
-
-
-def compare(results: Sequence[tuple[str, EvalResult]]) -> Comparison:
-    return Comparison(rows=tuple(results))

@@ -163,12 +163,6 @@ def lexical_dedup(content: str) -> str:
     return "\n".join(kept)
 
 
-def duplicate_line_count(content: str) -> int:
-    """Number of non-blank lines that repeat an earlier line's normalized form,
-    the lines :func:`lexical_dedup` drops, from one scan of ``content``."""
-    return _LinePass().then(content).dropped
-
-
 def _truncate_to_token_budget(section: Section, budget: int) -> tuple[Section, int]:
     """Keep the oldest lines: cut from the end, where the newest directives
     sit, at line boundaries until the section fits; always keep one line.
@@ -467,49 +461,28 @@ def baseline_global_step(
     ))
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Token and duplication accounting for a finished run."""
-
-    section_tokens: tuple[dict[SectionKind, int], ...]
-    total_tokens: tuple[int, ...]
-    token_deltas: tuple[int, ...]
-    duplicates_before: tuple[int, ...]
-    duplicates_after: tuple[int, ...]
-    lines_removed: tuple[int, ...]
-    lines_truncated: tuple[int, ...]
-    sections_saturated: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        data = {name: list(values) for name, values in vars(self).items()}
-        data["section_tokens"] = [
-            {kind.value: tokens for kind, tokens in per_state.items()}
-            for per_state in self.section_tokens
-        ]
-        return data
-
-
-def growth_metrics(history: RunHistory) -> GrowthReport:
-    """Measure how the prompt grew and how much cleanup clawed back.
+def growth_metrics(history: RunHistory) -> dict:
+    """Measure how the prompt grew and how much cleanup clawed back, as the
+    ``growth`` object of ``metrics.json``.
 
     Token counts come from the states; duplication and line counts are
     per-round sums over the :class:`SectionUpdate` records.
     """
-    totals = tuple(state.total_tokens for state in history.states)
+    totals = [state.total_tokens for state in history.states]
 
-    def per_round(name: str) -> tuple[int, ...]:
-        return tuple(sum(getattr(update, name) for update in round_) for round_ in history.updates)
+    def per_round(name: str) -> list[int]:
+        return [sum(getattr(update, name) for update in round_) for round_ in history.updates]
 
-    return GrowthReport(
-        section_tokens=tuple(
-            {section.kind: section.token_count for section in state.sections}
+    return {
+        "section_tokens": [
+            {section.kind.value: section.token_count for section in state.sections}
             for state in history.states
-        ),
-        total_tokens=totals,
-        token_deltas=tuple(after - before for before, after in zip(totals, totals[1:])),
-        duplicates_before=per_round("duplicates_before"),
-        duplicates_after=per_round("duplicates_after"),
-        lines_removed=per_round("removed"),
-        lines_truncated=per_round("truncated"),
-        sections_saturated=per_round("saturated"),
-    )
+        ],
+        "total_tokens": totals,
+        "token_deltas": [after - before for before, after in zip(totals, totals[1:])],
+        "duplicates_before": per_round("duplicates_before"),
+        "duplicates_after": per_round("duplicates_after"),
+        "lines_removed": per_round("removed"),
+        "lines_truncated": per_round("truncated"),
+        "sections_saturated": per_round("saturated"),
+    }

@@ -362,14 +362,6 @@ class SectionDiff:
     def changed(self) -> bool:
         return any(op != "unchanged" for op, _ in self.lines)
 
-    @property
-    def added(self) -> tuple[str, ...]:
-        return tuple(line for op, line in self.lines if op == "added")
-
-    @property
-    def removed(self) -> tuple[str, ...]:
-        return tuple(line for op, line in self.lines if op == "removed")
-
 
 @dataclass(frozen=True)
 class DiffReport:
@@ -380,9 +372,6 @@ class DiffReport:
     @property
     def changed(self) -> bool:
         return any(section.changed for section in self.sections)
-
-    def section(self, kind: SectionKind) -> SectionDiff:
-        return self.sections[CANONICAL_ORDER.index(kind)]
 
     def to_dict(self) -> dict:
         return {

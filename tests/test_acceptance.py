@@ -20,12 +20,12 @@ import pytest
 import strategies as local
 from mpo import (
     CANONICAL_ORDER,
+    Comparison,
     EvalResult,
     ItemRecord,
     MockCritic,
     OptimizerConfig,
     SectionKind,
-    compare,
     evaluate,
     extract_answer,
     lexical_dedup,
@@ -179,7 +179,7 @@ def test_06_replay_determinism(clock, tmp_path, data_dir):
 def test_07_evaluation_oracle(clock, data_dir, tagged_prompt):
     """A scripted 7-of-10 solver scores exactly 0.700, recount included."""
     dataset = load_dataset(data_dir / "mcq_ten.jsonl", "generic_jsonl")
-    assert len(dataset) == 10
+    assert len(dataset.items) == 10
     correct_ids = {item.id for item in dataset.items[:7]}
     result = evaluate(tagged_prompt, dataset, scored_solver(dataset, correct_ids))
     assert result.accuracy == 0.700
@@ -231,7 +231,7 @@ def test_09_comparison_formatting(clock):
     tuned = synthetic(791)
     assert baseline.accuracy == 0.750
     assert tuned.accuracy == 0.791
-    payload = compare([("untuned", baseline), ("optimized", tuned)]).to_dict()
+    payload = Comparison((("untuned", baseline), ("optimized", tuned))).to_dict()
     assert payload["rows"][0]["accuracy_pct"] == "75.00"
     assert payload["rows"][1]["accuracy_pct"] == "79.10"
     assert payload["rows"][1]["delta_pct"] == "+4.10"

@@ -392,6 +392,37 @@ class TestOneBackendPerCommand:
         assert not (tmp_path / "fresh").exists()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["optimize", "{prompt}", "--config", "{no_equals}", "--out", "{fresh}"], "invalid config file"),
+            (["optimize", "{prompt}", "--config", "{repeated_key}", "--out", "{fresh}"], "invalid config file"),
+            (["optimize", "{prompt}", "--replay", "{missing}", "--out", "{fresh}"], "cannot read transcript"),
+            (["optimize", "{prompt}", "--live", "--out", "{fresh}"], "no base URL"),
+            (["optimize", "{prompt}", "--out", "{file}/run"], "cannot create output directory"),
+            (["compare", "{result}", "{result2}", "--out", "{file}/run"], "cannot create output directory"),
+        ],
+        ids=["key_without_equals", "repeated_key", "missing_transcript", "live_without_url", "optimize_out_below_file",
+             "compare_out_below_file"],
+    )
+    def test_setup_error_exits_two(self, argv, message, tagged_file, tagged_prompt, dataset_file, tmp_path, capsys,
+                                   monkeypatch):
+        monkeypatch.delenv("MPO_BASE_URL", raising=False)
+        paths = {"prompt": tagged_file, "missing": tmp_path / "missing.jsonl", "fresh": tmp_path / "fresh"}
+        for name, text in [
+            ("no_equals", "[optimizer]\niterations\n"), ("repeated_key", "[optimizer]\niterations = 1\niterations = 2\n"),
+            ("file", "a regular file\n"),
+        ]:
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text, encoding="utf-8")
+        dataset = load_dataset(dataset_file, "generic_jsonl")
+        for name in ("result", "result2"):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(evaluate(tagged_prompt, dataset, gold_solver(dataset)).to_dict()))
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not paths["fresh"].exists()
+
+    @pytest.mark.parametrize(
         "argv, name, text, missing",
         [
             (["decompose", "{raw}"], "decompose", "Split this prompt into sections.\n", "{PROMPT}"),
@@ -523,6 +554,29 @@ class TestDecompose:
         )
         assert code == 2
         assert "decomposition failed" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("fault", ["backend_error", "replay_miss"])
+    def test_extractor_fault_exits_three(self, fault, data_dir, tmp_path, capsys, monkeypatch):
+        # A backend that fails past its retries aborts the run; only an unusable reply is an input error.
+        out = tmp_path / "o"
+        argv = ["decompose", str(data_dir / "multi_task_raw.txt"), "--out", str(out)]
+        if fault == "backend_error":
+            class Down(HeadingRuleExtractor):
+                def complete(self, turns, params):
+                    raise BackendError("503 down")
+
+            monkeypatch.setattr(cli, "HeadingRuleExtractor", Down)
+        else:
+            other = tmp_path / "other.txt"
+            other.write_text("Another prompt entirely.\n", encoding="utf-8")
+            assert main(["decompose", str(other), "--record", "--out", str(tmp_path / "recorded")]) == 0
+            argv += ["--replay", str(tmp_path / "recorded" / "transcript.jsonl")]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("aborted: ") and ("503 down" in err if fault == "backend_error" else "no " in err)
+        assert not (out / "decomposed_prompt.txt").exists()
 
 
 class TestOptimize:
@@ -840,6 +894,25 @@ class TestEval:
         assert len(Transcript.load(out / "transcript.jsonl")) == 200 and size > 4_000_000
         assert peak < size / 4, (peak, size)
 
+    def test_diverging_replay_keeps_the_partial_result(self, tagged_file, dataset_file, tmp_path, capsys):
+        # Seed 2 samples q01-q03, q08 and q09, so replaying the whole file misses first at q04.
+        recorded = tmp_path / "recorded"
+        args = ["eval", str(tagged_file), str(dataset_file)]
+        assert main(args + ["--limit", "5", "--seed", "2", "--record", "--out", str(recorded)]) == 0
+        sampled = {record["id"] for record in json.loads((recorded / "eval_result.json").read_text())["records"]}
+        ids = [item.id for item in load_dataset(dataset_file, "generic_jsonl").items]
+        missed = next(index for index, item_id in enumerate(ids) if item_id not in sampled)
+        partials = []
+        for width in ("1", "5"):
+            out = tmp_path / f"replay{width}"
+            replay = ["--replay", str(recorded / "transcript.jsonl"), "--concurrency", width, "--out", str(out)]
+            assert main(args + replay) == 3
+            assert f"aborted: run aborted at item {ids[missed]}: " in capsys.readouterr().err
+            assert not (out / "eval_result.json").exists()
+            partials.append((out / "eval_result.partial.json").read_bytes())
+        assert partials[0] == partials[1]
+        assert [record["id"] for record in json.loads(partials[0])["records"]] == ids[:missed] == ["q01", "q02", "q03"]
+
     def test_mock_eval_prints_accuracy(self, tagged_file, dataset_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["eval", str(tagged_file), str(dataset_file), "--out", str(out)])
@@ -1116,6 +1189,14 @@ class TestCompare:
         b.write_text("[1, 2]", encoding="utf-8")
         assert main(["compare", str(a), str(b)]) == 2
         assert "not an evaluation result file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("again", ["r.json", "./r.json"])
+    def test_one_file_given_twice_exits_two(self, again, tagged_prompt, dataset_file, tmp_path, capsys, monkeypatch):
+        self._write_result(tmp_path, "r.json", 5, load_dataset(dataset_file, "generic_jsonl"), tagged_prompt)
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "r.json", again, "--out", "cmp"]) == 2
+        assert capsys.readouterr() == ("", f"error: {again} is given twice\n")
+        assert not (tmp_path / "cmp").exists()
 
     def test_single_file_exits_two(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -6,7 +6,6 @@ import pytest
 
 from mpo import (
     ConsolidationRejected,
-    GenerationParams,
     Provenance,
     ScriptedBackend,
     Section,
@@ -133,16 +132,3 @@ class TestConsolidate:
         section = Section(SectionKind.CONSTRAINTS, "a")
         with pytest.raises(ConsolidationRejected):
             consolidate(ScriptedBackend("   "), section)
-
-    def test_custom_params_forwarded(self):
-        captured: dict = {}
-
-        def reply(turns, params):
-            captured["params"] = params
-            return "ok"
-
-        params = GenerationParams(max_output_tokens=99)
-        consolidate(
-            ScriptedBackend(reply), Section(SectionKind.CONSTRAINTS, "a"), params=params
-        )
-        assert captured["params"] == params

@@ -26,7 +26,6 @@ from mpo import (
     MCQItem,
     MissingAnswerKey,
     ScriptedBackend,
-    compare,
     evaluate,
     extract_answer,
     load_dataset,
@@ -72,7 +71,7 @@ class TestMCQItem:
 
 class TestLoaders:
     def test_generic_jsonl(self, ten_items):
-        assert len(ten_items) == 10
+        assert len(ten_items.items) == 10
         assert ten_items.name == "mcq_ten"
         assert ten_items.split == "test"
         assert [item.answer_key for item in ten_items.items] == list("BCADBACDBA")
@@ -81,7 +80,7 @@ class TestLoaders:
 
     def test_arc_jsonl_digit_labels_mapped(self, data_dir):
         dataset = load_dataset(data_dir / "arc_sample.jsonl", "arc_jsonl")
-        assert len(dataset) == 5
+        assert len(dataset.items) == 5
         by_id = {item.id: item for item in dataset.items}
         assert by_id["sci-1"].answer_key == "C"
         assert by_id["sci-1"].letters == ("A", "B", "C", "D")
@@ -93,7 +92,7 @@ class TestLoaders:
     def test_mmlu_csv(self, data_dir):
         dataset = load_dataset(data_dir / "college_biology_test.csv", "mmlu_csv")
         assert dataset.name == "college_biology"
-        assert len(dataset) == 5
+        assert len(dataset.items) == 5
         assert [item.answer_key for item in dataset.items] == list("BCBAB")
         assert dataset.items[0].id == "college_biology-0001"
         assert all(item.subject == "college_biology" for item in dataset.items)
@@ -109,7 +108,7 @@ class TestLoaders:
         path.write_text("", encoding="utf-8")
         with caplog.at_level("WARNING", logger="mpo.evaluation"):
             dataset = load_dataset(path, "generic_jsonl")
-        assert len(dataset) == 0
+        assert len(dataset.items) == 0
         assert any("no items" in message for message in caplog.messages)
 
     def _write(self, tmp_path, lines):
@@ -164,6 +163,22 @@ class TestLoaders:
         path.write_text("\n" + line + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=r"data\.jsonl:2: expected a JSON object"):
             load_dataset(path, format)
+
+    @pytest.mark.parametrize(
+        "changed, message",
+        [
+            ({"id": ""}, "item id must be non-empty"),
+            ({"question": "  "}, "item x: question must be non-empty"),
+            ({"choices": {"1": "a", "2": "b"}, "answer": "3"}, "answer '3' not among labels ['1', '2']"),
+            ({"question": ...}, "missing field 'question'"),
+        ],
+        ids=["empty_id", "blank_question", "digit_answer_not_a_label", "no_question"],
+    )
+    def test_generic_row_rejected_at_its_line(self, tmp_path, changed, message):
+        good = {"id": "a", "question": "Q", "choices": {"A": "a", "B": "b"}, "answer": "A"}
+        row = {key: value for key, value in {**good, "id": "x", **changed}.items() if value is not ...}
+        with pytest.raises(FormatError, match=re.escape(f"data.jsonl:2: {message}")):
+            load_dataset(self._write(tmp_path, [good, row]), "generic_jsonl")
 
     def test_digit_label_zero_rejected(self, tmp_path):
         path = self._write(
@@ -521,13 +536,13 @@ class TestEvaluate:
         dataset = load_dataset(data_dir / "college_biology_test.csv", "mmlu_csv")
         result = evaluate(tagged_prompt, dataset, gold_solver(dataset))
         assert result.per_subject == {"college_biology": (5, 5, 1.0)}
-        assert result.macro_accuracy == 1.0
+        assert result.to_dict()["macro_accuracy"] == 1.0
 
     def test_no_subjects_no_macro(self, tagged_prompt, ten_items):
         result = evaluate(tagged_prompt, ten_items, gold_solver(ten_items))
         assert result.per_subject == {}
-        assert result.macro_accuracy is None
         assert "per_subject" not in result.to_dict()
+        assert "macro_accuracy" not in result.to_dict()
 
 
 class TestItemRecord:
@@ -586,7 +601,7 @@ class TestComparison:
     def test_two_row_table(self, tagged_prompt, ten_items):
         base = self._result(tagged_prompt, ten_items, 5)
         tuned = self._result(tagged_prompt, ten_items, 8)
-        comparison = compare([("base", base), ("tuned", tuned)])
+        comparison = Comparison((("base", base), ("tuned", tuned),))
         text = comparison.to_text()
         lines = text.splitlines()
         assert len(lines) == 3
@@ -596,7 +611,7 @@ class TestComparison:
     def test_to_dict_shape(self, tagged_prompt, ten_items):
         base = self._result(tagged_prompt, ten_items, 5)
         tuned = self._result(tagged_prompt, ten_items, 4)
-        payload = compare([("base", base), ("tuned", tuned)]).to_dict()
+        payload = Comparison((("base", base), ("tuned", tuned),)).to_dict()
         assert payload["dataset"] == "mcq_ten"
         assert payload["rows"][0]["delta_pct"] == ""
         assert payload["rows"][1]["delta_pct"] == "-10.00"
@@ -605,11 +620,11 @@ class TestComparison:
     def test_needs_two_rows(self, tagged_prompt, ten_items):
         base = self._result(tagged_prompt, ten_items, 5)
         with pytest.raises(ValueError, match="two results"):
-            compare([("only", base)])
+            Comparison((("only", base),))
 
     def test_item_set_mismatch_rejected(self, tagged_prompt, ten_items, data_dir):
         base = self._result(tagged_prompt, ten_items, 5)
         other_dataset = load_dataset(data_dir / "arc_sample.jsonl", "arc_jsonl")
         other = evaluate(tagged_prompt, other_dataset, gold_solver(other_dataset))
         with pytest.raises(DatasetMismatch, match="different item set"):
-            compare([("base", base), ("other", other)])
+            Comparison((("base", base), ("other", other),))

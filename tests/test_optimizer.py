@@ -30,7 +30,6 @@ from mpo import (
     TextualGradient,
     apply_gradient,
     baseline_global_step,
-    duplicate_line_count,
     growth_metrics,
     lexical_dedup,
     normalize_line,
@@ -39,6 +38,12 @@ from mpo import (
 )
 from mpo.schema import CANONICAL_ORDER
 from solvers import Recorder
+
+
+def _repeats(text: str) -> int:
+    """Non-blank lines whose normalized form an earlier line already had."""
+    keys = [key for line in text.splitlines() if line.strip() and (key := normalize_line(line))]
+    return len(keys) - len(set(keys))
 
 
 def _gradient(kind: SectionKind, *directives: str) -> TextualGradient:
@@ -142,7 +147,7 @@ class TestLexicalDedup:
     @settings(max_examples=200)
     @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=300))
     def test_result_has_no_duplicates(self, text):
-        assert duplicate_line_count(lexical_dedup(text)) == 0
+        assert _repeats(lexical_dedup(text)) == 0
 
     def test_seeded_corpus_idempotent(self):
         rng = random.Random(7)
@@ -150,16 +155,22 @@ class TestLexicalDedup:
             text = local.seeded_text(rng)
             once = lexical_dedup(text)
             assert lexical_dedup(once) == once
-            assert duplicate_line_count(once) == 0
+            assert _repeats(once) == 0
 
 
-class TestDuplicateLineCount:
-    def test_counts_repeats(self):
-        assert duplicate_line_count("a\nb\na\n- a\nc") == 2
+class TestDuplicatesBefore:
+    """A saturated section carries over uncritiqued, and its update counts the
+    repeats it already holds, the lines lexical dedup would drop."""
 
-    def test_zero_for_unique(self):
-        assert duplicate_line_count("a\nb\nc") == 0
-        assert duplicate_line_count("") == 0
+    @pytest.mark.parametrize(
+        ("content", "repeats"), [("a\nb\na\n- a\nc", 2), ("a\nb\nc", 0), ("", 0)], ids=["repeats", "unique", "empty"]
+    )
+    def test_counts_repeats(self, build_state, content, repeats):
+        state = build_state(constraints=content)
+        result = step(state, ScriptedBackend("unused"), saturated=frozenset({SectionKind.CONSTRAINTS}))
+        update = result.updates[CANONICAL_ORDER.index(SectionKind.CONSTRAINTS)]
+        assert update.saturated
+        assert (update.duplicates_before, update.duplicates_after) == (repeats, repeats)
 
 
 class TestStep:
@@ -307,7 +318,7 @@ class TestStep:
         assert (record.removed, record.truncated) == (1, 18)
         report = growth_metrics(RunHistory(states=(state, result.state), updates=(result.updates,)))
         # Before the split, lines_removed reported the sum, 19.
-        assert (report.lines_removed, report.lines_truncated) == ((1,), (18,))
+        assert (report["lines_removed"], report["lines_truncated"]) == ([1], [18])
 
     def test_failed_update_record(self, build_state):
         state = build_state(constraints="Be brief.")
@@ -465,7 +476,7 @@ class TestSaturation:
         assert final.content == "Be brief.\n\nRule one applies."
         constraints = [r[CANONICAL_ORDER.index(SectionKind.CONSTRAINTS)] for r in history.updates]
         assert [(u.truncated, u.saturated) for u in constraints] == [(1, False)] + [(0, True)] * 3
-        assert growth_metrics(history).sections_saturated == (0, 1, 1, 1)
+        assert growth_metrics(history)["sections_saturated"] == [0, 1, 1, 1]
 
 
 class TestOptimize:
@@ -577,28 +588,27 @@ class TestGrowthMetrics:
         report = growth_metrics(history)
 
         # Expansion doubles the line, dedup removes the copy, every round.
-        assert report.total_tokens == (3, 3, 3)
-        assert report.token_deltas == (0, 0)
-        assert report.duplicates_before == (1, 1)
-        assert report.duplicates_after == (0, 0)
-        assert report.lines_removed == (1, 1)
-        per_state = report.section_tokens[0]
-        assert per_state[SectionKind.CONSTRAINTS] == 3
-        assert per_state[SectionKind.SYSTEM_ROLE] == 0
+        assert report["total_tokens"] == [3, 3, 3]
+        assert report["token_deltas"] == [0, 0]
+        assert report["duplicates_before"] == [1, 1]
+        assert report["duplicates_after"] == [0, 0]
+        assert report["lines_removed"] == [1, 1]
+        per_state = report["section_tokens"][0]
+        assert per_state[SectionKind.CONSTRAINTS.value] == 3
+        assert per_state[SectionKind.SYSTEM_ROLE.value] == 0
 
     def test_growing_run_counts_tokens(self, build_state):
         state = build_state(task_details="Answer each question.")
         history = optimize(state, MockCritic(), OptimizerConfig(iterations=2))
         report = growth_metrics(history)
-        assert report.total_tokens[1] > report.total_tokens[0]
-        assert report.token_deltas[0] > 0
-        assert report.token_deltas[1] == 0
-        assert report.to_dict()["total_tokens"] == list(report.total_tokens)
+        assert report["total_tokens"][1] > report["total_tokens"][0]
+        assert report["token_deltas"][0] > 0
+        assert report["token_deltas"][1] == 0
 
     def test_to_dict_uses_kind_values(self, build_state):
         state = build_state(task_details="x")
         history = optimize(state, MockCritic(), OptimizerConfig(iterations=1))
-        payload = growth_metrics(history).to_dict()
+        payload = growth_metrics(history)
         assert set(payload["section_tokens"][0]) == {
             kind.value for kind in CANONICAL_ORDER
         }

@@ -233,6 +233,10 @@ def test_strip_tag_strings():
 
 
 class TestDiff:
+    @staticmethod
+    def _section(report, kind):
+        return report.sections[CANONICAL_ORDER.index(kind)]
+
     def test_identical_states_unchanged(self, tagged_prompt):
         report = diff_states(tagged_prompt, tagged_prompt)
         assert not report.changed
@@ -241,21 +245,20 @@ class TestDiff:
     def test_single_line_edit(self, build_state):
         a = build_state(constraints="keep\nold line")
         b = build_state(constraints="keep\nnew line")
-        section = diff_states(a, b).section(SectionKind.CONSTRAINTS)
-        assert section.removed == ("old line",)
-        assert section.added == ("new line",)
+        section = self._section(diff_states(a, b), SectionKind.CONSTRAINTS)
+        assert section.lines == (("unchanged", "keep"), ("removed", "old line"), ("added", "new line"))
         assert section.token_delta == 0
 
     def test_token_delta(self, build_state):
         a = build_state(task_details="one")
         b = build_state(task_details="one two three")
-        assert diff_states(a, b).section(SectionKind.TASK_DETAILS).token_delta == 2
+        assert self._section(diff_states(a, b), SectionKind.TASK_DETAILS).token_delta == 2
 
     def test_fixture_pair_differs(self, tagged_prompt, refined_prompt):
         report = diff_states(tagged_prompt, refined_prompt)
         assert report.changed
-        assert report.section(SectionKind.SYSTEM_ROLE).changed
-        assert report.section(SectionKind.TASK_DETAILS).changed
+        assert self._section(report, SectionKind.SYSTEM_ROLE).changed
+        assert self._section(report, SectionKind.TASK_DETAILS).changed
 
     def test_to_text_marks_lines(self, build_state):
         a = build_state(task_details="old")
@@ -337,11 +340,11 @@ class TestDecompose:
         assert state.section(SectionKind.TASK_DETAILS).content == "compose a sonnet"
         assert any("introduced words" in message for message in caplog.messages)
 
-    def test_backend_failure_wrapped(self):
+    def test_backend_failure_propagates(self):
         def fail(turns, params):
             raise BackendError("boom")
 
-        with pytest.raises(ExtractorFailure):
+        with pytest.raises(BackendError, match="boom"):
             decompose_unstructured("some text", ScriptedBackend(fail))
 
     def test_unparseable_reply_wrapped(self):
