@@ -25,7 +25,6 @@ import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -321,6 +320,8 @@ class RecordingBackend(CriticBackend):
         self.model = inner.model
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
+        from datetime import datetime, timezone  # the first recorded call loads it, not every offline command
+
         response = self.inner.complete(turns, params)
         digest, escaped = _encoded_request(turns, params)
         line = [f'{{"request_digest": "{digest}", "request": [']
@@ -399,6 +400,7 @@ def _retry_after_seconds(value: str) -> float | None:
     keeps the exponential backoff."""
     if value.isdecimal():
         return float(value)
+    from datetime import datetime, timezone
     from email.utils import parsedate_to_datetime
 
     try:

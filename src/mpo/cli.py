@@ -14,7 +14,6 @@ from a recorded transcript).
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import json
 import logging
@@ -55,13 +54,7 @@ from .optimizer import (
     growth_metrics,
     optimize,
 )
-from .schema import (
-    PromptState,
-    SchemaError,
-    diff_states,
-    parse_structured_prompt,
-    render_prompt,
-)
+from .schema import PromptState, SchemaError, diff_states, parse_structured_prompt, render_prompt
 from .templating import PromptTemplate, default_template
 
 logger = logging.getLogger(__name__)
@@ -165,6 +158,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     rows = {(section, key): row for section, key, *row in _SETTINGS}
     file_values: dict[tuple[str, str], str] = {}
     if getattr(args, "config", None):
+        import configparser  # loaded only when a config file is given
+
         ini = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
         try:
             ini.read_string(Path(args.config).read_text(encoding="utf-8"), source=args.config)

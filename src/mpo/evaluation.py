@@ -9,7 +9,6 @@ first entry.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -238,6 +237,8 @@ def _text(value, what: str, where: str) -> str:
 
 
 def _read_mmlu_csv(path: Path, subject: str):
+    import csv  # loaded only for the mmlu_csv format
+
     with open_utf8(path, newline="") as handle:
         for rowno, row in enumerate(csv.reader(handle), start=1):
             where = f"{path}:{rowno}"

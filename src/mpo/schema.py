@@ -9,7 +9,6 @@ one per line), parsing, rendering, and per-section diffing.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import hashlib
 import re
@@ -399,6 +398,8 @@ class DiffReport:
 
 
 def _diff_lines(a: str, b: str) -> tuple[tuple[str, str], ...]:
+    import difflib  # loaded only when two prompts are diffed
+
     a_lines = a.splitlines()
     b_lines = b.splitlines()
     matcher = difflib.SequenceMatcher(a=a_lines, b=b_lines, autojunk=False)

@@ -282,7 +282,7 @@ class TestRecordReplay:
             def now(cls, tz=None):
                 return datetime(2024, 1, 1, tzinfo=tz)
 
-        monkeypatch.setattr(mpo.backends, "datetime", FixedClock)
+        monkeypatch.setattr("datetime.datetime", FixedClock)  # complete imports the clock when it records
         config = mpo.OptimizerConfig(iterations=2, dedup_mode=mpo.DedupMode.LLM)
         kept = Transcript()
         mpo.optimize(tagged_prompt, RecordingBackend(mpo.MockCritic(), kept), config)
@@ -291,7 +291,9 @@ class TestRecordReplay:
             mpo.optimize(tagged_prompt, RecordingBackend(mpo.MockCritic(), Transcript(stream)), config)
         kept_bytes = (tmp_path / "kept.jsonl").read_bytes()
         assert kept_bytes == (tmp_path / "streamed.jsonl").read_bytes()
-        assert len(Transcript.load(tmp_path / "kept.jsonl")) > 5  # critiques and consolidations
+        records = Transcript.load(tmp_path / "kept.jsonl")
+        assert len(records) > 5  # critiques and consolidations
+        assert {record["timestamp"] for record in records} == {"2024-01-01T00:00:00+00:00"}
 
     def test_seed_run_entries_serve_their_own_requests(self, data_dir):
         # The pinned transcript's labels agree with its requests, and each
@@ -786,3 +788,24 @@ def test_offline_runs_never_load_the_http_stack(data_dir, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+# Loaded only where used: requests (with urllib3 and http.client) by a live
+# backend, datetime by a recorded call or an HTTP-date Retry-After,
+# configparser by --config, csv by mmlu_csv, difflib by a prompt diff; fan_out
+# needs no concurrent.futures.
+DEFERRED_MODULES = ("requests", "urllib3", "http.client", "concurrent.futures", "datetime", "csv", "difflib", "configparser")
+
+
+def test_importing_the_cli_leaves_deferred_modules_unloaded():
+    # What every offline command pays before it starts, in a fresh interpreter.
+    code = f"import sys, mpo.cli; print(*(name for name in {DEFERRED_MODULES!r} if name in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(mpo.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n", f"import mpo.cli loaded {result.stdout.split()}"

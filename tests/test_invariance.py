@@ -24,9 +24,10 @@ the run made, whose loaded records dump back to the file's bytes, and a
 replay serves each of its lines once. A wider run makes as many calls as the recording.
 
 The matrix runs in one process; :func:`test_record_and_replay_in_fresh_processes`
-records and replays ``eval-40`` in two more, each with its own hash seed and
+records and replays ``eval-40`` in three more, each with its own hash seed and
 cold caches, so output that follows set or dict order, or state one run
-leaves for the next, shows as a difference.
+leaves for the next, shows as a difference. One of them records at width 5,
+so the first recorded call, which loads ``datetime``, runs on a worker thread.
 
 The counter is left out where its replies follow thread timing: its live runs
 at width > 1, and its ``eval`` replays at width 5, where two calls of one
@@ -225,8 +226,9 @@ def test_replay_names_the_recorded_critic(recordings, tmp_path):
 
 
 def test_record_and_replay_in_fresh_processes(recordings, tmp_path):
-    # Recorded at width 1 and replayed at width 5 from the reversed lines, each
-    # in its own interpreter under a different hash seed.
+    # Recorded at width 1, replayed at width 5 from the reversed lines and
+    # recorded at width 5, each in its own interpreter under a different hash
+    # seed; the width-5 recording then replays in this one.
     argv, recorded, calls = recordings("eval-40", "mock")
     reversed_ = tmp_path / "reversed.jsonl"
     reversed_.write_text("".join(reversed((recorded / "transcript.jsonl").read_text(encoding="utf-8").splitlines(True))), encoding="utf-8")
@@ -234,6 +236,7 @@ def test_record_and_replay_in_fresh_processes(recordings, tmp_path):
     for seed, out, extra in (
         ("1", tmp_path / "record", ["--mock", "--record", "--concurrency", "1"]),
         ("2", tmp_path / "replay", ["--replay", str(reversed_), "--concurrency", "5"]),
+        ("3", tmp_path / "record5", ["--mock", "--record", "--concurrency", "5"]),
     ):
         result = subprocess.run(
             [sys.executable, "-m", "mpo.cli", *argv, *extra, "--out", str(out)],
@@ -244,4 +247,8 @@ def test_record_and_replay_in_fresh_processes(recordings, tmp_path):
         )
         assert result.returncode == 0, result.stderr
         assert_same_artifacts(recorded, out, replayed=extra[0] == "--replay")
-    assert len((tmp_path / "record" / "transcript.jsonl").read_bytes().splitlines()) == calls
+    for run in ("record", "record5"):
+        assert_one_line_per_call(tmp_path / run / "transcript.jsonl", calls)
+    replay5 = [*argv, "--replay", str(tmp_path / "record5" / "transcript.jsonl")]
+    assert run_cli(replay5, tmp_path / "replay5", "mock") == calls
+    assert_same_artifacts(recorded, tmp_path / "replay5", replayed=True)
