@@ -7,9 +7,8 @@ the recording wrapper captures request/response pairs into a transcript and
 the replay backend indexes them once by request and serves each back for the
 same turns and params, in any arrival order, so whole optimization runs can
 be reproduced byte-for-byte without model access.
-``fan_out`` is the one ordered way callers spread independent calls across
-threads: it keeps only each item's result, a slow item holds up no other, and
-a stop or an error lets no thread take another item.
+``fan_out`` is the one way callers spread independent calls across threads:
+they read its results in item order and stop by leaving the loop.
 """
 
 from __future__ import annotations
@@ -132,41 +131,26 @@ def _params_json(params: dict) -> str:
     return json.dumps(params, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def fan_out(
-    fn: Callable, items: Iterable, width: int, stop: Callable[[list], bool] | None = None
-) -> list:
-    """Apply ``fn`` to every item, at most ``width`` at a time, in item order.
+@contextlib.contextmanager
+def fan_out(fn: Callable, items: Iterable, width: int) -> Iterator[Iterator]:
+    """Gives the block an iterator over ``fn`` of every item, in item order, at
+    most ``width`` calls at a time; the caller stops by leaving its loop.
 
     ``items`` is read into a list first. Width 1 maps inline on the calling
-    thread; wider fan-outs run on threads (:func:`_in_item_order`), where a
-    slow item holds up no other. Results are read in item order and only they
-    are kept; after each one ``stop(results_so_far)`` may end the run early,
-    so the returned prefix and the point where an exception from ``fn``
-    surfaces never depend on the width. A stop, an error or an interrupt lets
-    no thread take another item; calls in flight finish first, and their
-    results are dropped.
+    thread; wider fan-outs run on threads that each take the next index, so a
+    slow item holds up no other and only unread results are kept. An exception
+    from ``fn`` is raised at its item, so the prefix read and the point it
+    surfaces never depend on the width. Leaving the block by ``break``, an error
+    or an interrupt lets no thread take another item and returns once the calls
+    in flight have finished; their results are dropped.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    items, results = list(items), []
-    outcomes = map(fn, items) if width == 1 else _in_item_order(fn, items, width)
-    try:
-        for result in outcomes:
-            results.append(result)
-            if stop is not None and stop(results):
-                break
-        return results
-    finally:
-        if width > 1:
-            outcomes.close()
-
-
-def _in_item_order(fn: Callable, items: list, width: int) -> Iterator:
-    """``fn`` of each item, yielded in item order, from ``min(width, len(items))``
-    threads that each take the next index; an exception from ``fn`` is raised at
-    its item. Closing the generator, or an exception leaving it, lets no thread
-    take another index and returns once the calls in flight have finished."""
-    done: dict[int, tuple] = {}  # (result, exception) by index, until it is yielded
+    items = list(items)
+    if width == 1:
+        yield map(fn, items)
+        return
+    done: dict[int, tuple] = {}  # (result, exception) by index, until it is read
     cursor, ready = 0, threading.Condition()  # cursor: the next index a thread takes
 
     def take() -> None:
@@ -178,11 +162,19 @@ def _in_item_order(fn: Callable, items: list, width: int) -> Iterator:
                 return
             try:
                 outcome = fn(items[index]), None
-            except BaseException as exc:  # raised by the generator at this item
+            except BaseException as exc:  # raised to the reader at this item
                 outcome = None, exc
             with ready:
                 done[index] = outcome
                 ready.notify()
+
+    def read(index: int):
+        with ready:
+            ready.wait_for(lambda: index in done)
+            result, error = done.pop(index)
+        if error is not None:
+            raise error
+        return result
 
     threads = []
     try:
@@ -190,13 +182,7 @@ def _in_item_order(fn: Callable, items: list, width: int) -> Iterator:
             thread = threading.Thread(target=take)
             thread.start()
             threads.append(thread)
-        for index in range(len(items)):
-            with ready:
-                ready.wait_for(lambda: index in done)
-                result, error = done.pop(index)
-            if error is not None:
-                raise error
-            yield result
+        yield map(read, range(len(items)))
     finally:
         with ready:
             cursor = len(items)
@@ -234,8 +220,8 @@ def _checked_record(line: str) -> dict:
         for turn in record["request"]
     ):
         raise ValueError(f"request must be a list of turns, each with a role in {_ROLES} and string content")
-    if not isinstance(record["params"], dict) or not isinstance(record["response"], str):
-        raise ValueError("params must be an object and response a string")
+    if not isinstance(record["params"], dict) or not all(isinstance(record.get(key, ""), str) for key in ("response", "error")):
+        raise ValueError("params must be an object, and response and any error strings")
     return record
 
 
@@ -263,11 +249,12 @@ class Transcript:
 
     A call is one record, the object on one line: ``request_digest`` (a
     label), ``request`` (the turns as role and content objects), ``params``,
-    ``response`` and ``timestamp``. Each call is appended as the line
-    :class:`RecordingBackend` built. Given a ``stream``, the line is written
-    there and flushed, and none is kept; otherwise the lines are kept in order
-    and :meth:`save` writes them unchanged. Appends are serialized internally.
-    :meth:`load` reads a saved transcript back as its records.
+    ``response``, ``error`` (on a failed call only) and ``timestamp``. Each
+    call is appended as the line :class:`RecordingBackend` built. Given a
+    ``stream``, the line is written there and flushed, and none is kept;
+    otherwise the lines are kept in order and :meth:`save` writes them
+    unchanged. Appends are serialized internally. :meth:`load` reads a saved
+    transcript back as its records.
     """
 
     def __init__(self, stream: TextIO | None = None) -> None:
@@ -307,10 +294,12 @@ class Transcript:
 class RecordingBackend(CriticBackend):
     """Wraps a backend and appends every call to a transcript as its line.
 
-    Responses pass through unchanged, and the wrapper keeps the inner
-    backend's identity so recorded runs and live runs label their outputs the
-    same way. The line is joined from the request as escaped for its digest
-    and equals ``json.dumps(record, ensure_ascii=False)`` plus a newline.
+    Responses pass through unchanged; a :class:`BackendError` is recorded as
+    ``"response": ""`` and its ``error`` text, then re-raised. The wrapper
+    keeps the inner backend's identity so recorded runs and live runs label
+    their outputs the same way. The line is joined from the request as
+    escaped for its digest and equals ``json.dumps(record,
+    ensure_ascii=False)`` plus a newline.
     """
 
     def __init__(self, inner: CriticBackend, store: Transcript) -> None:
@@ -322,15 +311,21 @@ class RecordingBackend(CriticBackend):
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
         from datetime import datetime, timezone  # the first recorded call loads it, not every offline command
 
-        response = self.inner.complete(turns, params)
+        try:
+            response, error = self.inner.complete(turns, params), None
+        except BackendError as exc:  # recorded, so that a replay fails the same call alike
+            response, error = "", exc
         digest, escaped = _encoded_request(turns, params)
         line = [f'{{"request_digest": "{digest}", "request": [']
         for index, (role, content) in enumerate(escaped):
             line += (', {"role": ' if index else '{"role": ', role, ', "content": ', content, "}")
         params_json, stamp = json.dumps(params.to_dict(), ensure_ascii=False), datetime.now(timezone.utc).isoformat()
         line += (f'], "params": {params_json}, "response": ', json.dumps(response, ensure_ascii=False))
-        line.append(f', "timestamp": "{stamp}"}}\n')
+        failed = "" if error is None else f', "error": {json.dumps(str(error), ensure_ascii=False)}'
+        line.append(f'{failed}, "timestamp": "{stamp}"}}\n')
         self.store.append("".join(line))
+        if error is not None:
+            raise error
         return response
 
 
@@ -343,7 +338,8 @@ class ReplayBackend(CriticBackend):
     backend is built, by the request it holds; a request gets its earliest
     unconsumed match, whatever order requests arrive in. Duplicates are
     consumed in recorded order, serialized, and a key leaves the index with
-    its last record, releasing its request text. No digest is computed unless
+    its last record, releasing its request text. A record with an ``error``
+    is served by raising it as :class:`BackendError`. No digest is computed unless
     a request has no unconsumed match, which raises :class:`ReplayMiss`: the
     run diverged from the recording.
     """
@@ -352,10 +348,11 @@ class ReplayBackend(CriticBackend):
     model = "transcript"
 
     def __init__(self, records: Iterable[dict]) -> None:
-        self._index: dict[tuple, deque[str]] = {}
+        self._index: dict[tuple, deque[str | BackendError]] = {}
         for record in records:
             turns = tuple((turn["role"], turn["content"]) for turn in record["request"])
-            self._index.setdefault((turns, _params_json(record["params"])), deque()).append(record["response"])
+            served = BackendError(record["error"]) if "error" in record else record["response"]
+            self._index.setdefault((turns, _params_json(record["params"])), deque()).append(served)
         self._lock = threading.Lock()
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
@@ -364,7 +361,9 @@ class ReplayBackend(CriticBackend):
             if queue := self._index.get(request):
                 if len(queue) == 1:  # the key holds the request text: drop it with its last record
                     del self._index[request]
-                return queue.popleft()
+                if isinstance(served := queue.popleft(), BackendError):
+                    raise served
+                return served
         raise ReplayMiss(
             f"no unconsumed recorded response for request digest "
             f"{request_digest(turns, params)}; the run diverged from the recording"
@@ -438,11 +437,11 @@ class HTTPBackend(CriticBackend):
 
         base_url = base_url or os.environ.get(BASE_URL_ENV, "")
         if not base_url:
-            raise ValueError(
-                f"no base URL: pass base_url or set {BASE_URL_ENV}"
-            )
+            raise ValueError(f"no base URL: pass base_url or set {BASE_URL_ENV}")
         if not timeout > 0:
             raise ValueError(f"timeout must be a positive number of seconds, got {timeout!r}")
+        if max_attempts < 1 or backoff_base < 0:
+            raise ValueError(f"max_attempts must be >= 1 and backoff_base >= 0, got {max_attempts!r} and {backoff_base!r}")
         self.model = model
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")

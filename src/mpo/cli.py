@@ -404,7 +404,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _result_labels(paths: list[Path]) -> list[str]:
     """Each file's stem; if two collide, its parent-qualified stem; if those collide too, its path."""
-    for labels in ([path.stem for path in paths], [f"{path.parent.name}/{path.stem}" for path in paths]):
+    for labels in ([path.stem for path in paths], [f"{path.absolute().parent.name}/{path.stem}" for path in paths]):
         if len(set(labels)) == len(labels):
             return labels
     return [str(path) for path in paths]

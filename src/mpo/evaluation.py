@@ -504,17 +504,15 @@ def evaluate(
         )
 
     failed, read = 0, []
-
-    def too_many_failures(records: list[ItemRecord]) -> bool:
-        nonlocal failed
-        read.append(records[-1])
-        if records[-1].note:
-            failed += 1
-            logger.warning("item %s: %s", records[-1].id, records[-1].note)
-        return failed * 2 > total
-
     try:
-        fan_out(solve, range(total), concurrency, stop=too_many_failures)
+        with fan_out(solve, range(total), concurrency) as records:
+            for record in records:
+                read.append(record)
+                if record.note:
+                    failed += 1
+                    logger.warning("item %s: %s", record.id, record.note)
+                    if failed * 2 > total:
+                        break
     except Exception as exc:  # a replay that diverged, say; its item is the next unread one
         partial = EvalResult(dataset.name, dataset.split, state.digest, tuple(read))
         raise EvaluationAborted(f"run aborted at item {items[len(read)].id}: {exc}", partial) from exc

@@ -303,7 +303,8 @@ def step(
         removed = max(0, grown.lines + grown.dropped - after.lines - after.dropped - truncated)
         return landed, SectionUpdate(gradient, failure, grown.dropped, after.dropped, removed, truncated)
 
-    outcomes = dict(zip(order, fan_out(update, order, config.concurrency_width)))
+    with fan_out(update, order, config.concurrency_width) as results:
+        outcomes = dict(zip(order, results))
     return StepResult(
         state=state.successor(tuple(outcomes[kind][0] for kind in CANONICAL_ORDER)),
         updates=tuple(outcomes[kind][1] for kind in CANONICAL_ORDER),

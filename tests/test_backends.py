@@ -381,6 +381,45 @@ class TestRecordedLine:
         store.save(path)
         assert [{**entry, "timestamp": ""} for entry in Transcript.load(path)] == [{**record, "timestamp": ""}]
 
+    def test_failed_call_records_its_error_and_replays_as_that_failure(self, tmp_path):
+        # The line holds an empty response and the error's text, between
+        # response and timestamp; the error still reaches the caller.
+        failure = BackendError("down: \u2028 \u00e9 \"quoted\"")
+        replies = iter([failure, "after"])
+
+        def reply(turns, params):
+            if isinstance(answer := next(replies), BackendError):
+                raise answer
+            return answer
+
+        store, path = Transcript(), tmp_path / "t.jsonl"
+        backend = RecordingBackend(ScriptedBackend(reply), store)
+        with pytest.raises(BackendError) as caught:
+            backend.complete(TURNS, PARAMS)
+        assert caught.value is failure
+        assert backend.complete(TURNS, PARAMS) == "after"
+        store.save(path)
+        failed, served, _ = path.read_text(encoding="utf-8").split("\n")  # not splitlines: U+2028 is no break
+        record = json.loads(failed)
+        assert list(record) == ["request_digest", "request", "params", "response", "error", "timestamp"]
+        assert (record["response"], record["error"]) == ("", str(failure))
+        assert failed == json.dumps(record, ensure_ascii=False)
+        assert "error" not in json.loads(served)
+        replay = ReplayBackend(Transcript.load(path))
+        with pytest.raises(BackendError) as caught:
+            replay.complete(TURNS, PARAMS)
+        assert str(caught.value) == str(failure)
+        assert replay.complete(TURNS, PARAMS) == "after"
+        with pytest.raises(ReplayMiss):
+            replay.complete(TURNS, PARAMS)
+
+    @pytest.mark.parametrize("error", [5, None, ["down"]])
+    def test_error_that_is_not_a_string_rejected_at_load(self, tmp_path, error):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({**transcript_record(""), "error": error}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1: .*error"):
+            Transcript.load(path)
+
     def test_lone_surrogate_fails_after_the_call_and_records_nothing(self, tmp_path):
         # The call is made; encoding its request to UTF-8 for the digest then
         # raises, and no line is kept.
@@ -407,6 +446,17 @@ class TestRecordedLine:
         assert (tmp_path / "kept.jsonl").read_bytes() == b""
 
 
+def fanned(fn, items, width, stop_at=None):
+    """The results of ``fan_out``, read in order until ``stop_at`` are read."""
+    results = []
+    with fan_out(fn, items, width) as outcomes:
+        for result in outcomes:
+            results.append(result)
+            if len(results) == stop_at:
+                break
+    return results
+
+
 class TestFanOut:
     def test_results_follow_item_order(self):
         def slow_first(n):
@@ -414,7 +464,7 @@ class TestFanOut:
             return n * n
 
         for width in (1, 3, 5):
-            assert fan_out(slow_first, range(5), width) == [0, 1, 4, 9, 16]
+            assert fanned(slow_first, range(5), width) == [0, 1, 4, 9, 16]
 
     def test_width_one_runs_inline(self):
         caller = threading.get_ident()
@@ -423,7 +473,7 @@ class TestFanOut:
         def where(_):
             return threading.get_ident(), threading.active_count()
 
-        assert fan_out(where, range(3), 1) == [(caller, before)] * 3
+        assert fanned(where, range(3), 1) == [(caller, before)] * 3
 
     def test_stop_returns_same_prefix_at_every_width(self):
         seen = []
@@ -434,7 +484,7 @@ class TestFanOut:
 
         for width in (1, 4):
             seen.clear()
-            assert fan_out(record, range(10), width, stop=lambda done: len(done) == 3) == [0, 1, 2]
+            assert fanned(record, range(10), width, stop_at=3) == [0, 1, 2]
             if width == 1:
                 assert seen == [0, 1, 2]
 
@@ -449,14 +499,17 @@ class TestFanOut:
 
         for width in (1, 4):
             seen.clear()
-            with pytest.raises(KeyError):
-                fan_out(fail_on_two, range(6), width)
+            read = []
+            with pytest.raises(KeyError), fan_out(fail_on_two, range(6), width) as outcomes:
+                for result in outcomes:
+                    read.append(result)
+            assert read == [0, 1]
             if width == 1:
                 assert seen == [0, 1, 2]
 
     def test_width_validated(self):
-        with pytest.raises(ValueError):
-            fan_out(str, [1], 0)
+        with pytest.raises(ValueError), fan_out(str, [1], 0):
+            pass
 
     def test_stop_or_error_lets_no_thread_take_another_item(self):
         seen = []
@@ -473,16 +526,31 @@ class TestFanOut:
             seen.clear()
             if fail:
                 with pytest.raises(KeyError):
-                    fan_out(slow_after_two, range(100), 4)
+                    fanned(slow_after_two, range(100), 4)
             else:
-                assert fan_out(slow_after_two, range(100), 4, stop=lambda done: len(done) == 3) == [0, 1, 2]
+                assert fanned(slow_after_two, range(100), 4, stop_at=3) == [0, 1, 2]
             assert len(seen) < 20  # the items in flight at the stop or the error, not all 100
+
+    def test_error_in_the_callers_loop_joins_every_thread(self):
+        seen, before = [], threading.active_count()
+
+        def slow(n):
+            seen.append(n)
+            time.sleep(0.05)
+            return n
+
+        with pytest.raises(KeyError), fan_out(slow, range(100), 4) as outcomes:
+            for result in outcomes:
+                if result == 2:
+                    raise KeyError(result)
+        assert threading.active_count() == before
+        assert len(seen) < 20
 
     def test_memory_per_item_is_its_result(self):
         """No per-item bookkeeping: a pending Future per item costs about 1.6 KB."""
         tracemalloc.start()
         try:
-            fan_out(lambda n: n, range(50_000), 4)
+            fanned(lambda n: n, range(50_000), 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -501,7 +569,7 @@ class TestFanOut:
                     released.set()
             return True
 
-        assert fan_out(work, range(100), 4) == [True] * 100
+        assert fanned(work, range(100), 4) == [True] * 100
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -519,7 +587,7 @@ class TestFanOut:
 
             before = threading.active_count()
             try:
-                outcome = fan_out(work, range(len(sleeps)), width, stop=lambda done: len(done) == stop_at)
+                outcome = fanned(work, range(len(sleeps)), width, stop_at=stop_at)
             except KeyError as exc:
                 outcome = f"KeyError at {exc.args[0]}"
             assert threading.active_count() == before
@@ -696,6 +764,11 @@ class TestHTTPBackend:
     def test_non_positive_timeout_rejected(self, timeout):
         with pytest.raises(ValueError, match="timeout must be a positive number"):
             HTTPBackend("m", "http://127.0.0.1:9", timeout=timeout)
+
+    @pytest.mark.parametrize("setting", [{"max_attempts": 0}, {"max_attempts": -1}, {"backoff_base": -1.0}])
+    def test_retry_settings_that_cannot_work_rejected(self, setting):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1 and backoff_base >= 0"):
+            HTTPBackend("m", "http://127.0.0.1:9", **setting)
 
     def test_client_errors_never_retry(self, http_server):
         base_url, script = http_server

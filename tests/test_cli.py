@@ -11,6 +11,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
@@ -1114,6 +1115,100 @@ class TestEval:
         assert f"cannot load dataset {dataset}: " in err and "utf-8" in err
 
 
+def failing_mocks(numbers: set[int]):
+    """``build_backend`` whose mock backends raise BackendError on the calls
+    numbered in ``numbers``, counted from 1 across the run."""
+    build, calls, lock = cli.build_backend, [], threading.Lock()
+
+    def built(config, role):
+        inner = build(config, role)
+
+        def complete(turns, params):
+            with lock:
+                calls.append(None)
+                number = len(calls)
+            if number in numbers:
+                raise BackendError(f"call {number} refused")
+            return inner.complete(turns, params)
+
+        return inner if config.mode != "mock" else ScriptedBackend(complete, name=inner.name, model=inner.model)
+
+    return built
+
+
+class TestRecordedFailures:
+    """A run that absorbed failed backend calls replays from its transcript,
+    at any width and from its lines in any order."""
+
+    @staticmethod
+    def _replays(recorded: Path, argv: list[str], tmp_path: Path, code: int):
+        lines = (recorded / "transcript.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
+        for width in ("1", "5"):
+            for order, kept in (("recorded", lines), ("reversed", lines[::-1])):
+                transcript = tmp_path / f"{order}.jsonl"
+                transcript.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
+                out = tmp_path / f"replay{width}-{order}"
+                assert main([*argv, "--replay", str(transcript), "--concurrency", width, "--out", str(out)]) == code
+                yield out
+
+    @pytest.mark.parametrize("dedup, fails", [("lexical", {3}), ("llm", {3, 5})])
+    def test_optimize_with_failed_calls_replays(self, dedup, fails, tagged_file, tmp_path, monkeypatch):
+        # One round: in a later one a failed call's request can come again and
+        # succeed, and which twin gets the failure follows transcript order (ROADMAP item 3).
+        argv = ["optimize", str(tagged_file), "--iterations", "1", "--dedup", dedup]
+        recorded = tmp_path / "recorded"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_backend", failing_mocks(fails))
+            assert main([*argv, "--mock", "--record", "--out", str(recorded)]) == 0
+        records = Transcript.load(recorded / "transcript.jsonl")
+        assert [record["error"] for record in records if "error" in record] == [f"call {n} refused" for n in sorted(fails)]
+        failures = [
+            failure["reason"].split(":")[0]
+            for line in (recorded / "gradients.jsonl").read_text(encoding="utf-8").splitlines()
+            for failure in json.loads(line)["failures"]
+        ]
+        assert failures == ["critique failed", "update failed"][: len(fails)]
+        identity = re.compile(rb'"critic_identity": "[^"]*"')
+        for out in self._replays(recorded, argv, tmp_path, 0):
+            for name in ("history.jsonl", "metrics.json", "final_prompt.txt", "gradients.jsonl"):
+                expected, actual = (identity.sub(b"", (run / name).read_bytes()) for run in (recorded, out))
+                assert actual == expected, (out.name, name)
+
+    @pytest.mark.parametrize("fails, code, artifact", [({3}, 0, "eval_result.json"), (set(range(1, 7)), 3, "eval_result.partial.json")])
+    def test_eval_with_failed_solves_replays(self, fails, code, artifact, tagged_file, dataset_file, tmp_path, monkeypatch):
+        argv = ["eval", str(tagged_file), str(dataset_file)]
+        recorded = tmp_path / "recorded"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_backend", failing_mocks(fails))
+            assert main([*argv, "--mock", "--record", "--concurrency", "1", "--out", str(recorded)]) == code
+        notes = [record["note"] for record in json.loads((recorded / artifact).read_text(encoding="utf-8"))["records"]]
+        assert [number + 1 for number, note in enumerate(notes) if note] == sorted(fails)
+        for out in self._replays(recorded, argv, tmp_path, code):
+            assert (out / artifact).read_bytes() == (recorded / artifact).read_bytes(), out.name
+
+    def test_readme_transcript_keys(self, tmp_path):
+        """The README's key list is, in order, the keys of a failed call's line,
+        and without ``error`` those of a successful call's line."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Record and replay\n", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^- `(\w+)`:", section, flags=re.M)
+
+        def reply(turns, params):
+            if turns[0].content == "fail":
+                raise BackendError("refused")
+            return "reply"
+
+        store = Transcript()
+        backend = RecordingBackend(ScriptedBackend(reply), store)
+        backend.complete((ChatTurn("user", "pass"),), GenerationParams())
+        with pytest.raises(BackendError):
+            backend.complete((ChatTurn("user", "fail"),), GenerationParams())
+        store.save(tmp_path / "t.jsonl")
+        succeeded, failed = Transcript.load(tmp_path / "t.jsonl")
+        assert documented == list(failed)
+        assert [key for key in documented if key != "error"] == list(succeeded)
+
+
 class TestCompare:
     def _write_result(self, tmp_path, name, correct_count, dataset, state) -> Path:
         correct = {item.id for item in dataset.items[:correct_count]}
@@ -1159,6 +1254,19 @@ class TestCompare:
         rows = json.loads((tmp_path / "cmp" / "comparison.json").read_text(encoding="utf-8"))["rows"]
         assert [row["label"] for row in rows] == [str(a), str(b)]
         assert f"{a}  " in capsys.readouterr().out
+
+    def test_file_in_working_directory_labelled_by_its_name(
+        self, tagged_prompt, dataset_file, tmp_path, capsys, monkeypatch
+    ):
+        # ``r.json`` has the empty path as its parent; its label names the directory it is in.
+        dataset = load_dataset(dataset_file, "generic_jsonl")
+        cwd = tmp_path / "runs"
+        self._write_result(cwd, "r.json", 5, dataset, tagged_prompt)
+        self._write_result(cwd, "a/r.json", 8, dataset, tagged_prompt)
+        monkeypatch.chdir(cwd)
+        assert main(["compare", "r.json", "a/r.json", "--out", "cmp"]) == 0
+        rows = json.loads((cwd / "cmp" / "comparison.json").read_text(encoding="utf-8"))["rows"]
+        assert [row["label"] for row in rows] == ["runs/r", "a/r"]
 
     def test_item_set_mismatch_exits_two(
         self, tagged_prompt, dataset_file, data_dir, tmp_path, capsys

@@ -480,7 +480,7 @@ class TestEvaluate:
         # failed, more than half of all ten: its record is still read.
         later_failed, done = threading.Event(), []
 
-        def delayed_fan_out(fn, items, width, stop):
+        def delayed_fan_out(fn, items, width):
             def call(index):
                 if index == 3:
                     later_failed.wait(timeout=5)
@@ -491,7 +491,7 @@ class TestEvaluate:
                     if len([i for i in done if i > 3]) == 6:
                         later_failed.set()
 
-            return fan_out(call, items, width, stop)
+            return fan_out(call, items, width)
 
         def reply(turns, params):
             if self._number(turns) > 3:

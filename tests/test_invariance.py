@@ -6,8 +6,10 @@ One matrix, driven through ``main`` in-process:
 - commands: ``optimize`` under each dedup mode at ``max_section_tokens`` 800
   and 55, and ``eval`` on a generated set of 40 items that asks each
   question twice under distinct ids;
-- backends: the mocks, which answer equal requests alike, and
-  :func:`solvers.counter_backend`, which answers every call differently;
+- backends: the mocks, which answer equal requests alike,
+  :func:`solvers.counter_backend`, which answers every call differently, and,
+  for ``optimize`` only, ``flaky``: the mocks with every 7th call failing with
+  a :class:`BackendError`, which the run absorbs and the transcript records;
 - runs: each cell is recorded at width 1 (``record``), then run again with
   the mocks and ``--record`` at width 5 (``live``), and replayed at widths 1
   and 5 from the recorded transcript, from its lines reversed and from a
@@ -29,13 +31,15 @@ cold caches, so output that follows set or dict order, or state one run
 leaves for the next, shows as a difference. One of them records at width 5,
 so the first recorded call, which loads ``datetime``, runs on a worker thread.
 
-The counter is left out where its replies follow thread timing: its live runs
-at width > 1, and its ``eval`` replays at width 5, where two calls of one
-question may arrive in either order. At width 1 its ``eval`` replays from the
-reversed or shuffled transcript fail: replay serves equal requests their
-records in transcript order, so one id gets its twin's reply. Those cells,
-and one comparing ``gradients.jsonl`` unmasked, are strict xfails until
-ROADMAP item 3 keys each call by its purpose.
+The counter and ``flaky`` are left out where their replies follow thread
+timing: their live runs at width > 1, and the counter's ``eval`` replays at
+width 5, where two calls of one question may arrive in either order. At width
+1 the counter's ``eval`` replays from the reversed or shuffled transcript
+fail: replay serves equal requests their records in transcript order, so one
+id gets its twin's reply. So do ``flaky``'s at both widths: a critique or a
+consolidation that failed is asked again, alike, a round later, and
+succeeds. Those cells, and one comparing ``gradients.jsonl`` unmasked, are
+strict xfails until ROADMAP item 3 keys each call by its purpose.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from pathlib import Path
 
 import pytest
 
-from mpo import ScriptedBackend, Transcript
+from mpo import BackendError, ScriptedBackend, Transcript
 from mpo import cli
 from mpo.cli import main
 from solvers import counter_backend
@@ -70,18 +74,20 @@ def runs(command: str, backend: str):
     """``(run, marks)`` for each run of one cell."""
     eval_, counter = command.startswith("eval"), backend == "counter"
     yield "record", ()
-    if not counter:
+    if backend == "mock":
         yield "live", ()
+    twins = (eval_ and counter) or backend == "flaky"  # equal requests answered differently in one run
     for width in (1,) if eval_ and counter else (1, 5):
         for order in ("recorded", "reversed", "shuffled"):
-            yield f"replay{width}-{order}", [ITEM_3] if eval_ and counter and order != "recorded" else ()
+            yield f"replay{width}-{order}", [ITEM_3] if twins and order != "recorded" else ()
 
 
 CELLS = [
     *(
         pytest.param(command, backend, run, id=f"{command}-{backend}-{run}", marks=marks)
         for command in COMMANDS
-        for backend in ("mock", "counter")
+        for backend in ("mock", "counter", "flaky")
+        if backend != "flaky" or command.startswith("optimize")
         for run, marks in runs(command, backend)
     ),
     pytest.param("eval-2000", "mock", "record", id="eval-2000-mock-record"),
@@ -98,9 +104,12 @@ def run_cli(argv: list[str], out: Path, backend: str) -> int:
         inner = build(config, role)
         if config.mode == "mock" and backend == "counter":
             inner = counter_backend(inner)
+        flaky = config.mode == "mock" and backend == "flaky"
 
         def complete(turns, params):
             calls.append(None)
+            if flaky and len(calls) % 7 == 0:
+                raise BackendError(f"call {len(calls)} refused")
             return inner.complete(turns, params)
 
         return ScriptedBackend(complete, name=inner.name, model=inner.model)
