@@ -227,10 +227,10 @@ def _checked_record(line: str) -> dict:
 
 @contextlib.contextmanager
 def open_utf8(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """``path`` open for reading as UTF-8 text. A byte that is not UTF-8 raises
-    UnicodeDecodeError at its file byte offset, naming its line: the text reader
-    counts from its decode chunk, so on that error the bytes are decoded whole."""
-    with Path(path).open("r", encoding="utf-8", newline=newline) as handle:
+    """``path`` open for reading as UTF-8 text, skipping a byte-order mark. A byte that is
+    not UTF-8 raises UnicodeDecodeError at its file byte offset, naming its line: the text
+    reader counts from its decode chunk, so on that error the bytes are decoded whole."""
+    with Path(path).open("r", encoding="utf-8-sig", newline=newline) as handle:
         try:
             yield handle
         except UnicodeDecodeError:

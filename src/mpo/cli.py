@@ -31,6 +31,7 @@ from .backends import (
     ReplayBackend,
     ReplayMiss,
     Transcript,
+    open_utf8,
 )
 from .decompose import decompose_unstructured
 from .evaluation import (
@@ -50,7 +51,6 @@ from .optimizer import (
     OptimizationAborted,
     OptimizerConfig,
     RunHistory,
-    SectionUpdate,
     growth_metrics,
     optimize,
 )
@@ -162,7 +162,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
         ini = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
         try:
-            ini.read_string(Path(args.config).read_text(encoding="utf-8"), source=args.config)
+            with open_utf8(args.config) as handle:
+                ini.read_file(handle, source=args.config)
         except (OSError, UnicodeDecodeError) as exc:
             raise CLIError(f"cannot read config file: {exc}") from exc
         except configparser.Error as exc:
@@ -229,7 +230,8 @@ def build_backend(config: RunConfig, role: str) -> CriticBackend:
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        with open_utf8(path) as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CLIError(f"cannot read {path}: {exc}") from exc
 
@@ -278,24 +280,21 @@ def _write_json(path: Path, data: dict) -> None:
     _write(path, [json.dumps(data, indent=2, ensure_ascii=False) + "\n"])
 
 
-def _gradient_line(index: int, updates: tuple[SectionUpdate, ...], failures) -> str:
-    return json.dumps({
-        "iteration": index,
-        "gradients": [
-            {
-                "target": update.gradient.target.value,
-                "directives": list(update.gradient.directives),
-                "critic_identity": update.gradient.critic_identity,
-                "removed": update.removed,
-                "truncated": update.truncated,
-                "saturated": update.saturated,
-            }
-            for update in updates
-        ],
-        "failures": [
-            {"section": kind.value, "reason": reason} for kind, reason in failures
-        ],
-    }, ensure_ascii=False) + "\n"
+def _gradient_lines(history: RunHistory) -> Iterator[str]:
+    """One ``gradients.jsonl`` line per round. A round past the fixed point
+    is the previous round's tuple (see :func:`optimize`), so the JSON after
+    its ``"iteration"`` is reused."""
+    for index, (updates, previous) in enumerate(zip(history.updates, (None, *history.updates))):
+        if updates is not previous:
+            tail = json.dumps({
+                "gradients": [{
+                    "target": u.gradient.target.value, "directives": list(u.gradient.directives),
+                    "critic_identity": u.gradient.critic_identity, "removed": u.removed,
+                    "truncated": u.truncated, "saturated": u.saturated,
+                } for u in updates],
+                "failures": [{"section": u.gradient.target.value, "reason": u.failure} for u in updates if u.failure],
+            }, ensure_ascii=False)[1:]
+        yield f'{{"iteration": {index}, {tail}\n'
 
 
 def _history_lines(states: tuple[PromptState, ...]) -> Iterator[str]:
@@ -316,7 +315,7 @@ def _history_lines(states: tuple[PromptState, ...]) -> Iterator[str]:
 
 def _write_run_artifacts(history: RunHistory, out_dir: Path) -> None:
     _write(out_dir / "history.jsonl", _history_lines(history.states))
-    _write(out_dir / "gradients.jsonl", map(_gradient_line, range(history.iterations), history.updates, history.failures))
+    _write(out_dir / "gradients.jsonl", _gradient_lines(history))
     metrics = {
         "iterations": history.iterations,
         "digests": list(history.digests),

@@ -398,7 +398,10 @@ def optimize(
     Per-section failures are absorbed by :func:`step`; anything else (replay
     divergence, a corrupt state) aborts the run with the partial history
     attached for inspection. A section the budget cut or skipped in one
-    round is passed to the next as saturated.
+    round is passed to the next as saturated. After a round that saturates
+    every section, later rounds repeat it (its sections and its updates tuple)
+    without critiquing: :func:`step` would rebuild it equal, since
+    ``critic.identity`` stays the same during a run for every built-in backend.
     """
     config = config or OptimizerConfig()
     if initial.iteration != 0:
@@ -407,6 +410,10 @@ def optimize(
     rounds: list[tuple[SectionUpdate, ...]] = []
     saturated: frozenset[SectionKind] = frozenset()
     for _ in range(config.iterations):
+        if rounds and all(update.saturated for update in rounds[-1]):
+            states.append(states[-1].successor(states[-1].sections))
+            rounds.append(rounds[-1])
+            continue
         try:
             result = step(
                 states[-1],

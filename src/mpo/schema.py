@@ -79,13 +79,7 @@ _DISPLAY_NAMES = {
 # canonical tags plus the long-form section names; rendering always emits the
 # canonical tag.
 _TAG_ALIASES: dict[str, SectionKind] = {
-    "system role": SectionKind.SYSTEM_ROLE,
-    "context": SectionKind.RELEVANT_CONTEXT,
-    "relevant context": SectionKind.RELEVANT_CONTEXT,
-    "task": SectionKind.TASK_DETAILS,
-    "task details": SectionKind.TASK_DETAILS,
-    "constraints": SectionKind.CONSTRAINTS,
-    "output format": SectionKind.OUTPUT_FORMAT,
+    name.lower(): kind for kind in SectionKind for name in (kind.tag[1:-1], kind.display_name)
 }
 
 # Any recognized tag string, for collision checks inside section content.

@@ -60,6 +60,10 @@ class TestChatTurn:
     def test_to_dict(self):
         assert ChatTurn("user", "hi").to_dict() == {"role": "user", "content": "hi"}
 
+    def test_none_content_rejected(self):
+        with pytest.raises(ValueError, match="content must not be None"):
+            ChatTurn("user", None)
+
 
 class TestGenerationParams:
     def test_defaults_bias_determinism(self):

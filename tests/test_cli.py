@@ -813,6 +813,26 @@ class TestOptimize:
             ["task_details", "constraints", "output_format"],
         ]
 
+    @pytest.mark.parametrize("dedup, extra", DEDUP_RUNS)
+    def test_fixed_point_run_matches_pinned_artifacts(self, data_dir, tmp_path, capsys, monkeypatch, dedup, extra):
+        # Recorded with solvers.counter_backend around the mock critic at a
+        # budget of 20 for 6 rounds, and replayed to write the pins while every
+        # round still called step. Round 2 (lexical) or 1 (llm) is the first to
+        # saturate every section; each later round repeats it without a step.
+        pinned = data_dir / "fixed_point_run" / dedup
+        config = tmp_path / "budget20.ini"
+        config.write_text("[optimizer]\nmax_section_tokens = 20\n", encoding="utf-8")
+        steps = []
+        monkeypatch.setattr(optimizer, "step", lambda *args, **kwargs: steps.append(None) or step(*args, **kwargs))
+        args = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--dedup", dedup, "--iterations", "6"]
+        args += ["--config", str(config), "--replay", str(pinned / "transcript.jsonl"), *extra, "--out", str(tmp_path / "o")]
+        assert main(args) == 0
+        assert_pinned(tmp_path / "o", pinned)
+        rounds = [json.loads(line)["gradients"] for line in (pinned / "gradients.jsonl").read_text().splitlines()]
+        saturated = [sum(g["saturated"] for g in gradients) for gradients in rounds]
+        assert saturated == {"lexical": [4, 4, 5, 5, 5, 5], "llm": [4, 5, 5, 5, 5, 5]}[dedup]
+        assert len(steps) == saturated.index(5) + 1
+
     def test_over_budget_sections_keep_their_own_lines(self, data_dir, tmp_path, capsys, caplog):
         # The budget used to cut 3 of Task Details' and 7 of Constraints'
         # own lines in round 0 of this run.
@@ -1402,3 +1422,82 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["optimize"])
         assert excinfo.value.code == 2
+
+
+# Each text input a command reads, and the command that reads it; "{root}"
+# is the directory holding that run's inputs and its OUT.
+BOM_CASES = [
+    pytest.param("prompt.txt", ["optimize", "{root}/prompt.txt", "--mock", "--record", "--iterations", "1"], id="prompt"),
+    pytest.param("raw.txt", ["decompose", "{root}/raw.txt", "--mock", "--record"], id="decompose-input"),
+    pytest.param("items.jsonl", ["eval", "{root}/prompt.txt", "{root}/items.jsonl", "--mock", "--record"], id="generic_jsonl"),
+    pytest.param(
+        "arc.jsonl", ["eval", "{root}/prompt.txt", "{root}/arc.jsonl", "--format", "arc_jsonl", "--mock", "--record"], id="arc_jsonl"
+    ),
+    pytest.param(
+        "college_biology_test.csv",
+        ["eval", "{root}/prompt.txt", "{root}/college_biology_test.csv", "--format", "mmlu_csv", "--mock", "--record"],
+        id="mmlu_csv",
+    ),
+    pytest.param("mpo.ini", ["optimize", "{root}/prompt.txt", "--config", "{root}/mpo.ini", "--mock", "--record"], id="config"),
+    pytest.param("gradient.txt", ["optimize", "{root}/prompt.txt", "--config", "{root}/mpo.ini", "--mock", "--record"], id="template"),
+    pytest.param("transcript.jsonl", ["optimize", "{root}/prompt.txt", "--replay", "{root}/transcript.jsonl", "--iterations", "1"], id="transcript"),
+    pytest.param("a.json", ["compare", "{root}/a.json", "{root}/b.json"], id="compare"),
+]
+
+
+class TestByteOrderMark:
+    """A file saved with a UTF-8 byte-order mark, as some Windows editors do,
+    reads as the same file without one."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory) -> dict[str, str]:
+        data_dir, made = Path(__file__).parent / "data", tmp_path_factory.mktemp("inputs")
+        prompt = (data_dir / "multi_task_tagged.txt").read_text(encoding="utf-8")
+        recording = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--mock", "--record", "--iterations", "1"]
+        assert main([*recording, "--out", str(made / "recorded")]) == 0
+        for name in ("a", "b"):
+            assert main(["eval", str(data_dir / "multi_task_tagged.txt"), str(data_dir / "mcq_ten.jsonl"), "--mock", "--out", str(made / name)]) == 0
+        return {
+            "prompt.txt": prompt,
+            "raw.txt": (data_dir / "multi_task_raw.txt").read_text(encoding="utf-8"),
+            "items.jsonl": (data_dir / "mcq_ten.jsonl").read_text(encoding="utf-8"),
+            "arc.jsonl": (data_dir / "arc_sample.jsonl").read_text(encoding="utf-8"),
+            "college_biology_test.csv": (data_dir / "college_biology_test.csv").read_text(encoding="utf-8"),
+            "mpo.ini": "[optimizer]\niterations = 1\nmax_section_tokens = 55\n\n[templates]\ngradient = {root}/gradient.txt\n",
+            "gradient.txt": default_template("gradient").text,
+            "transcript.jsonl": (made / "recorded" / "transcript.jsonl").read_text(encoding="utf-8"),
+            "a.json": (made / "a" / "eval_result.json").read_text(encoding="utf-8"),
+            "b.json": (made / "b" / "eval_result.json").read_text(encoding="utf-8"),
+        }
+
+    @staticmethod
+    def run(root: Path, inputs: dict[str, str], marked: str | None, argv: list[str], capsys) -> tuple:
+        """The command's exit code, output with ``root`` masked, and what it
+        wrote: transcript records without their timestamps, other files as bytes."""
+        root.mkdir()
+        for name, text in inputs.items():
+            text = text.replace("{root}", str(root))
+            (root / name).write_text("\ufeff" + text if name == marked else text, encoding="utf-8")
+        capsys.readouterr()
+        code = main([part.replace("{root}", str(root)) for part in argv] + ["--out", str(root / "out")])
+        shown = tuple(text.replace(str(root), "ROOT") for text in capsys.readouterr())
+        wrote = {}
+        for path in sorted((root / "out").iterdir()):
+            assert not path.read_bytes().startswith(b"\xef\xbb\xbf"), path.name
+            if path.name == "transcript.jsonl":
+                wrote[path.name] = [{k: v for k, v in r.items() if k != "timestamp"} for r in Transcript.load(path)]
+            else:
+                wrote[path.name] = path.read_bytes()
+        return code, shown, wrote
+
+    @pytest.mark.parametrize("marked, argv", BOM_CASES)
+    def test_marked_input_runs_as_unmarked(self, inputs, tmp_path, capsys, marked, argv):
+        plain = self.run(tmp_path / "plain", inputs, None, argv, capsys)
+        assert plain[0] == 0
+        assert self.run(tmp_path / "bom", inputs, marked, argv, capsys) == plain
+
+    def test_non_utf8_config_names_line_and_offset(self, tmp_path):
+        ini = tmp_path / "mpo.ini"
+        ini.write_bytes(b"\xef\xbb\xbf[eval]\nsplit = caf\xe9\n")
+        with pytest.raises(CLIError, match=r"^cannot read config file: .* \(line 2, file byte offset 21\)$"):
+            parse_config(["optimize", "p.txt", "--config", str(ini)])

@@ -103,6 +103,27 @@ class TestLoaders:
         with pytest.raises(ValueError, match="unknown dataset format"):
             load_dataset(data_dir / "mcq_ten.jsonl", "tsv")
 
+    def test_dataset_needs_a_split(self, ten_items):
+        with pytest.raises(ValueError, match="^dataset split must be non-empty$"):
+            Dataset(name="mcq_ten", split="", items=ten_items.items)
+
+    def test_dataset_rejects_a_repeated_id(self, ten_items):
+        items = (*ten_items.items, ten_items.items[3])
+        with pytest.raises(DuplicateId, match="^duplicate item id 'q04' in dataset mcq_ten$"):
+            Dataset(name="mcq_ten", split="test", items=items)
+
+    def test_arc_without_its_layout(self, tmp_path):
+        path = tmp_path / "arc.jsonl"
+        path.write_text(json.dumps({"id": "x", "question": "Q?", "answerKey": "A"}), encoding="utf-8")
+        with pytest.raises(FormatError, match=r"arc\.jsonl:1: not in ARC layout \("):
+            load_dataset(path, "arc_jsonl")
+
+    def test_mmlu_blank_row_skipped(self, tmp_path):
+        path = tmp_path / "history_test.csv"
+        path.write_text("Q1,a,b,c,d,A\n\nQ3,a,b,c,d,B\n", encoding="utf-8")
+        dataset = load_dataset(path, "mmlu_csv")
+        assert [(item.id, item.question) for item in dataset.items] == [("history-0001", "Q1"), ("history-0003", "Q3")]
+
     def test_empty_file_warns(self, tmp_path, caplog):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
@@ -531,6 +552,10 @@ class TestEvaluate:
         empty = Dataset(name="none", split="test", items=())
         with pytest.raises(DatasetError, match="no items"):
             evaluate(tagged_prompt, empty, ScriptedBackend("A"))
+
+    def test_zero_concurrency_rejected(self, tagged_prompt, ten_items):
+        with pytest.raises(ValueError, match="^concurrency must be >= 1$"):
+            evaluate(tagged_prompt, ten_items, gold_solver(ten_items), concurrency=0)
 
     def test_per_subject_breakdown(self, tagged_prompt, data_dir):
         dataset = load_dataset(data_dir / "college_biology_test.csv", "mmlu_csv")

@@ -4,8 +4,10 @@ whatever order its transcript's lines come in.
 One matrix, driven through ``main`` in-process:
 
 - commands: ``optimize`` under each dedup mode at ``max_section_tokens`` 800
-  and 55, and ``eval`` on a generated set of 40 items that asks each
-  question twice under distinct ids;
+  and 55 for 5 rounds, and at 20 for 6 rounds, where the counter's runs
+  saturate every section by round 2 and repeat that round after it; and
+  ``eval`` on a generated set of 40 items that asks each question twice
+  under distinct ids;
 - backends: the mocks, which answer equal requests alike,
   :func:`solvers.counter_backend`, which answers every call differently, and,
   for ``optimize`` only, ``flaky``: the mocks with every 7th call failing with
@@ -31,12 +33,14 @@ cold caches, so output that follows set or dict order, or state one run
 leaves for the next, shows as a difference. One of them records at width 5,
 so the first recorded call, which loads ``datetime``, runs on a worker thread.
 
-The counter and ``flaky`` are left out where their replies follow thread
-timing: their live runs at width > 1, and the counter's ``eval`` replays at
-width 5, where two calls of one question may arrive in either order. At width
-1 the counter's ``eval`` replays from the reversed or shuffled transcript
-fail: replay serves equal requests their records in transcript order, so one
-id gets its twin's reply. So do ``flaky``'s at both widths: a critique or a
+``flaky`` is left out at budget 20: which of its reordered replays meet
+the defect below depends on where the refused calls fall, not on the code
+under test. The counter and ``flaky`` are left out where their replies
+follow thread timing: their live runs at width > 1, and the counter's
+``eval`` replays at width 5, where two calls of one question may arrive in
+either order. At width 1 the counter's ``eval`` replays from the reversed
+or shuffled transcript fail: replay serves equal requests their records in
+transcript order, so one id gets its twin's reply. So do ``flaky``'s at both widths: a critique or a
 consolidation that failed is asked again, alike, a round later, and
 succeeds. Those cells, and one comparing ``gradients.jsonl`` unmasked, are
 strict xfails until ROADMAP item 3 keys each call by its purpose.
@@ -65,7 +69,7 @@ IDENTITY = re.compile(rb'"critic_identity": "[^"]*"')
 ITEM_3 = pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 
 COMMANDS = [
-    *(f"optimize-{dedup}-{budget}" for dedup in ("lexical", "llm", "lexical_then_llm") for budget in (800, 55)),
+    *(f"optimize-{dedup}-{budget}" for dedup in ("lexical", "llm", "lexical_then_llm") for budget in (800, 55, 20)),
     "eval-40",
 ]
 
@@ -87,7 +91,7 @@ CELLS = [
         pytest.param(command, backend, run, id=f"{command}-{backend}-{run}", marks=marks)
         for command in COMMANDS
         for backend in ("mock", "counter", "flaky")
-        if backend != "flaky" or command.startswith("optimize")
+        if backend != "flaky" or command.startswith("optimize") and not command.endswith("-20")
         for run, marks in runs(command, backend)
     ),
     pytest.param("eval-2000", "mock", "record", id="eval-2000-mock-record"),
@@ -126,7 +130,8 @@ def command_argv(command: str, data: Path) -> list[str]:
         dedup, budget = rest
         config = data / f"budget{budget}.ini"
         config.write_text(f"[optimizer]\nmax_section_tokens = {budget}\n", encoding="utf-8")
-        return ["optimize", str(PROMPT), "--dedup", dedup, "--iterations", str(ITERATIONS), "--config", str(config)]
+        rounds = ITERATIONS + (budget == "20")
+        return ["optimize", str(PROMPT), "--dedup", dedup, "--iterations", str(rounds), "--config", str(config)]
     size = int(rest[0])
     items = data / f"items{size}.jsonl"
     with items.open("w", encoding="utf-8") as handle:
@@ -205,6 +210,9 @@ def test_run_writes_the_recorded_artifacts(recordings, tmp_path, command, backen
             gradients = [json.loads(line)["gradients"] for line in lines]
             assert sum(g["truncated"] for round_ in gradients for g in round_) > 0
             assert any(g["saturated"] for round_ in gradients for g in round_)
+        if command.endswith("-20") and backend == "counter":  # every section saturated by round 2, then repeated
+            lines = (recorded / "gradients.jsonl").read_text(encoding="utf-8").splitlines()
+            assert [sum(g["saturated"] for g in json.loads(line)["gradients"]) for line in lines][2:] == [5] * 4
         return
     out = tmp_path / "run"
     if run == "live":

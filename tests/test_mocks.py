@@ -54,6 +54,13 @@ class TestMockCritic:
     def test_unknown_section_name_yields_nothing(self):
         assert ask(MockCritic(), self._critique_prompt("Mystery")) == ""
 
+    def test_critique_naming_no_section_yields_nothing(self):
+        assert ask(MockCritic(), "Current section content:\nstuff\n\nPropose concrete improvements") == ""
+
+    def test_consolidation_without_section_content_yields_nothing(self):
+        prompt = "Section name: Constraints\n\nkeep\nkeep\n\nRemove duplicated or overlapping instructions"
+        assert ask(MockCritic(), prompt) == ""
+
     def test_consolidation_drops_exact_duplicates_only(self):
         prompt = (
             "Section name: Constraints\n\nSection content:\nkeep\nkeep\nKeep\n\n"

@@ -527,6 +527,18 @@ class TestOptimize:
         assert history.final.contents() == state.contents()
         assert len(history.failures[0]) == 5
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("iterations", -1, "iterations must be >= 0"),
+            ("concurrency_width", 0, "concurrency_width must be >= 1"),
+            ("max_section_tokens", 0, "max_section_tokens must be >= 1"),
+        ],
+    )
+    def test_config_rejects_out_of_range_values(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OptimizerConfig(**{field: value})
+
 
 class TestRunHistory:
     def _two_states(self, build_state):

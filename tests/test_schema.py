@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import logging
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from mpo import (
 )
 from mpo.decompose import decompose_unstructured, vocabulary_violations
 from mpo.mocks import HeadingRuleExtractor
-from mpo.schema import strip_code_fences, strip_tag_strings
+from mpo.schema import _TAG_ALIASES, TAG_STRING_RE, strip_code_fences, strip_tag_strings
 
 
 class TestSection:
@@ -110,6 +112,25 @@ class TestPromptState:
 
 
 class TestParse:
+    def test_aliases_are_the_tags_and_display_names(self):
+        # In this order, so TAG_STRING_RE tries them as it always has.
+        assert list(_TAG_ALIASES.items()) == [
+            ("system role", SectionKind.SYSTEM_ROLE),
+            ("context", SectionKind.RELEVANT_CONTEXT),
+            ("relevant context", SectionKind.RELEVANT_CONTEXT),
+            ("task", SectionKind.TASK_DETAILS),
+            ("task details", SectionKind.TASK_DETAILS),
+            ("constraints", SectionKind.CONSTRAINTS),
+            ("output format", SectionKind.OUTPUT_FORMAT),
+        ]
+        assert TAG_STRING_RE.pattern == r"<system\ role>|<context>|<relevant\ context>|<task>|<task\ details>|<constraints>|<output\ format>"
+
+    def test_readme_names_every_alias(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (sentence,) = re.findall(r"^(.*) are accepted as aliases on input;", readme, flags=re.M)
+        named = {name.lower() for name in re.findall(r"`<([^<>`]+)>`", sentence)}
+        assert named == set(_TAG_ALIASES) - {kind.tag[1:-1].lower() for kind in SectionKind}
+
     def test_fixture_sections(self, tagged_prompt):
         contents = tagged_prompt.contents()
         assert contents[SectionKind.SYSTEM_ROLE] == (
@@ -303,6 +324,14 @@ class TestDecompose:
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):
             decompose_unstructured("  \n ", HeadingRuleExtractor())
+
+    def test_tagged_but_malformed_input_warns_and_goes_to_the_extractor(self, caplog):
+        reply = "<Task>\nsolve the problem\n"
+        with caplog.at_level(logging.WARNING, logger="mpo.decompose"):
+            state = decompose_unstructured("<Task>\nsolve the problem\n<Task>\n", ScriptedBackend(reply))
+        assert state.section(SectionKind.TASK_DETAILS).content == "solve the problem"
+        (message,) = [m for m in caplog.messages if "well-formed" in m]
+        assert message.startswith("input contains section tags but is not a well-formed structured prompt (")
 
     def test_heading_fixture_matches_hand_structured_version(
         self, raw_prompt_text, tagged_prompt

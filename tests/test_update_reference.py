@@ -8,7 +8,11 @@ from returning what the truncation warning logged, and each property
 requires the same result from both.
 
 ``optimize`` skips sections saturated at the token budget; the reference
-round loop critiques every section in every round, as before.
+round loop critiques every section in every round, as before. Once a round
+saturates every section, ``optimize`` repeats it instead of calling ``step``
+again; it is checked against a loop that calls ``step`` on every round, and
+``gradients.jsonl``, which then reuses the repeated round's encoding, against
+the line that was encoded whole for every round.
 
 A section update continues the incoming section's dedup pass over the
 appended lines only, checks only those lines for tags, and builds the landed
@@ -35,9 +39,11 @@ import logging
 import pickle
 import random
 import sys
+import tempfile
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -77,7 +83,7 @@ from mpo import (
 )
 from mpo import backends, cli, optimizer, schema
 from mpo.backends import CriticBackend, _params_json
-from mpo.cli import _history_lines, main
+from mpo.cli import _gradient_lines, _history_lines, _write_run_artifacts, main
 from mpo.optimizer import SectionUpdate, _truncate_to_token_budget
 from mpo.schema import TAG_STRING_RE, _parse_tag_line
 from solvers import Recorder
@@ -339,6 +345,29 @@ def reference_state_line(state: PromptState) -> dict:
     }
 
 
+def reference_gradient_line(index: int, updates: tuple[SectionUpdate, ...]) -> dict:
+    """The ``gradients.jsonl`` record that was encoded whole for every round."""
+    return {
+        "iteration": index,
+        "gradients": [
+            {
+                "target": update.gradient.target.value,
+                "directives": list(update.gradient.directives),
+                "critic_identity": update.gradient.critic_identity,
+                "removed": update.removed,
+                "truncated": update.truncated,
+                "saturated": update.saturated,
+            }
+            for update in updates
+        ],
+        "failures": [
+            {"section": update.gradient.target.value, "reason": update.failure}
+            for update in updates
+            if update.failure
+        ],
+    }
+
+
 # Non-ASCII, quotes, backslashes and characters JSON treats specially; a
 # section normalizes \x1c and \u2028 into line breaks, a parent digest keeps them.
 _AWKWARD = st.text(
@@ -384,6 +413,62 @@ class TestHistoryLinesMatchReference:
         )
         expected = [json.dumps(reference_state_line(s), ensure_ascii=False) + "\n" for s in states]
         assert list(_history_lines(states)) == expected
+
+
+_DIRECTIVE = st.text(
+    alphabet=st.sampled_from(("a", " ", "\xe9", "\u6f22", "\U0001f600", '"', "\\", "\u2028", "\x00")), min_size=1, max_size=8
+).filter(str.strip)
+
+
+@st.composite
+def update_rounds(draw) -> tuple[SectionUpdate, ...]:
+    counts = st.integers(0, 3)
+    return tuple(
+        SectionUpdate(
+            TextualGradient(kind, tuple(draw(st.lists(_DIRECTIVE, max_size=2))), draw(_AWKWARD)),
+            draw(st.none() | _AWKWARD),
+            *(draw(counts) for _ in range(4)),
+            saturated=draw(st.booleans()),
+        )
+        for kind in CANONICAL_ORDER
+    )
+
+
+@st.composite
+def histories_repeating_rounds(draw) -> RunHistory:
+    """Rounds drawn from a small pool of tuples, so one tuple object often
+    follows itself, comes back after another, or has an equal twin."""
+    pool = draw(st.lists(update_rounds(), min_size=1, max_size=3))
+    pool += [tuple(round_) for round_ in pool[: draw(st.integers(0, len(pool)))]]  # equal, not the same object
+    rounds = tuple(draw(st.lists(st.sampled_from(pool), max_size=8)))
+    states = [PromptState.from_sections(())]
+    for _ in rounds:
+        states.append(states[-1].successor(states[-1].sections))
+    return RunHistory(tuple(states), rounds)
+
+
+class TestGradientLinesMatchReference:
+    @settings(max_examples=200)
+    @given(history=histories_repeating_rounds())
+    def test_each_line_is_the_whole_round_encoded(self, history):
+        expected = [
+            json.dumps(reference_gradient_line(index, updates), ensure_ascii=False) + "\n"
+            for index, updates in enumerate(history.updates)
+        ]
+        assert list(_gradient_lines(history)) == expected
+
+    def test_a_repeated_round_reuses_its_encoding(self):
+        updates = tuple(
+            SectionUpdate(TextualGradient.empty(kind, "c"), None, 0, 0, 0, 0, saturated=True) for kind in CANONICAL_ORDER
+        )
+        states = [PromptState.from_sections(())]
+        for _ in range(3):
+            states.append(states[-1].successor(states[-1].sections))
+        history = RunHistory(tuple(states), (updates,) * 3)
+        with mock.patch.object(cli.json, "dumps", wraps=json.dumps) as dumps:
+            lines = list(_gradient_lines(history))
+        assert dumps.call_count == 1
+        assert lines == [json.dumps(reference_gradient_line(i, updates), ensure_ascii=False) + "\n" for i in range(3)]
 
 
 def recorded_digest(record: dict) -> str:
@@ -606,6 +691,19 @@ class CountingCritic(ScriptedBackend):
         return "\n".join(line.upper() if rng.random() < 0.2 else f"- {line}" for line in lines)
 
 
+class GrowingCritic(CountingCritic):
+    """A :class:`CountingCritic` that proposes at least one line, picked by a
+    generator also seeded with the call's number: a section whose request
+    repeats still grows, so runs reach the round that saturates every section.
+    Two runs get the same replies only while they make the same calls."""
+
+    def _reply(self, turns, params) -> str:
+        self.calls += 1
+        rng = random.Random(f"{self.salt}:{self.calls}:{turns[-1].content}")
+        lines = rng.sample(self.pool, rng.randint(1, min(3, len(self.pool))))
+        return "\n".join(line.upper() if rng.random() < 0.2 else f"- {line}" for line in lines)
+
+
 @st.composite
 def saturating_runs(draw) -> tuple[PromptState, list[str], int]:
     """Lexically clean sections within the budget, and a pool of directive
@@ -623,6 +721,24 @@ def saturating_runs(draw) -> tuple[PromptState, list[str], int]:
     return PromptState(sections), pool, budget
 
 
+def stepped_every_round(initial: PromptState, critic, config: OptimizerConfig) -> RunHistory:
+    """``optimize`` before it stopped at the fixed point: ``step`` runs in
+    every round, passed the sections the round before cut or skipped."""
+    states, rounds, saturated = [initial], [], frozenset()
+    for _ in range(config.iterations):
+        result = step(states[-1], critic, config, saturated=saturated)
+        states.append(result.state)
+        rounds.append(result.updates)
+        saturated = frozenset(u.gradient.target for u in result.updates if u.saturated or u.truncated)
+    return RunHistory(tuple(states), tuple(rounds))
+
+
+def artifacts(history: RunHistory) -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as out:
+        _write_run_artifacts(history, Path(out))
+        return {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
+
+
 class TestSaturationSkipMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(run=saturating_runs(), iterations=st.integers(1, 6), salt=st.integers(0, 1000))
@@ -636,6 +752,28 @@ class TestSaturationSkipMatchesReference:
         assert render_prompt(history.final) == render_prompt(expected[-1])
         skipped = sum(update.saturated for round_ in history.updates for update in round_)
         assert critic.calls == reference_critic.calls - skipped
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        run=saturating_runs(),
+        iterations=st.integers(1, 10),
+        salt=st.integers(0, 1000),
+        dedup=st.sampled_from(DedupMode),
+    )
+    def test_same_history_artifacts_and_calls_as_stepping_every_round(self, run, iterations, salt, dedup):
+        initial, pool, budget = run
+        budget = min(budget, len(pool) * len(pool[0].split()))  # one the pool's lines can fill
+        config = OptimizerConfig(iterations, dedup, max_section_tokens=budget)
+        reference_critic, critic = GrowingCritic(pool, salt), GrowingCritic(pool, salt)
+        expected = stepped_every_round(initial, reference_critic, config)
+        with mock.patch.object(optimizer, "step", wraps=step) as stepped:
+            history = optimize(initial, critic, config)
+        assert history == expected
+        assert artifacts(history) == artifacts(expected)
+        assert critic.calls == reference_critic.calls
+        # Round k, the first to saturate every section, is the last one stepped.
+        fixed = [all(update.saturated for update in round_) for round_ in history.updates]
+        assert stepped.call_count == (fixed.index(True) + 1 if True in fixed else iterations)
 
 
 def reference_apply(section: Section, gradient: TextualGradient) -> Section:
