@@ -1452,13 +1452,12 @@ class TestByteOrderMark:
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory) -> dict[str, str]:
         data_dir, made = Path(__file__).parent / "data", tmp_path_factory.mktemp("inputs")
-        prompt = (data_dir / "multi_task_tagged.txt").read_text(encoding="utf-8")
         recording = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--mock", "--record", "--iterations", "1"]
         assert main([*recording, "--out", str(made / "recorded")]) == 0
         for name in ("a", "b"):
             assert main(["eval", str(data_dir / "multi_task_tagged.txt"), str(data_dir / "mcq_ten.jsonl"), "--mock", "--out", str(made / name)]) == 0
         return {
-            "prompt.txt": prompt,
+            "prompt.txt": (data_dir / "multi_task_tagged.txt").read_text(encoding="utf-8"),
             "raw.txt": (data_dir / "multi_task_raw.txt").read_text(encoding="utf-8"),
             "items.jsonl": (data_dir / "mcq_ten.jsonl").read_text(encoding="utf-8"),
             "arc.jsonl": (data_dir / "arc_sample.jsonl").read_text(encoding="utf-8"),
