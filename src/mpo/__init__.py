@@ -9,6 +9,8 @@ without model access, and the evaluation harness scores prompts on
 multiple-choice benchmarks by exact match.
 """
 
+from types import ModuleType as _ModuleType
+
 from .backends import (
     BackendError,
     ChatTurn,
@@ -88,79 +90,5 @@ from .schema import (
 )
 from .templating import PromptTemplate, default_template
 
-__all__ = [
-    "BackendError",
-    "CANONICAL_ORDER",
-    "ChatTurn",
-    "Comparison",
-    "ConsolidationRejected",
-    "CriticBackend",
-    "Dataset",
-    "DatasetError",
-    "DatasetMismatch",
-    "DedupMode",
-    "DiffReport",
-    "DuplicateId",
-    "DuplicateSectionTag",
-    "EmptyInput",
-    "EvalResult",
-    "EvaluationAborted",
-    "ExtractorFailure",
-    "FormatError",
-    "GenerationParams",
-    "HTTPBackend",
-    "HeadingRuleExtractor",
-    "ItemRecord",
-    "MCQItem",
-    "MalformedTag",
-    "MissingAnswerKey",
-    "MockCritic",
-    "MockSolver",
-    "OptimizationAborted",
-    "OptimizerConfig",
-    "PromptState",
-    "PromptTemplate",
-    "Provenance",
-    "RecordingBackend",
-    "ReplayBackend",
-    "ReplayMiss",
-    "RunHistory",
-    "SchemaError",
-    "ScriptedBackend",
-    "Section",
-    "SectionDiff",
-    "SectionKind",
-    "SectionUpdate",
-    "StepResult",
-    "TagCollision",
-    "TargetMismatch",
-    "TextualGradient",
-    "Transcript",
-    "UntaggedLeadingContent",
-    "apply_gradient",
-    "baseline_global_step",
-    "consolidate",
-    "decompose_unstructured",
-    "default_template",
-    "diff_states",
-    "evaluate",
-    "extract_answer",
-    "growth_metrics",
-    "lexical_dedup",
-    "load_dataset",
-    "normalize_line",
-    "optimize",
-    "parse_directives",
-    "parse_structured_prompt",
-    "pose_question",
-    "render_prompt",
-    "request_digest",
-    "request_gradient",
-    "sample_items",
-    "section_context",
-    "step",
-    "strip_code_fences",
-    "strip_tag_strings",
-    "token_count",
-    "vocabulary_violations",
-]
+# The names imported above; submodules (bound by those imports) and underscore names are left out.
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType)))

@@ -80,10 +80,10 @@ class RunConfig:
     solver_model: str = "solver"
     extractor_model: str = "extractor"
     timeout: float = 60.0
-    iterations: int = 3
-    dedup: DedupMode = DedupMode.LEXICAL
-    concurrency: int = 1
-    max_section_tokens: int = 800
+    iterations: int = OptimizerConfig.iterations
+    dedup: DedupMode = OptimizerConfig.dedup_mode
+    concurrency: int = OptimizerConfig.concurrency_width
+    max_section_tokens: int = OptimizerConfig.max_section_tokens
     dataset_format: str = "generic_jsonl"
     split: str = "test"
     limit: int | None = None
@@ -148,7 +148,8 @@ _SETTINGS: tuple[tuple[str, str, tuple, str | None], ...] = (
     ("eval", "split", _checked(str, bool, "non-empty text"), "split"),
     ("eval", "limit", _checked(int, lambda v: v >= 1, "an integer >= 1"), "limit"),
     ("eval", "seed", (int, "an integer"), "seed"),
-    *(("templates", name, (Path, "a path"), None) for name in TEMPLATE_NAMES),
+    # An empty value would read as Path("."), the working directory.
+    *(("templates", name, _checked(str, bool, "a path"), None) for name in TEMPLATE_NAMES),
 )
 
 
@@ -190,7 +191,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             except ValueError:
                 raise CLIError(f"{key} must be {what}, got {value!r}") from None
             if section == "templates":
-                config.templates[key] = value
+                config.templates[key] = Path(value)
             else:
                 setattr(config, key, value)
 

@@ -43,6 +43,7 @@ from mpo.backends import (
     GRADIENT_PARAMS,
     SOLVER_PARAMS,
     fan_out,
+    open_utf8,
 )
 from solvers import Recorder
 
@@ -158,6 +159,17 @@ class TestTranscript:
             Transcript.load(path)
         assert caught.value.start == offset > 8192  # past the text reader's first decode chunk
         assert str(caught.value).endswith(f"invalid start byte (line 78, file byte offset {offset})")
+
+    def test_decode_error_from_the_caller_is_reraised_when_the_file_decodes(self, tmp_path):
+        # The error did not come from the file, so it passes through unchanged, without a file offset.
+        path = tmp_path / "t.txt"
+        path.write_text("plain text\n", encoding="utf-8")
+        raised = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+        with pytest.raises(UnicodeDecodeError) as caught:
+            with open_utf8(path):
+                raise raised
+        assert caught.value is raised
+        assert caught.value.reason == "invalid start byte"
 
     def test_concurrent_appends_all_land(self, tmp_path):
         store = Transcript()

@@ -28,6 +28,7 @@ from mpo import (
     HeadingRuleExtractor,
     MockCritic,
     MockSolver,
+    OptimizerConfig,
     RecordingBackend,
     ScriptedBackend,
     SectionKind,
@@ -204,6 +205,23 @@ class TestRunConfig:
         config = parse_config(["optimize", "p.txt", "--config", str(ini)])
         assert config.templates == {"gradient": Path("custom.txt")}
 
+    def test_optimizer_defaults_are_the_optimizers(self):
+        assert cli.RunConfig().optimizer_config() == OptimizerConfig()
+
+    def test_template_path_is_relative_to_the_working_directory(self, tagged_file, tmp_path, monkeypatch):
+        # The config file's own directory holds a same-named template that would exit 2 if it were read.
+        cwd, elsewhere = tmp_path / "cwd", tmp_path / "elsewhere"
+        cwd.mkdir()
+        elsewhere.mkdir()
+        (elsewhere / "mpo.ini").write_text("[templates]\ngradient = my_gradient.txt\n", encoding="utf-8")
+        (elsewhere / "my_gradient.txt").write_text("no placeholders\n", encoding="utf-8")
+        marker = "Read from the working directory."
+        (cwd / "my_gradient.txt").write_text(f"{marker}\n{default_template('gradient').text}", encoding="utf-8")
+        monkeypatch.chdir(cwd)
+        argv = ["optimize", str(tagged_file), "--config", str(elsewhere / "mpo.ini"), "--iterations", "1"]
+        assert main(argv + ["--record", "--out", "o"]) == 0
+        assert marker in (cwd / "o" / "transcript.jsonl").read_text(encoding="utf-8")
+
     def test_unknown_section_rejected(self, tmp_path):
         ini = tmp_path / "mpo.ini"
         ini.write_text("[misc]\nx = 1\n", encoding="utf-8")
@@ -281,6 +299,7 @@ class TestRunConfig:
             ("eval", "limit", "0", ["--limit", "3"]),
             ("optimizer", "max_section_tokens", "0", []),
             ("backend", "timeout", "nan", []),
+            ("templates", "gradient", "", []),  # Path("") would be the working directory
         ],
     )
     def test_bad_file_value_rejected_under_flag(self, tmp_path, section, key, value, flag):

@@ -145,6 +145,12 @@ class TestHeadingRuleExtractor:
         state = parse_structured_prompt(reply)
         assert "not a heading" in state.section(SectionKind.TASK_DETAILS).content
 
+    def test_label_naming_no_topic_is_content_of_the_current_section(self):
+        source = "Task: summarize the document\nNote: keep it short\n"
+        state = parse_structured_prompt(ask(HeadingRuleExtractor(), source))
+        assert state.section(SectionKind.TASK_DETAILS).content == "summarize the document\nNote: keep it short"
+        assert state.section(SectionKind.RELEVANT_CONTEXT).is_empty
+
     def test_sections_merge_contiguously(self):
         source = (
             "Rules: first rule\n"
