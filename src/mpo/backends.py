@@ -92,11 +92,8 @@ class GenerationParams:
     @functools.cached_property
     def canonical_json(self) -> str:
         """:func:`_params_json` of these params, built once per instance, never shared between
-        equal ones (``0`` and ``0.0`` are equal but encode apart); no field, and not pickled."""
+        equal ones (``0`` and ``0.0`` are equal but encode apart); no field."""
         return _params_json(self.to_dict())
-
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name != "canonical_json"}
 
 
 # Determinism-biased defaults: temperature 0 everywhere, output budgets sized
@@ -430,7 +427,6 @@ class HTTPBackend(CriticBackend):
         timeout: float = 60.0,
         max_attempts: int = 3,
         backoff_base: float = 1.0,
-        session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         import requests  # only a live backend loads the HTTP stack
@@ -438,17 +434,20 @@ class HTTPBackend(CriticBackend):
         base_url = base_url or os.environ.get(BASE_URL_ENV, "")
         if not base_url:
             raise ValueError(f"no base URL: pass base_url or set {BASE_URL_ENV}")
-        if not timeout > 0:
-            raise ValueError(f"timeout must be a positive number of seconds, got {timeout!r}")
+        if not 0 < timeout <= threading.TIMEOUT_MAX:  # a socket rejects a longer one at every call
+            raise ValueError(f"timeout must be a positive number of seconds, at most {threading.TIMEOUT_MAX:.0f}, got {timeout!r}")
         if max_attempts < 1 or backoff_base < 0:
             raise ValueError(f"max_attempts must be >= 1 and backoff_base >= 0, got {max_attempts!r} and {backoff_base!r}")
+        api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
+        if any(ord(char) > 255 or char in "\r\n" for char in api_key):  # every call would fail, naming the key
+            raise ValueError(f"the API key ({API_KEY_ENV}) must be latin-1 text without line breaks, as HTTP headers are")
         self.model = model
         self.base_url = base_url.rstrip("/")
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
+        self.api_key = api_key
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self._sleep = sleep
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:

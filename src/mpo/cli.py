@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from threading import TIMEOUT_MAX
 from typing import Iterable, Iterator
 
 from .backends import (
@@ -138,7 +139,7 @@ _SETTINGS: tuple[tuple[str, str, tuple, str | None], ...] = (
     ("backend", "critic_model", (str, "text"), None),
     ("backend", "solver_model", (str, "text"), None),
     ("backend", "extractor_model", (str, "text"), None),
-    ("backend", "timeout", _checked(float, lambda v: v > 0, "a number > 0"), None),
+    ("backend", "timeout", _checked(float, lambda v: 0 < v <= TIMEOUT_MAX, f"a number > 0 and <= {TIMEOUT_MAX:.0f}"), None),
     ("optimizer", "iterations", _checked(int, lambda v: v >= 0, "an integer >= 0"), "iterations"),
     ("optimizer", "dedup", _one_of([mode.value for mode in DedupMode], DedupMode), "dedup"),
     ("optimizer", "concurrency", _checked(int, lambda v: v >= 1, "an integer >= 1"), "concurrency"),

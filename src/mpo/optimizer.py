@@ -214,26 +214,13 @@ class SectionUpdate:
 
 @dataclass(frozen=True)
 class StepResult:
-    """Outcome of one refinement step.
-
-    ``updates`` has one record per section, in section order; a section whose
-    critique failed gets an empty sentinel gradient. ``failures`` lists the
-    sections that carried over because of a failure, ordered by the step's
-    ``process_order``.
+    """Outcome of one refinement step: the next state, and one update record
+    per section, in section order; a section whose critique failed gets an
+    empty sentinel gradient.
     """
 
     state: PromptState
     updates: tuple[SectionUpdate, ...]
-    process_order: tuple[SectionKind, ...] = CANONICAL_ORDER
-
-    @property
-    def gradients(self) -> tuple[TextualGradient, ...]:
-        return tuple(update.gradient for update in self.updates)
-
-    @property
-    def failures(self) -> tuple[tuple[SectionKind, str], ...]:
-        failed = {u.gradient.target: u.failure for u in self.updates if u.failure}
-        return tuple((kind, failed[kind]) for kind in self.process_order if kind in failed)
 
 
 def step(
@@ -308,7 +295,6 @@ def step(
     return StepResult(
         state=state.successor(tuple(outcomes[kind][0] for kind in CANONICAL_ORDER)),
         updates=tuple(outcomes[kind][1] for kind in CANONICAL_ORDER),
-        process_order=order,
     )
 
 

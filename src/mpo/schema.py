@@ -160,11 +160,8 @@ class Section:
     @functools.cached_property
     def token_count(self) -> int:
         """Whitespace-delimited token count (a model-independent proxy), counted
-        once; like the optimizer's ``line_pass``, no field, and not pickled."""
+        once; no field."""
         return len(self.content.split())
-
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name not in ("token_count", "line_pass")}
 
 
 @dataclass(frozen=True)
@@ -190,21 +187,16 @@ class PromptState:
             raise SchemaError("iteration must be non-negative")
 
     @classmethod
-    def from_sections(
-        cls,
-        sections: Iterable[Section],
-        iteration: int = 0,
-        parent_digest: str | None = None,
-    ) -> "PromptState":
-        """Build a state from sections in any order; missing kinds get empty
-        sections."""
+    def from_sections(cls, sections: Iterable[Section]) -> "PromptState":
+        """Build a state at iteration 0 from sections in any order; missing
+        kinds get empty sections."""
         by_kind: dict[SectionKind, Section] = {}
         for section in sections:
             if section.kind in by_kind:
                 raise SchemaError(f"duplicate section for {section.kind.value}")
             by_kind[section.kind] = section
         ordered = tuple(by_kind.get(kind, Section(kind)) for kind in CANONICAL_ORDER)
-        return cls(ordered, iteration, parent_digest)
+        return cls(ordered)
 
     def successor(self, sections: tuple[Section, ...]) -> "PromptState":
         """The next state in the digest chain, holding ``sections``. When each
@@ -218,19 +210,13 @@ class PromptState:
     def section(self, kind: SectionKind) -> Section:
         return self.sections[CANONICAL_ORDER.index(kind)]
 
-    def contents(self) -> dict[SectionKind, str]:
-        return {section.kind: section.content for section in self.sections}
-
     @property
     def digest(self) -> str:
         """Content digest: SHA-256 of the rendered prompt, computed once; the
-        cache is no field, and pickling drops it (``__getstate__``)."""
+        cache is no field."""
         if "_digest" not in self.__dict__:
             self.__dict__["_digest"] = hashlib.sha256(render_prompt(self).encode("utf-8")).hexdigest()
         return self.__dict__["_digest"]
-
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name != "_digest"}
 
     @property
     def total_tokens(self) -> int:

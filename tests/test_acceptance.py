@@ -76,7 +76,7 @@ def test_02_round_trip(clock, data_dir):
         state = local.seeded_state(rng)
         rendered = render_prompt(state)
         reparsed = parse_structured_prompt(rendered)
-        assert reparsed.contents() == state.contents()
+        assert reparsed.sections == state.sections
         assert render_prompt(reparsed) == rendered
     fixture = (data_dir / "multi_task_tagged.txt").read_text(encoding="utf-8")
     assert render_prompt(parse_structured_prompt(fixture)) == fixture

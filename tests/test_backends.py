@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -285,7 +284,6 @@ class TestRecordReplay:
         request_digest(TURNS, params)
         assert replay.complete(TURNS, params) == "reply"
         assert encoded == [params.to_dict()]
-        assert pickle.dumps(params) == pickle.dumps(GenerationParams())  # the cache is not pickled
 
     def test_stored_digest_is_a_label_not_the_lookup(self):
         entry = transcript_record("reply", digest="label")
@@ -780,6 +778,21 @@ class TestHTTPBackend:
     def test_non_positive_timeout_rejected(self, timeout):
         with pytest.raises(ValueError, match="timeout must be a positive number"):
             HTTPBackend("m", "http://127.0.0.1:9", timeout=timeout)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"timeout": float("inf")}, {"timeout": 1e10}, {"api_key": "\u043a\u043b\u044e\u0447"}, {"api_key": "a\r\nb"}],
+    )
+    def test_settings_every_call_would_fail_on_rejected(self, setting):
+        with pytest.raises(ValueError, match=f"at most {threading.TIMEOUT_MAX:.0f}|must be latin-1 text without line breaks"):
+            HTTPBackend("m", "http://127.0.0.1:9", **setting)
+
+    def test_longest_timeout_and_a_latin1_key_are_sent(self, http_server):
+        base_url, script = http_server
+        script.script.append(_ok())
+        backend = self._backend(base_url, api_key="cl\xe9", timeout=threading.TIMEOUT_MAX)
+        assert backend.complete(TURNS, PARAMS) == "fine"
+        assert script.seen[0]["auth"] == "Bearer cl\xe9"
 
     @pytest.mark.parametrize("setting", [{"max_attempts": 0}, {"max_attempts": -1}, {"backoff_base": -1.0}])
     def test_retry_settings_that_cannot_work_rejected(self, setting):

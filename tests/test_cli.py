@@ -360,7 +360,28 @@ class TestRunConfig:
         ini.write_text("[backend]\nbase_url = http://127.0.0.1:9\ntimeout = 0\n", encoding="utf-8")
         argv = ["optimize", str(tagged_file), "--live", "--config", str(ini), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
-        assert "timeout must be a number > 0, got '0'" in capsys.readouterr().err
+        assert f"timeout must be a number > 0 and <= {threading.TIMEOUT_MAX:.0f}, got '0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["inf", "1e400", "1e10"])
+    def test_timeout_past_the_socket_limit_exits_two(self, timeout, tmp_path, tagged_file, capsys):
+        # A socket rejects it at every call, which would abort the run at its first call.
+        ini = tmp_path / "mpo.ini"
+        ini.write_text(f"[backend]\nbase_url = http://127.0.0.1:9\ntimeout = {timeout}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["optimize", str(tagged_file), "--live", "--config", str(ini), "--out", str(out)]) == 2
+        assert f"timeout must be a number > 0 and <= {threading.TIMEOUT_MAX:.0f}, got '{timeout}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["\u043a\u043b\u044e\u0447", "secret\n"], ids=["not_latin1", "line_break"])
+    def test_api_key_no_header_can_carry_exits_two(self, key, tmp_path, tagged_file, capsys, monkeypatch):
+        # HTTP sends header values as latin-1 on one line, so every call would fail on this key.
+        monkeypatch.setenv("MPO_API_KEY", key)
+        monkeypatch.setenv("MPO_BASE_URL", "http://127.0.0.1:9")
+        out = tmp_path / "o"
+        assert main(["optimize", str(tagged_file), "--live", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "the API key (MPO_API_KEY) must be latin-1 text without line breaks" in err and key.strip() not in err
+        assert not out.exists()
 
     def test_record_during_replay_disabled(self, tmp_path, caplog):
         with caplog.at_level("WARNING", logger="mpo.cli"):

@@ -46,6 +46,11 @@ def _repeats(text: str) -> int:
     return len(keys) - len(set(keys))
 
 
+def _failures(updates) -> list[tuple[SectionKind, str]]:
+    """The failed sections of one round's updates, in section order, with why."""
+    return [(update.gradient.target, update.failure) for update in updates if update.failure]
+
+
 def _gradient(kind: SectionKind, *directives: str) -> TextualGradient:
     return TextualGradient(kind, directives, critic_identity="t:t")
 
@@ -182,8 +187,8 @@ class TestStep:
         result = step(state, MockCritic())
         assert result.state.iteration == 1
         assert result.state.parent_digest == state.digest
-        assert result.failures == ()
-        assert [g.target for g in result.gradients] == list(CANONICAL_ORDER)
+        assert _failures(result.updates) == []
+        assert [u.gradient.target for u in result.updates] == list(CANONICAL_ORDER)
         for kind in CANONICAL_ORDER:
             before = state.section(kind).content
             after = result.state.section(kind).content
@@ -224,8 +229,7 @@ class TestStep:
             return "Extra line."
 
         result = step(state, ScriptedBackend(reply))
-        assert len(result.failures) == 1
-        kind, reason = result.failures[0]
+        ((kind, reason),) = _failures(result.updates)
         assert kind is SectionKind.CONSTRAINTS
         assert "critic offline" in reason
         assert result.state.section(SectionKind.CONSTRAINTS) is state.section(
@@ -233,7 +237,7 @@ class TestStep:
         )
         # The sentinel keeps the gradient tuple aligned with section order.
         index = CANONICAL_ORDER.index(SectionKind.CONSTRAINTS)
-        assert result.gradients[index].is_empty
+        assert result.updates[index].gradient.is_empty
         assert result.state.section(SectionKind.TASK_DETAILS).content.endswith("Extra line.")
 
     def test_tag_bearing_reply_isolated(self, build_state):
@@ -243,8 +247,7 @@ class TestStep:
         assert result.state.section(SectionKind.CONSTRAINTS) is state.section(
             SectionKind.CONSTRAINTS
         )
-        assert len(result.failures) == 1
-        assert result.failures[0][0] is SectionKind.CONSTRAINTS
+        assert [kind for kind, _ in _failures(result.updates)] == [SectionKind.CONSTRAINTS]
 
     def test_lexical_dedup_drops_repeated_directive(self, build_state):
         state = build_state(constraints="Be brief.")
@@ -351,7 +354,7 @@ class TestStep:
         sequential = step(state, MockCritic())
         concurrent = step(state, MockCritic(), OptimizerConfig(concurrency_width=3))
         assert concurrent.state.digest == sequential.state.digest
-        assert concurrent.gradients == sequential.gradients
+        assert concurrent.updates == sequential.updates
 
     def test_concurrent_isolates_backend_errors(self, build_state):
         state = build_state(task_details="Answer.")
@@ -362,7 +365,7 @@ class TestStep:
             return ""
 
         result = step(state, ScriptedBackend(reply), OptimizerConfig(concurrency_width=4))
-        assert [kind for kind, _ in result.failures] == [SectionKind.TASK_DETAILS]
+        assert [kind for kind, _ in _failures(result.updates)] == [SectionKind.TASK_DETAILS]
 
 
     def test_llm_consolidations_overlap_across_sections(self, build_state):
@@ -393,7 +396,7 @@ class TestStep:
             critic(threading.Barrier(5, timeout=5)),
             OptimizerConfig(dedup_mode=DedupMode.LLM, concurrency_width=5),
         )
-        assert overlapped.failures == ()
+        assert _failures(overlapped.updates) == []
         assert overlapped.state.digest == serial.state.digest
         assert "Keep the Constraints short." in overlapped.state.section(SectionKind.CONSTRAINTS).content
 
@@ -411,10 +414,10 @@ class TestStep:
         config = OptimizerConfig(dedup_mode=DedupMode.LLM, concurrency_width=5)
         for order in (CANONICAL_ORDER, tuple(reversed(CANONICAL_ORDER))):
             result = step(state, ScriptedBackend(reply), config, process_order=order)
-            failed = (SectionKind.TASK_DETAILS, SectionKind.CONSTRAINTS)
-            assert [kind for kind, _ in result.failures] == [k for k in order if k in failed]
+            failed = {kind for kind, _ in _failures(result.updates)}
+            assert failed == {SectionKind.TASK_DETAILS, SectionKind.CONSTRAINTS}
             assert result.state.section(SectionKind.CONSTRAINTS).content == "Be brief."
-            assert result.gradients[3].directives == ("Add a rule.",)
+            assert result.updates[3].gradient.directives == ("Add a rule.",)
 
     def test_non_backend_error_aborts_at_every_width(self, build_state):
         state = build_state(task_details="Answer.")
@@ -455,7 +458,7 @@ class TestSaturation:
         assert record.gradient == TextualGradient.empty(kind, critic_identity=critic.identity)
         assert (record.duplicates_before, record.duplicates_after) == (1, 1)
         assert (record.removed, record.truncated) == (0, 0)
-        assert result.failures == ()
+        assert _failures(result.updates) == []
         assert [u.saturated for u in result.updates] == [k is kind for k in CANONICAL_ORDER]
 
     def test_listed_section_is_skipped_under_budget(self, build_state):
@@ -524,7 +527,7 @@ class TestOptimize:
 
         history = optimize(state, ScriptedBackend(reply), OptimizerConfig(iterations=2))
         assert history.iterations == 2
-        assert history.final.contents() == state.contents()
+        assert history.final.sections == state.sections
         assert len(history.failures[0]) == 5
 
     @pytest.mark.parametrize(
@@ -576,7 +579,7 @@ class TestBaselineGlobalStep:
         result = baseline_global_step(tagged_prompt, MockCritic())
         assert result.iteration == tagged_prompt.iteration + 1
         assert result.parent_digest == tagged_prompt.digest
-        assert result.contents() == tagged_prompt.contents()
+        assert [s.content for s in result.sections] == [s.content for s in tagged_prompt.sections]
         for section in result.sections:
             if not section.is_empty:
                 assert section.provenance is Provenance.REFINED

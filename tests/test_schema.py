@@ -104,7 +104,7 @@ class TestPromptState:
         )
         assert plain.digest == refined.digest
         assert plain.digest != build_state(task_details="changed").digest
-        assert plain.contents() == refined.contents()
+        assert [s.content for s in plain.sections] == [s.content for s in refined.sections]
 
     def test_total_tokens(self, build_state):
         state = build_state(system_role="a b", constraints="c d e")
@@ -132,7 +132,7 @@ class TestParse:
         assert named == set(_TAG_ALIASES) - {kind.tag[1:-1].lower() for kind in SectionKind}
 
     def test_fixture_sections(self, tagged_prompt):
-        contents = tagged_prompt.contents()
+        contents = {section.kind: section.content for section in tagged_prompt.sections}
         assert contents[SectionKind.SYSTEM_ROLE] == (
             "You are a helpful, creative, and smart assistant."
         )
@@ -216,7 +216,7 @@ class TestRender:
     @given(state=strategies.prompt_states())
     def test_round_trip_identity(self, state):
         parsed = parse_structured_prompt(render_prompt(state))
-        assert parsed.contents() == state.contents()
+        assert parsed.sections == state.sections
 
     @settings(max_examples=50)
     @given(state=strategies.prompt_states())
@@ -319,7 +319,7 @@ class _ExplodingBackend(ScriptedBackend):
 class TestDecompose:
     def test_tagged_input_bypasses_extractor(self, tagged_prompt_text, tagged_prompt):
         state = decompose_unstructured(tagged_prompt_text, _ExplodingBackend())
-        assert state.contents() == tagged_prompt.contents()
+        assert state.sections == tagged_prompt.sections
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):
