@@ -23,7 +23,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -36,6 +36,7 @@ API_KEY_ENV = "MPO_API_KEY"
 BASE_URL_ENV = "MPO_BASE_URL"
 
 _ROLES = ("system", "user", "assistant")
+MAX_ATTEMPTS = 3  # tries per live call; see HTTPBackend
 
 
 class BackendError(Exception):
@@ -61,8 +62,8 @@ class ChatTurn:
     def __post_init__(self) -> None:
         if self.role not in _ROLES:
             raise ValueError(f"role must be one of {_ROLES}, got {self.role!r}")
-        if self.content is None:
-            raise ValueError("content must not be None")
+        if not isinstance(self.content, str):
+            raise ValueError(f"content must be a string, got {type(self.content).__name__}")
 
     def to_dict(self) -> dict:
         return {"role": self.role, "content": self.content}
@@ -83,11 +84,7 @@ class GenerationParams:
             raise ValueError("max_output_tokens must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "max_output_tokens": self.max_output_tokens,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @functools.cached_property
     def canonical_json(self) -> str:
@@ -97,9 +94,10 @@ class GenerationParams:
 
 
 # Determinism-biased defaults: temperature 0 everywhere, output budgets sized
-# per use (short critiques, longer consolidations, one-letter answers).
+# per use (short critiques, longer consolidations and decompositions, one-letter answers).
 GRADIENT_PARAMS = GenerationParams(max_output_tokens=512)
 CONSOLIDATION_PARAMS = GenerationParams(max_output_tokens=1024)
+DECOMPOSE_PARAMS = GenerationParams(max_output_tokens=1024)
 SOLVER_PARAMS = GenerationParams(max_output_tokens=64)
 
 
@@ -212,11 +210,13 @@ def _checked_record(line: str) -> dict:
     record = json.loads(line)
     if not isinstance(record, dict) or not all(key in record for key in keys):
         raise ValueError(f"a record is an object with the keys {', '.join(keys)}")
-    if not isinstance(record["request"], list) or not all(
-        isinstance(turn, dict) and turn.get("role") in _ROLES and isinstance(turn.get("content"), str)
-        for turn in record["request"]
-    ):
-        raise ValueError(f"request must be a list of turns, each with a role in {_ROLES} and string content")
+    try:
+        if not isinstance(record["request"], list):
+            raise TypeError("not a list")
+        for turn in record["request"]:
+            ChatTurn(turn["role"], turn["content"])  # the one turn check
+    except (LookupError, TypeError, ValueError):
+        raise ValueError(f"request must be a list of turns, each with a role in {_ROLES} and string content") from None
     if not isinstance(record["params"], dict) or not all(isinstance(record.get(key, ""), str) for key in ("response", "error")):
         raise ValueError("params must be an object, and response and any error strings")
     return record
@@ -411,10 +411,10 @@ class HTTPBackend(CriticBackend):
     """Live backend for OpenAI-compatible chat-completion endpoints.
 
     POSTs to ``{base_url}/v1/chat/completions`` with a bearer token.  Retries
-    transport failures, 429 and 5xx responses up to three attempts with
-    exponential backoff (1s then 2s), or after the response's ``Retry-After``
-    when it gives seconds or an HTTP-date; a ``Retry-After`` wait longer than
-    ``timeout`` fails at once instead. Other HTTP errors fail immediately.
+    transport failures, 429 and 5xx responses up to ``MAX_ATTEMPTS`` (three)
+    attempts with exponential backoff (1s then 2s), or after the response's
+    ``Retry-After`` when it gives seconds or an HTTP-date; such a wait longer
+    than ``timeout`` fails at once instead. Other HTTP errors fail immediately.
     """
 
     name = "http"
@@ -425,7 +425,6 @@ class HTTPBackend(CriticBackend):
         base_url: str | None = None,
         api_key: str | None = None,
         timeout: float = 60.0,
-        max_attempts: int = 3,
         backoff_base: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -436,8 +435,8 @@ class HTTPBackend(CriticBackend):
             raise ValueError(f"no base URL: pass base_url or set {BASE_URL_ENV}")
         if not 0 < timeout <= threading.TIMEOUT_MAX:  # a socket rejects a longer one at every call
             raise ValueError(f"timeout must be a positive number of seconds, at most {threading.TIMEOUT_MAX:.0f}, got {timeout!r}")
-        if max_attempts < 1 or backoff_base < 0:
-            raise ValueError(f"max_attempts must be >= 1 and backoff_base >= 0, got {max_attempts!r} and {backoff_base!r}")
+        if backoff_base < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {backoff_base!r}")
         api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if any(ord(char) > 255 or char in "\r\n" for char in api_key):  # every call would fail, naming the key
             raise ValueError(f"the API key ({API_KEY_ENV}) must be latin-1 text without line breaks, as HTTP headers are")
@@ -445,7 +444,6 @@ class HTTPBackend(CriticBackend):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
-        self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._session = requests.Session()
         self._sleep = sleep
@@ -467,17 +465,15 @@ class HTTPBackend(CriticBackend):
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         last_error, delay = "", 0.0
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 self._sleep(delay)
             delay = self.backoff_base * 2**attempt
             try:
-                response = self._session.post(
-                    url, json=body, headers=headers, timeout=self.timeout
-                )
+                response = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = f"transport error: {exc}"
-                logger.warning("attempt %d/%d failed: %s", attempt + 1, self.max_attempts, last_error)
+                logger.warning("attempt %d/%d failed: %s", attempt + 1, MAX_ATTEMPTS, last_error)
                 continue
             if response.status_code == 429 or response.status_code >= 500:
                 last_error = f"status {response.status_code}"
@@ -488,7 +484,7 @@ class HTTPBackend(CriticBackend):
                         f"longer than the {self.timeout:g} s timeout"
                     )
                 delay = delay if wait is None else wait
-                logger.warning("attempt %d/%d failed: %s", attempt + 1, self.max_attempts, last_error)
+                logger.warning("attempt %d/%d failed: %s", attempt + 1, MAX_ATTEMPTS, last_error)
                 continue
             if response.status_code != 200:
                 raise BackendError(
@@ -497,7 +493,7 @@ class HTTPBackend(CriticBackend):
                 )
             return self._extract_content(response)
         raise BackendError(
-            f"request failed after {self.max_attempts} attempts: {last_error}"
+            f"request failed after {MAX_ATTEMPTS} attempts: {last_error}"
         )
 
     @staticmethod

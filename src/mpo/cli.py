@@ -253,10 +253,7 @@ def _run_backend(config: RunConfig, role: str) -> Iterator[tuple[CriticBackend, 
     when it finishes; the file is closed however the command ends, Ctrl-C
     included."""
     backend = build_backend(config, role)
-    try:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CLIError(f"cannot create output directory {config.out_dir}: {exc}") from exc
+    _make_dir(config.out_dir)
     stream = contextlib.nullcontext()
     if config.record:
         path = config.out_dir / "transcript.jsonl"
@@ -267,6 +264,14 @@ def _run_backend(config: RunConfig, role: str) -> Iterator[tuple[CriticBackend, 
         backend = RecordingBackend(backend, Transcript(stream=stream))
     with stream:
         yield backend, config.out_dir
+
+
+def _make_dir(path: Path) -> None:
+    """Create the output directory ``path``; a failure exits 2, naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CLIError(f"cannot create output directory {path}: {exc}") from exc
 
 
 def _write(path: Path, lines: Iterable[str]) -> None:
@@ -432,11 +437,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise CLIError(str(exc)) from exc
     print(comparison.to_text())
     if args.out:
-        out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CLIError(f"cannot create output directory {out_dir}: {exc}") from exc
+        _make_dir(out_dir := Path(args.out))
         path = out_dir / "comparison.json"
         _write_json(path, comparison.to_dict())
         print(f"wrote {path}")

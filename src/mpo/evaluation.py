@@ -14,7 +14,7 @@ import json
 import logging
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from random import Random
 from typing import Sequence
@@ -278,17 +278,11 @@ def _subject_from_filename(path: Path) -> str:
     return stem
 
 
-def pose_question(
-    state: PromptState, item: MCQItem, template: PromptTemplate | None = None
-) -> str:
-    """Assemble the full solver input: rendered prompt plus question block."""
-    template = template or default_template("question")
-    return render_prompt(state) + "\n" + _question_block(item, template)
-
-
-def _question_block(item: MCQItem, template: PromptTemplate) -> str:
+def pose_question(prompt: str, item: MCQItem, template: PromptTemplate | None = None) -> str:
+    """The solver input: the rendered ``prompt``, a newline, then ``item`` filled into ``template``."""
     choices = "\n".join(f"{letter}. {text}" for letter, text in item.choices)
-    return template.fill(QUESTION=item.question, CHOICES=choices)
+    block = (template or default_template("question")).fill(QUESTION=item.question, CHOICES=choices)
+    return f"{prompt}\n{block}"
 
 
 def extract_answer(response: str, valid: frozenset[str] | set[str]) -> str | None:
@@ -348,16 +342,9 @@ class ItemRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ItemRecord":
-        """Read a record back, rejecting what :func:`evaluate` cannot have written."""
-        record = cls(
-            id=data["id"],
-            raw_response=data["raw_response"],
-            extracted=data["extracted"],
-            gold=data["gold"],
-            correct=data["correct"],
-            subject=data.get("subject"),
-            note=data.get("note", ""),
-        )
+        """Read a record back, rejecting what :func:`evaluate` cannot have written; a
+        field with a default may be missing and takes it."""
+        record = cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING})
         for name in ("id", "raw_response", "gold", "note"):
             if not isinstance(getattr(record, name), str):
                 raise ValueError(f"record field {name!r} must be a string")
@@ -439,12 +426,14 @@ class EvalResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalResult":
-        return cls(
-            dataset_name=data["dataset_name"],
-            split=data["split"],
-            prompt_digest=data["prompt_digest"],
-            records=tuple(ItemRecord.from_dict(r) for r in data["records"]),
-        )
+        """Read a result back, rejecting what :func:`evaluate` cannot have written."""
+        for name in ("dataset_name", "split", "prompt_digest"):
+            if not isinstance(data[name], str):
+                raise ValueError(f"result field {name!r} must be a string")
+        records = tuple(ItemRecord.from_dict(r) for r in data["records"])
+        if len({record.id for record in records}) < len(records):
+            raise ValueError("record ids must be unique")
+        return cls(data["dataset_name"], data["split"], data["prompt_digest"], records)
 
 
 def evaluate(
@@ -472,8 +461,7 @@ def evaluate(
         raise DatasetError(f"dataset {dataset.name} has no items")
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
-    template = template or default_template("question")
-    rendered = render_prompt(state) + "\n"  # the prompt is the same for every item
+    prompt = render_prompt(state)  # the same for every item
     items, total = dataset.items, len(dataset.items)
     lock = threading.Lock()
     finished_failures, last_failure = 0, -1  # in any order, for the skip
@@ -484,9 +472,9 @@ def evaluate(
             if finished_failures * 2 > total and index > last_failure:
                 return None
         item = items[index]
-        posed = rendered + _question_block(item, template)
+        turn = ChatTurn("user", pose_question(prompt, item, template))
         try:
-            response, note = solver.complete((ChatTurn("user", posed),), SOLVER_PARAMS), ""
+            response, note = solver.complete((turn,), SOLVER_PARAMS), ""
         except BackendError as exc:
             with lock:
                 finished_failures += 1

@@ -258,26 +258,22 @@ def step(
     saturated = saturated | {k for k in order if state.section(k).token_count >= budget}
 
     def update(kind: SectionKind) -> tuple[Section, SectionUpdate]:
-        section = state.section(kind)
-        before = grown = _line_pass(section)
-        if kind in saturated:
-            gradient = TextualGradient.empty(kind, critic_identity=critic.identity)
-            dropped = before.dropped
-            return section, SectionUpdate(gradient, None, dropped, dropped, 0, 0, saturated=True)
-        landed, failure, truncated = section, None, 0
-        try:
-            gradient = request_gradient(
-                critic, section, section_context(state, kind), template=gradient_template
-            )
-        except BackendError as exc:
-            logger.warning("critique failed for %s: %s", kind.display_name, exc)
-            gradient = TextualGradient.empty(kind, critic_identity=critic.identity)
-            failure = f"critique failed: {exc}"
+        section = landed = state.section(kind)
+        grown = _line_pass(section)
+        gradient, failure, truncated = TextualGradient.empty(kind, critic_identity=critic.identity), None, 0
+        if kind not in saturated:
+            try:
+                gradient = request_gradient(
+                    critic, section, section_context(state, kind), template=gradient_template
+                )
+            except BackendError as exc:
+                logger.warning("critique failed for %s: %s", kind.display_name, exc)
+                failure = f"critique failed: {exc}"
         if not gradient.is_empty:
             try:
                 expanded = apply_gradient(section, gradient)
                 # Only the lines past the incoming section's own are new to scan.
-                grown = before.then(expanded.content[len(section.content) + bool(section.content):])
+                grown = grown.then(expanded.content[len(section.content) + bool(section.content):])
                 cleaned = _dedup(expanded, grown, critic, config, consolidate_template)
                 landed, truncated = _truncate_to_token_budget(cleaned, budget)
                 if landed.content == section.content:  # every new line was dropped
@@ -288,7 +284,7 @@ def step(
                 failure = f"update failed: {exc}"
         after = _line_pass(landed)
         removed = max(0, grown.lines + grown.dropped - after.lines - after.dropped - truncated)
-        return landed, SectionUpdate(gradient, failure, grown.dropped, after.dropped, removed, truncated)
+        return landed, SectionUpdate(gradient, failure, grown.dropped, after.dropped, removed, truncated, kind in saturated)
 
     with fan_out(update, order, config.concurrency_width) as results:
         outcomes = dict(zip(order, results))

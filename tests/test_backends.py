@@ -61,8 +61,13 @@ class TestChatTurn:
         assert ChatTurn("user", "hi").to_dict() == {"role": "user", "content": "hi"}
 
     def test_none_content_rejected(self):
-        with pytest.raises(ValueError, match="content must not be None"):
+        with pytest.raises(ValueError, match="content must be a string, got NoneType"):
             ChatTurn("user", None)
+
+    @pytest.mark.parametrize("content", [5, b"x"], ids=["int", "bytes"])
+    def test_non_string_content_rejected(self, content):
+        with pytest.raises(ValueError, match=f"content must be a string, got {type(content).__name__}"):
+            ChatTurn("user", content)
 
 
 class TestGenerationParams:
@@ -426,6 +431,19 @@ class TestRecordedLine:
         assert replay.complete(TURNS, PARAMS) == "after"
         with pytest.raises(ReplayMiss):
             replay.complete(TURNS, PARAMS)
+
+    @pytest.mark.parametrize("content", [5, None, ["x"]], ids=["int", "none", "list"])
+    def test_turn_content_that_is_not_a_string_fails_load_with_the_request_text(self, tmp_path, content):
+        # ChatTurn is the one turn check: it refuses the turn, so no recording can hold it,
+        # and a line that holds it anyway fails to load with the request's error text.
+        with pytest.raises(ValueError, match="content must be a string"):
+            ChatTurn("user", content)
+        path = tmp_path / "t.jsonl"
+        record = {**transcript_record(), "request": [{"role": "user", "content": content}]}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        text = "line 1: request must be a list of turns, each with a role in ('system', 'user', 'assistant') and string content"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            Transcript.load(path)
 
     @pytest.mark.parametrize("error", [5, None, ["down"]])
     def test_error_that_is_not_a_string_rejected_at_load(self, tmp_path, error):
@@ -794,10 +812,13 @@ class TestHTTPBackend:
         assert backend.complete(TURNS, PARAMS) == "fine"
         assert script.seen[0]["auth"] == "Bearer cl\xe9"
 
-    @pytest.mark.parametrize("setting", [{"max_attempts": 0}, {"max_attempts": -1}, {"backoff_base": -1.0}])
-    def test_retry_settings_that_cannot_work_rejected(self, setting):
-        with pytest.raises(ValueError, match="max_attempts must be >= 1 and backoff_base >= 0"):
-            HTTPBackend("m", "http://127.0.0.1:9", **setting)
+    def test_retry_settings_that_cannot_work_rejected(self):
+        with pytest.raises(ValueError, match="backoff_base must be >= 0"):
+            HTTPBackend("m", "http://127.0.0.1:9", backoff_base=-1.0)
+
+    def test_attempts_are_not_a_setting(self):
+        with pytest.raises(TypeError, match="max_attempts"):
+            HTTPBackend("m", "http://127.0.0.1:9", max_attempts=3)
 
     def test_client_errors_never_retry(self, http_server):
         base_url, script = http_server

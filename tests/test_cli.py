@@ -1350,6 +1350,32 @@ class TestCompare:
         assert main(["compare", str(a), str(b)]) == 2
         assert "'correct' is 'false'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("tamper", "reason"),
+        [
+            ({"dataset_name": [1, 2]}, "result field 'dataset_name' must be a string"),
+            ({"split": None}, "result field 'split' must be a string"),
+            ({"prompt_digest": 7}, "result field 'prompt_digest' must be a string"),
+            ("repeat the first record", "record ids must be unique"),
+        ],
+        ids=["list-name", "null-split", "number-digest", "repeated-id"],
+    )
+    def test_result_evaluate_cannot_write_exits_two_naming_it(
+        self, tamper, reason, tagged_prompt, dataset_file, tmp_path, capsys
+    ):
+        good = self._write_result(tmp_path, "g.json", 5, load_dataset(dataset_file, "generic_jsonl"), tagged_prompt)
+        payload = json.loads(good.read_text(encoding="utf-8"))
+        if isinstance(tamper, dict):
+            payload.update(tamper)
+        else:  # the baseline repeats its one id, so the good file's item set differs from it
+            payload["records"] = payload["records"][:1] * 2
+        bad = tmp_path / "b.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["compare", str(bad), str(good), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bad} is not an evaluation result file: {reason}\n"
+        assert not out.exists()
+
     def test_non_result_file_exits_two(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

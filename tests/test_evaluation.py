@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import re
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from mpo import (
     BackendError,
+    ChatTurn,
     Comparison,
     Dataset,
     DatasetError,
@@ -25,6 +27,7 @@ from mpo import (
     ItemRecord,
     MCQItem,
     MissingAnswerKey,
+    PromptTemplate,
     ScriptedBackend,
     evaluate,
     extract_answer,
@@ -33,6 +36,7 @@ from mpo import (
     render_prompt,
     sample_items,
 )
+from mpo import evaluation
 from mpo.backends import fan_out
 
 from solvers import gold_solver, scored_solver
@@ -345,7 +349,7 @@ class TestSampleItems:
 class TestPoseQuestion:
     def test_contains_prompt_question_and_choices(self, tagged_prompt, ten_items):
         item = ten_items.items[0]
-        posed = pose_question(tagged_prompt, item)
+        posed = pose_question(render_prompt(tagged_prompt), item)
         assert posed.startswith(render_prompt(tagged_prompt))
         assert item.question in posed
         for letter, text in item.choices:
@@ -444,6 +448,38 @@ class TestEvaluate:
         # Sequential mode stops at the first item that tips past half.
         assert partial.total == 6
         assert all(record.note for record in partial.records)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_each_solved_item_is_posed_once_through_pose_question(self, tagged_prompt, ten_items, monkeypatch, width):
+        # Rebound on the module by name, as a tracer that wraps mpo's functions does.
+        posed, original = [], evaluation.pose_question
+
+        def counting(prompt, item, template=None):
+            posed.append(item.id)
+            return original(prompt, item, template)
+
+        def down(turns, params):
+            raise BackendError("down")
+
+        monkeypatch.setattr(evaluation, "pose_question", counting)
+        evaluate(tagged_prompt, ten_items, gold_solver(ten_items), concurrency=width)
+        assert sorted(posed) == sorted(item.id for item in ten_items.items)
+        posed.clear()
+        with pytest.raises(EvaluationAborted) as excinfo:
+            evaluate(tagged_prompt, ten_items, ScriptedBackend(down))
+        assert posed == [record.id for record in excinfo.value.result.records]  # the 6 items solved, not 10
+
+    @pytest.mark.parametrize("template", [None, PromptTemplate("Q: {QUESTION}\n{CHOICES}\nReply with one letter.")])
+    def test_each_request_is_the_posed_question(self, tagged_prompt, ten_items, template):
+        requests = []
+
+        def reply(turns, params):
+            requests.append(turns)
+            return "Answer: A"
+
+        evaluate(tagged_prompt, ten_items, ScriptedBackend(reply), template=template)
+        prompt = render_prompt(tagged_prompt)
+        assert requests == [(ChatTurn("user", pose_question(prompt, item, template)),) for item in ten_items.items]
 
     def test_concurrent_matches_sequential(self, tagged_prompt, ten_items):
         solver = gold_solver(ten_items)
@@ -593,6 +629,18 @@ class TestItemRecord:
     def test_correct_must_be_extracted_equals_gold(self, extracted, correct):
         with pytest.raises(ValueError, match="'correct' is"):
             ItemRecord.from_dict({**self.ROW, "extracted": extracted, "correct": correct})
+
+
+    def test_fields_with_a_default_may_be_missing_and_need_no_reader_edit(self):
+        @dataclasses.dataclass(frozen=True)
+        class Flagged(ItemRecord):
+            rule: int = 0
+
+        row = {key: value for key, value in self.ROW.items() if key not in ("subject", "note")}
+        assert Flagged.from_dict(row) == Flagged(**self.ROW)
+        assert Flagged.from_dict({**row, "rule": 2}).rule == 2
+        with pytest.raises(KeyError, match="gold"):
+            Flagged.from_dict({key: value for key, value in row.items() if key != "gold"})
 
 
 class TestEvalResult:

@@ -321,6 +321,15 @@ class TestDecompose:
         state = decompose_unstructured(tagged_prompt_text, _ExplodingBackend())
         assert state.sections == tagged_prompt.sections
 
+    def test_extractor_is_asked_with_the_decompose_params(self):
+        from mpo.backends import DECOMPOSE_PARAMS
+
+        asked = []
+        decompose_unstructured("solve the problem", ScriptedBackend(lambda turns, params: asked.append(params) or "<Task>\nx\n"))
+        (params,) = asked
+        assert params is DECOMPOSE_PARAMS
+        assert DECOMPOSE_PARAMS.to_dict() == {"temperature": 0.0, "max_output_tokens": 1024, "seed": None}
+
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):
             decompose_unstructured("  \n ", HeadingRuleExtractor())
