@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import logging
 import os
@@ -101,6 +100,15 @@ DECOMPOSE_PARAMS = GenerationParams(max_output_tokens=1024)
 SOLVER_PARAMS = GenerationParams(max_output_tokens=64)
 
 
+try:  # CPython's own SHA-256: OpenSSL's digests without loading OpenSSL (about 3.6 MB)
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256  # an interpreter built without its own hashes
+
+
 def request_digest(turns: Sequence[ChatTurn], params: GenerationParams) -> str:
     """Deterministic content hash of a request, stable across processes."""
     return _encoded_request(turns, params)[0]
@@ -111,7 +119,7 @@ def _encoded_request(turns: Sequence[ChatTurn], params: GenerationParams) -> tup
     digest is SHA-256 of the canonical ``{"params":...,"turns":[...]}`` (sorted keys, no
     spaces), fed piece by piece so that no copy of the whole request is built."""
     escaped = [(json.dumps(turn.role), json.dumps(turn.content, ensure_ascii=False)) for turn in turns]
-    digest = hashlib.sha256(f'{{"params":{params.canonical_json},"turns":['.encode())
+    digest = sha256(f'{{"params":{params.canonical_json},"turns":['.encode())
     for index, (role, content) in enumerate(escaped):
         digest.update(b',{"content":' if index else b'{"content":')
         digest.update(content.encode("utf-8"))

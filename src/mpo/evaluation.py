@@ -9,7 +9,6 @@ first entry.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import re
@@ -19,7 +18,7 @@ from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .backends import SOLVER_PARAMS, BackendError, ChatTurn, CriticBackend, fan_out, open_utf8
+from .backends import SOLVER_PARAMS, BackendError, ChatTurn, CriticBackend, fan_out, open_utf8, sha256
 from .schema import PromptState, render_prompt
 from .templating import PromptTemplate, default_template
 
@@ -386,7 +385,7 @@ class EvalResult:
     @property
     def ids_digest(self) -> str:
         blob = json.dumps(sorted(record.id for record in self.records), ensure_ascii=False, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256(blob.encode("utf-8")).hexdigest()
 
     @property
     def per_subject(self) -> dict[str, tuple[int, int, float]]:

@@ -8,11 +8,10 @@ routes lines to sections with plain heading rules.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from typing import Mapping, Sequence
 
-from .backends import ChatTurn, CriticBackend, GenerationParams
+from .backends import ChatTurn, CriticBackend, GenerationParams, sha256
 from .schema import SectionKind
 
 _SECTION_NAME_RE = re.compile(r"^Section name: (.+)$", re.MULTILINE)
@@ -109,7 +108,7 @@ class MockSolver(CriticBackend):
         letters = _CHOICE_LINE_RE.findall(text)
         if not letters:
             return "Answer: A"
-        digest = int(hashlib.sha256(text.encode("utf-8")).hexdigest(), 16)
+        digest = int(sha256(text.encode("utf-8")).hexdigest(), 16)
         return f"Answer: {letters[digest % len(letters)]}"
 
 

@@ -10,11 +10,12 @@ one per line), parsing, rendering, and per-section diffing.
 from __future__ import annotations
 
 import functools
-import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+from .backends import sha256
 
 
 class SchemaError(Exception):
@@ -215,7 +216,7 @@ class PromptState:
         """Content digest: SHA-256 of the rendered prompt, computed once; the
         cache is no field."""
         if "_digest" not in self.__dict__:
-            self.__dict__["_digest"] = hashlib.sha256(render_prompt(self).encode("utf-8")).hexdigest()
+            self.__dict__["_digest"] = sha256(render_prompt(self).encode("utf-8")).hexdigest()
         return self.__dict__["_digest"]
 
     @property

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -876,7 +877,13 @@ class TestHTTPBackend:
         assert BASE_URL_ENV == "MPO_BASE_URL"
 
 
+# mpo hashes with CPython's own SHA-256 when the interpreter has one; only a
+# build without it leaves mpo on hashlib, which loads OpenSSL (``_hashlib``).
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+NO_BUILTIN_SHA256 = "this interpreter has no _sha2 or _sha256, so mpo hashes through OpenSSL's _hashlib"
+
 # Runs in a fresh interpreter: other tests load ``requests`` into this one.
+# The modules named after the two paths must be unloaded when the offline runs end.
 _OFFLINE_RUNS = textwrap.dedent(
     """
     import sys
@@ -893,7 +900,7 @@ _OFFLINE_RUNS = textwrap.dedent(
         ["eval", prompt, str(data / "mcq_ten.jsonl"), "--mock", "--out", str(out / "eval")],
     ):
         assert mpo.cli.main(argv) == 0, argv
-    loaded = [name for name in ("requests", "urllib3") if name in sys.modules]
+    loaded = [name for name in sys.argv[3:] if name in sys.modules]
     assert not loaded, f"offline runs loaded {loaded}"
     mpo.HTTPBackend("m", "http://127.0.0.1:9")
     assert "requests" in sys.modules, "a live backend did not load requests"
@@ -903,26 +910,32 @@ _OFFLINE_RUNS = textwrap.dedent(
 
 def test_offline_runs_never_load_the_http_stack(data_dir, tmp_path):
     src = Path(mpo.__file__).resolve().parents[1]
+    unloaded = ["requests", "urllib3", "_hashlib"] if BUILTIN_SHA256 else ["requests", "urllib3"]
     result = subprocess.run(
-        [sys.executable, "-c", _OFFLINE_RUNS, str(data_dir), str(tmp_path)],
+        [sys.executable, "-c", _OFFLINE_RUNS, str(data_dir), str(tmp_path), *unloaded],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    if not BUILTIN_SHA256:
+        pytest.skip(f"the _hashlib check: {NO_BUILTIN_SHA256}")
 
 
 # Loaded only where used: requests (with urllib3 and http.client) by a live
 # backend, datetime by a recorded call or an HTTP-date Retry-After,
 # configparser by --config, csv by mmlu_csv, difflib by a prompt diff; fan_out
-# needs no concurrent.futures.
-DEFERRED_MODULES = ("requests", "urllib3", "http.client", "concurrent.futures", "datetime", "csv", "difflib", "configparser")
+# needs no concurrent.futures, and hashing needs no OpenSSL (_hashlib).
+DEFERRED_MODULES = (
+    "requests", "urllib3", "http.client", "concurrent.futures", "datetime", "csv", "difflib", "configparser", "_hashlib"
+)
 
 
 def test_importing_the_cli_leaves_deferred_modules_unloaded():
     # What every offline command pays before it starts, in a fresh interpreter.
-    code = f"import sys, mpo.cli; print(*(name for name in {DEFERRED_MODULES!r} if name in sys.modules))"
+    deferred = [name for name in DEFERRED_MODULES if BUILTIN_SHA256 or name != "_hashlib"]
+    code = f"import sys, mpo.cli; print(*(name for name in {deferred!r} if name in sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(Path(mpo.__file__).resolve().parents[1])},
@@ -932,3 +945,59 @@ def test_importing_the_cli_leaves_deferred_modules_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "\n", f"import mpo.cli loaded {result.stdout.split()}"
+    if not BUILTIN_SHA256:
+        pytest.skip(f"the _hashlib check: {NO_BUILTIN_SHA256}")
+
+
+# Every digest mpo writes or matches on, for fixed inputs: a multi-turn
+# non-ASCII request, seed_run's final prompt, and an eval of mcq_ten whose
+# extracted letters are MockSolver's hash picks.
+_DIGESTS = textwrap.dedent(
+    """
+    import json, sys
+    from pathlib import Path
+
+    import mpo
+
+    data = Path(sys.argv[1])
+    turns = (
+        mpo.ChatTurn("system", "Réponds en français, s'il te plaît."),
+        mpo.ChatTurn("user", "漢字 \\U0001f600 \\u2028 naïve \\"quoted\\"\\n"),
+        mpo.ChatTurn("assistant", "Answer: B"),
+        mpo.ChatTurn("user", "Ещё раз?"),
+    )
+    state = mpo.parse_structured_prompt((data / "seed_run" / "final_prompt.txt").read_text(encoding="utf-8"))
+    result = mpo.evaluate(state, mpo.load_dataset(data / "mcq_ten.jsonl", "generic_jsonl"), mpo.MockSolver())
+    print(json.dumps({
+        "module": mpo.backends.sha256.__module__,
+        "request": mpo.request_digest(turns, mpo.GenerationParams(max_output_tokens=64)),
+        "state": state.digest,
+        "ids": result.ids_digest,
+        "picks": [record.extracted for record in result.records],
+    }))
+    """
+)
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason=NO_BUILTIN_SHA256)
+@pytest.mark.skipif(not importlib.util.find_spec("_hashlib"), reason="no OpenSSL (_hashlib) to fall back to")
+def test_hashlib_fallback_gives_the_built_in_digests(data_dir):
+    # An interpreter without its own SHA-256 is stood in for by blocking both
+    # built-in modules before mpo is imported.
+    block = 'import sys; sys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+    runs = []
+    for prelude in ("", block):
+        result = subprocess.run(
+            [sys.executable, "-c", prelude + _DIGESTS, str(data_dir)],
+            env={**os.environ, "PYTHONPATH": str(Path(mpo.__file__).resolve().parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        runs.append(json.loads(result.stdout))
+    built_in, fallback = runs
+    assert built_in.pop("module") in ("_sha2", "_sha256")
+    assert fallback.pop("module") == "_hashlib"
+    assert fallback == built_in
+    assert built_in["picks"] != [built_in["picks"][0]] * len(built_in["picks"])
