@@ -20,14 +20,12 @@ import logging
 import os
 import threading
 import time
+import weakref
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
-
-if TYPE_CHECKING:
-    import requests
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 logger = logging.getLogger(__name__)
 
@@ -418,11 +416,11 @@ def _retry_after_seconds(value: str) -> float | None:
 class HTTPBackend(CriticBackend):
     """Live backend for OpenAI-compatible chat-completion endpoints.
 
-    POSTs to ``{base_url}/v1/chat/completions`` with a bearer token.  Retries
-    transport failures, 429 and 5xx responses up to ``MAX_ATTEMPTS`` (three)
-    attempts with exponential backoff (1s then 2s), or after the response's
-    ``Retry-After`` when it gives seconds or an HTTP-date; such a wait longer
-    than ``timeout`` fails at once instead. Other HTTP errors fail immediately.
+    POSTs to ``{base_url}/v1/chat/completions`` with a bearer token, straight to the host over
+    keep-alive connections that its threads share. Retries transport failures, 429 and 5xx responses
+    up to ``MAX_ATTEMPTS`` (three) attempts with exponential backoff (1s then 2s), or after the
+    response's ``Retry-After`` when it gives seconds or an HTTP-date; such a wait longer than
+    ``timeout`` fails at once instead. Other HTTP errors fail immediately.
     """
 
     name = "http"
@@ -436,7 +434,8 @@ class HTTPBackend(CriticBackend):
         backoff_base: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        import requests  # only a live backend loads the HTTP stack
+        import http.client  # only a live backend loads the HTTP stack
+        from urllib.parse import quote, urlsplit
 
         base_url = base_url or os.environ.get(BASE_URL_ENV, "")
         if not base_url:
@@ -448,18 +447,27 @@ class HTTPBackend(CriticBackend):
         api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if any(ord(char) > 255 or char in "\r\n" for char in api_key):  # every call would fail, naming the key
             raise ValueError(f"the API key ({API_KEY_ENV}) must be latin-1 text without line breaks, as HTTP headers are")
+        url = urlsplit(base_url)
+        connection = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(url.scheme)
+        try:  # every call would fail on a URL no connection can be opened to
+            if connection is None or not url.hostname:
+                raise ValueError("it needs the scheme http or https, and a host")
+            self._connect = functools.partial(connection, url.hostname, url.port, timeout=timeout)
+            self._idle = [self._connect()]  # checks the host; it connects at its first request
+        except (ValueError, http.client.InvalidURL) as exc:  # url.port raises ValueError unless a number in 0-65535
+            raise ValueError(f"base URL {base_url!r} cannot be used: {exc}") from None
+        weakref.finalize(self, lambda idle: [conn.close() for conn in idle], self._idle)
+        self._path = quote(url.path.rstrip("/"), safe="/%:@!$&'()*+,;=") + "/v1/chat/completions"
+        self._lock = threading.Lock()
         self.model = model
-        self.base_url = base_url.rstrip("/")
-        self.api_key = api_key
+        self._headers = {"Content-Type": "application/json", **({"Authorization": f"Bearer {api_key}"} if api_key else {})}
         self.timeout = timeout
         self.backoff_base = backoff_base
-        self._session = requests.Session()
         self._sleep = sleep
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
-        import requests
+        import http.client
 
-        url = f"{self.base_url}/v1/chat/completions"
         body: dict = {
             "model": self.model,
             "messages": [turn.to_dict() for turn in turns],
@@ -468,9 +476,7 @@ class HTTPBackend(CriticBackend):
         }
         if params.seed is not None:
             body["seed"] = params.seed
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        data = json.dumps(body).encode("utf-8")
 
         last_error, delay = "", 0.0
         for attempt in range(MAX_ATTEMPTS):
@@ -478,14 +484,14 @@ class HTTPBackend(CriticBackend):
                 self._sleep(delay)
             delay = self.backoff_base * 2**attempt
             try:
-                response = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+                status, retry_after, payload = self._post(data)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport error: {exc}"
                 logger.warning("attempt %d/%d failed: %s", attempt + 1, MAX_ATTEMPTS, last_error)
                 continue
-            if response.status_code == 429 or response.status_code >= 500:
-                last_error = f"status {response.status_code}"
-                wait = _retry_after_seconds(response.headers.get("Retry-After", "").strip())
+            if status == 429 or status >= 500:
+                last_error = f"status {status}"
+                wait = _retry_after_seconds(retry_after.strip())
                 if wait is not None and wait > self.timeout:  # do not stall a worker that long
                     raise BackendError(
                         f"{last_error}: Retry-After asks for a {wait:g} s wait, "
@@ -494,20 +500,39 @@ class HTTPBackend(CriticBackend):
                 delay = delay if wait is None else wait
                 logger.warning("attempt %d/%d failed: %s", attempt + 1, MAX_ATTEMPTS, last_error)
                 continue
-            if response.status_code != 200:
+            if status != 200:
                 raise BackendError(
-                    f"request failed with status {response.status_code}: "
-                    f"{response.text[:500]}"
+                    f"request failed with status {status}: "
+                    f"{payload.decode('utf-8', errors='replace')[:500]}"
                 )
-            return self._extract_content(response)
+            return self._extract_content(payload)
         raise BackendError(
             f"request failed after {MAX_ATTEMPTS} attempts: {last_error}"
         )
 
-    @staticmethod
-    def _extract_content(response: requests.Response) -> str:
+    def _post(self, data: bytes) -> tuple[int, str, bytes]:
+        """The status, Retry-After and body that ``data`` POSTed on an idle or a new connection gets."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        conn = conn or self._connect()
         try:
-            payload = response.json()
+            for stale_ok in (conn.sock is not None, False):  # a reused socket the server may have closed while idle
+                try:
+                    conn.request("POST", self._path, data, self._headers)
+                    response = conn.getresponse()
+                    return response.status, response.getheader("Retry-After", ""), response.read()
+                except BaseException as exc:
+                    conn.close()  # it goes back, and its next request opens a new socket
+                    if not (stale_ok and isinstance(exc, (ConnectionResetError, BrokenPipeError))):
+                        raise  # RemoteDisconnected, an idle close seen on a read, is a ConnectionResetError
+        finally:
+            with self._lock:
+                self._idle.append(conn)
+
+    @staticmethod
+    def _extract_content(body: bytes) -> str:
+        try:
+            payload = json.loads(body)
             content = payload["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc

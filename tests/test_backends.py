@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
 import json
 import os
 import re
+import ssl
 import subprocess
 import sys
 import textwrap
@@ -698,6 +701,15 @@ class TestHTTPBackend:
         assert request["body"]["max_tokens"] == 512
         assert request["body"]["seed"] == 3
 
+    @pytest.mark.parametrize(
+        "prefix, path", [("/proxy", "/proxy"), ("/proxy/", "/proxy"), ("/a b/\u00e9", "/a%20b/%C3%A9"), ("/a%20b", "/a%20b")]
+    )
+    def test_base_url_path_prefixes_the_endpoint(self, http_server, prefix, path):
+        base_url, script = http_server
+        script.script.append(_ok())
+        assert self._backend(base_url + prefix).complete(TURNS, PARAMS) == "fine"
+        assert script.seen[0]["path"] == f"{path}/v1/chat/completions"
+
     def test_seed_omitted_when_unset(self, http_server):
         base_url, script = http_server
         script.script.append(_ok())
@@ -800,11 +812,14 @@ class TestHTTPBackend:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"timeout": float("inf")}, {"timeout": 1e10}, {"api_key": "\u043a\u043b\u044e\u0447"}, {"api_key": "a\r\nb"}],
+        [{"timeout": float("inf")}, {"timeout": 1e10}, {"api_key": "\u043a\u043b\u044e\u0447"}, {"api_key": "a\r\nb"}]
+        + [{"base_url": url} for url in ("localhost:9", "ftp://h", "http://", "http://h:port", "http://h:65536", "http://a b")],
     )
     def test_settings_every_call_would_fail_on_rejected(self, setting):
-        with pytest.raises(ValueError, match=f"at most {threading.TIMEOUT_MAX:.0f}|must be latin-1 text without line breaks"):
-            HTTPBackend("m", "http://127.0.0.1:9", **setting)
+        with pytest.raises(
+            ValueError, match=f"at most {threading.TIMEOUT_MAX:.0f}|must be latin-1 text without line breaks|cannot be used"
+        ):
+            HTTPBackend("m", **{"base_url": "http://127.0.0.1:9", **setting})
 
     def test_longest_timeout_and_a_latin1_key_are_sent(self, http_server):
         base_url, script = http_server
@@ -877,12 +892,138 @@ class TestHTTPBackend:
         assert BASE_URL_ENV == "MPO_BASE_URL"
 
 
+class _KeepAlive(BaseHTTPRequestHandler):
+    """Answers every POST with ``_ok()`` over keep-alive HTTP/1.1, in one write, after
+    ``server.delay`` seconds, and logs the client port of each request. With
+    ``server.idle_close`` it then closes the connection without a ``Connection: close``
+    header, as a provider's idle timeout does."""
+
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1  # handle_one_request flushes the whole response at once
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        time.sleep(self.server.delay)
+        with self.server.lock:
+            self.server.ports.append(self.client_address[1])
+        data = json.dumps(_ok()[1]).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = self.server.idle_close
+
+    def log_message(self, *args):
+        pass
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    """Serves ``_KeepAlive`` on 127.0.0.1 and releases ``closed`` once per connection it has closed."""
+
+    def __init__(self, delay: float = 0.0, idle_close: bool = False, tls: ssl.SSLContext | None = None):
+        super().__init__(("127.0.0.1", 0), _KeepAlive)
+        if tls is not None:
+            self.socket = tls.wrap_socket(self.socket, server_side=True)
+        self.delay, self.idle_close, self.lock, self.ports = delay, idle_close, threading.Lock(), []
+        self.closed = threading.Semaphore(0)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+    @contextlib.contextmanager
+    def serving(self, scheme: str = "http"):
+        """The base URL while the server runs on its own thread."""
+        thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.01})
+        thread.start()
+        try:
+            yield f"{scheme}://127.0.0.1:{self.server_address[1]}"
+        finally:
+            self.shutdown()
+            self.server_close()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+
+class TestKeepAlive:
+    """What a keep-alive client owes a provider: few connections, none left open, and no
+    attempt spent on a connection the server closed while it was idle."""
+
+    def test_connection_closed_while_idle_costs_no_attempt(self):
+        server = _KeepAliveServer(idle_close=True)
+        sleeps: list[float] = []
+        with server.serving() as base_url:
+            backend = HTTPBackend("m", base_url, sleep=sleeps.append)
+            for _ in range(3):
+                assert backend.complete(TURNS, PARAMS) == "fine"
+                assert server.closed.acquire(timeout=5), "the server did not close the connection"
+        assert sleeps == []
+        assert len(server.ports) == 3
+
+    def test_rounds_of_threads_share_the_connections(self):
+        # fan_out starts fresh threads each round; a connection kept per thread would
+        # open 5 more every round. Frequent thread switches stress the shared pool.
+        server, interval = _KeepAliveServer(delay=0.02), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server.serving() as base_url:
+                backend = HTTPBackend("m", base_url, sleep=lambda seconds: None)
+                for _ in range(3):
+                    with fan_out(lambda index: backend.complete(TURNS, PARAMS), range(5), 5) as results:
+                        assert list(results) == ["fine"] * 5
+                del backend
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(server.ports) == 15
+        assert len(set(server.ports)) <= 5
+
+    def test_dropping_the_backend_closes_its_connections(self):
+        server = _KeepAliveServer(delay=0.02)
+        with server.serving() as base_url:
+            backend = HTTPBackend("m", base_url, sleep=lambda seconds: None)
+            with fan_out(lambda index: backend.complete(TURNS, PARAMS), range(3), 3) as results:
+                assert list(results) == ["fine"] * 3
+            del backend
+            gc.collect()
+            opened = len(set(server.ports))
+            assert all(server.closed.acquire(timeout=5) for _ in range(opened)), "a connection was left open"
+
+
+class TestHTTPS:
+    """TLS to a loopback server whose self-signed certificate (``tests/data/loopback_cert.pem``,
+    for 127.0.0.1) is trusted only through ``SSL_CERT_FILE``: there is no unverified fallback."""
+
+    @pytest.fixture
+    def server(self, data_dir):
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(data_dir / "loopback_cert.pem", data_dir / "loopback_key.pem")
+        return _KeepAliveServer(tls=tls)
+
+    def test_trusted_through_ssl_cert_file(self, server, data_dir, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(data_dir / "loopback_cert.pem"))
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        with server.serving("https") as base_url:
+            assert HTTPBackend("m", base_url, sleep=lambda seconds: None).complete(TURNS, PARAMS) == "fine"
+        assert len(server.ports) == 1
+
+    def test_untrusted_certificate_fails_every_attempt(self, server, monkeypatch):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        sleeps: list[float] = []
+        with server.serving("https") as base_url:
+            with pytest.raises(BackendError, match=r"after 3 attempts: transport error: .*CERTIFICATE_VERIFY_FAILED"):
+                HTTPBackend("m", base_url, sleep=sleeps.append).complete(TURNS, PARAMS)
+        assert sleeps == [1.0, 2.0]
+        assert server.ports == []
+
+
 # mpo hashes with CPython's own SHA-256 when the interpreter has one; only a
 # build without it leaves mpo on hashlib, which loads OpenSSL (``_hashlib``).
 BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 NO_BUILTIN_SHA256 = "this interpreter has no _sha2 or _sha256, so mpo hashes through OpenSSL's _hashlib"
 
-# Runs in a fresh interpreter: other tests load ``requests`` into this one.
+# Runs in a fresh interpreter: other tests load ``http.client`` into this one.
 # The modules named after the two paths must be unloaded when the offline runs end.
 _OFFLINE_RUNS = textwrap.dedent(
     """
@@ -903,14 +1044,15 @@ _OFFLINE_RUNS = textwrap.dedent(
     loaded = [name for name in sys.argv[3:] if name in sys.modules]
     assert not loaded, f"offline runs loaded {loaded}"
     mpo.HTTPBackend("m", "http://127.0.0.1:9")
-    assert "requests" in sys.modules, "a live backend did not load requests"
+    assert "http.client" in sys.modules, "a live backend did not load http.client"
+    assert "requests" not in sys.modules, "a live backend loaded requests"
     """
 )
 
 
 def test_offline_runs_never_load_the_http_stack(data_dir, tmp_path):
     src = Path(mpo.__file__).resolve().parents[1]
-    unloaded = ["requests", "urllib3", "_hashlib"] if BUILTIN_SHA256 else ["requests", "urllib3"]
+    unloaded = ["requests", "urllib3", "http.client"] + (["_hashlib"] if BUILTIN_SHA256 else [])
     result = subprocess.run(
         [sys.executable, "-c", _OFFLINE_RUNS, str(data_dir), str(tmp_path), *unloaded],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -923,10 +1065,11 @@ def test_offline_runs_never_load_the_http_stack(data_dir, tmp_path):
         pytest.skip(f"the _hashlib check: {NO_BUILTIN_SHA256}")
 
 
-# Loaded only where used: requests (with urllib3 and http.client) by a live
-# backend, datetime by a recorded call or an HTTP-date Retry-After,
-# configparser by --config, csv by mmlu_csv, difflib by a prompt diff; fan_out
-# needs no concurrent.futures, and hashing needs no OpenSSL (_hashlib).
+# Loaded only where used: http.client by a live backend (requests and urllib3
+# by nothing: mpo has no runtime dependency), datetime by a recorded call or an
+# HTTP-date Retry-After, configparser by --config, csv by mmlu_csv, difflib by a
+# prompt diff; fan_out needs no concurrent.futures, and hashing needs no OpenSSL
+# (_hashlib).
 DEFERRED_MODULES = (
     "requests", "urllib3", "http.client", "concurrent.futures", "datetime", "csv", "difflib", "configparser", "_hashlib"
 )

@@ -439,11 +439,13 @@ class TestOneBackendPerCommand:
             (["optimize", "{prompt}", "--config", "{repeated_key}", "--out", "{fresh}"], "invalid config file"),
             (["optimize", "{prompt}", "--replay", "{missing}", "--out", "{fresh}"], "cannot read transcript"),
             (["optimize", "{prompt}", "--live", "--out", "{fresh}"], "no base URL"),
+            (["optimize", "{prompt}", "--live", "--config", "{schemeless}", "--out", "{fresh}"],
+             "base URL 'localhost:9' cannot be used"),
             (["optimize", "{prompt}", "--out", "{file}/run"], "cannot create output directory"),
             (["compare", "{result}", "{result2}", "--out", "{file}/run"], "cannot create output directory"),
         ],
-        ids=["key_without_equals", "repeated_key", "missing_transcript", "live_without_url", "optimize_out_below_file",
-             "compare_out_below_file"],
+        ids=["key_without_equals", "repeated_key", "missing_transcript", "live_without_url", "live_schemeless_url",
+             "optimize_out_below_file", "compare_out_below_file"],
     )
     def test_setup_error_exits_two(self, argv, message, tagged_file, tagged_prompt, dataset_file, tmp_path, capsys,
                                    monkeypatch):
@@ -451,7 +453,7 @@ class TestOneBackendPerCommand:
         paths = {"prompt": tagged_file, "missing": tmp_path / "missing.jsonl", "fresh": tmp_path / "fresh"}
         for name, text in [
             ("no_equals", "[optimizer]\niterations\n"), ("repeated_key", "[optimizer]\niterations = 1\niterations = 2\n"),
-            ("file", "a regular file\n"),
+            ("file", "a regular file\n"), ("schemeless", "[backend]\nbase_url = localhost:9\n"),
         ]:
             paths[name] = tmp_path / f"{name}.txt"
             paths[name].write_text(text, encoding="utf-8")

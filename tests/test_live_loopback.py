@@ -4,11 +4,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import mpo
 from mpo import ChatTurn, GenerationParams, MockCritic
 from mpo.cli import main
 
@@ -16,9 +21,12 @@ from mpo.cli import main
 class _Provider(BaseHTTPRequestHandler):
     """Answers ``/v1/chat/completions`` over keep-alive HTTP/1.1 by running
     ``MockCritic`` on the posted messages. The server's first request is
-    answered ``429`` with ``Retry-After: 0``; the server logs every status."""
+    answered ``429`` with ``Retry-After: 0``; the server logs every status.
+    Each response leaves in one write: headers and body written apart would
+    wait out Nagle's algorithm and a delayed ACK, about 40 ms a call."""
 
     protocol_version = "HTTP/1.1"
+    wbufsize = -1  # handle_one_request flushes once, after do_POST
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -68,6 +76,35 @@ def test_live_record_matches_mock_and_replays(provider, data_dir, tmp_path, monk
     assert main([*run, "--live", "--record", "--out", str(tmp_path / "live")]) == 0
     assert main([*run, "--replay", str(tmp_path / "live" / "transcript.jsonl"), "--out", str(tmp_path / "replay")]) == 0
     # Three rounds of five critiques, and the throttled first call asked again.
+    assert provider.statuses == [429] + [200] * 15
+    for name in ("history.jsonl", "metrics.json", "final_prompt.txt"):
+        expected = (tmp_path / "mock" / name).read_bytes()
+        assert (tmp_path / "live" / name).read_bytes() == expected, name
+        assert (tmp_path / "replay" / name).read_bytes() == expected, name
+
+
+# The CLI in a fresh interpreter where ``import requests`` fails: a live run
+# and its replay need nothing outside the standard library.
+_WITHOUT_REQUESTS = """
+import sys
+sys.modules["requests"] = None
+from mpo.cli import main
+run = ["optimize", sys.argv[1]]
+assert main([*run, "--live", "--record", "--out", sys.argv[2]]) == 0
+assert main([*run, "--replay", sys.argv[2] + "/transcript.jsonl", "--out", sys.argv[3]]) == 0
+"""
+
+
+def test_live_run_and_replay_need_no_requests(provider, data_dir, tmp_path):
+    prompt = str(data_dir / "multi_task_tagged.txt")
+    assert main(["optimize", prompt, "--mock", "--out", str(tmp_path / "mock")]) == 0
+    env = {**os.environ, "MPO_BASE_URL": f"http://127.0.0.1:{provider.server_address[1]}"}
+    env.update(PYTHONPATH=str(Path(mpo.__file__).resolve().parents[1]), MPO_API_KEY="")
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_REQUESTS, prompt, str(tmp_path / "live"), str(tmp_path / "replay")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
     assert provider.statuses == [429] + [200] * 15
     for name in ("history.jsonl", "metrics.json", "final_prompt.txt"):
         expected = (tmp_path / "mock" / name).read_bytes()
