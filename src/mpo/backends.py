@@ -434,7 +434,7 @@ class HTTPBackend(CriticBackend):
         backoff_base: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        import http.client  # only a live backend loads the HTTP stack
+        import http.client, ssl  # only a live backend loads the HTTP stack
         from urllib.parse import quote, urlsplit
 
         base_url = base_url or os.environ.get(BASE_URL_ENV, "")
@@ -449,6 +449,10 @@ class HTTPBackend(CriticBackend):
             raise ValueError(f"the API key ({API_KEY_ENV}) must be latin-1 text without line breaks, as HTTP headers are")
         url = urlsplit(base_url)
         connection = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(url.scheme)
+        if url.scheme == "https":  # one context for the pool: a default one per connection loads the CA store again
+            connection = functools.partial(connection, context=(context := ssl.create_default_context()))
+            context.set_alpn_protocols(["http/1.1"])  # as http.client sets up its own, with post-handshake auth
+            context.post_handshake_auth = True
         try:  # every call would fail on a URL no connection can be opened to
             if connection is None or not url.hostname:
                 raise ValueError("it needs the scheme http or https, and a host")

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from mpo import PromptState, Section, SectionKind, parse_structured_prompt
+from provider import Provider
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,3 +54,11 @@ def build_state():
         return PromptState.from_sections(sections)
 
     return build
+
+
+@pytest.fixture
+def provider():
+    """A loopback ``Provider`` on its own thread, and its base URL."""
+    server = Provider()
+    with server.serving() as base_url:
+        yield base_url, server

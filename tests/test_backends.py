@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import hashlib
 import importlib.util
@@ -19,7 +18,6 @@ import time
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -48,6 +46,7 @@ from mpo.backends import (
     fan_out,
     open_utf8,
 )
+from provider import Provider, ok
 from solvers import Recorder
 
 TURNS = (ChatTurn("user", "hello"),)
@@ -634,65 +633,18 @@ class TestFanOut:
             assert run(width) == expected
 
 
-class _Script(BaseHTTPRequestHandler):
-    """Serves scripted (status, body) or (status, body, headers) entries and
-    captures requests."""
-
-    script: list[tuple] = []
-    seen: list[dict] = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        type(self).seen.append(
-            {"path": self.path, "body": body, "auth": self.headers.get("Authorization")}
-        )
-        status, payload, *extra = (
-            self.script.pop(0) if self.script else (500, {"error": "script exhausted"})
-        )
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        for name, value in (extra[0] if extra else {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Script)
-    _Script.script = []
-    _Script.seen = []
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}", _Script
-    server.shutdown()
-    server.server_close()
-
-
-def _ok(content: str = "fine") -> tuple[int, dict]:
-    return 200, {"choices": [{"message": {"content": content}}]}
-
-
 class TestHTTPBackend:
     def _backend(self, base_url: str, **kwargs) -> HTTPBackend:
         kwargs.setdefault("api_key", "test-key")
         kwargs.setdefault("sleep", lambda seconds: None)
         return HTTPBackend("test-model", base_url, **kwargs)
 
-    def test_success(self, http_server):
-        base_url, script = http_server
-        script.script.append(_ok("hello back"))
+    def test_success(self, provider):
+        base_url, server = provider
+        server.script.append(ok("hello back"))
         backend = self._backend(base_url)
         assert backend.complete(TURNS, GenerationParams(seed=3)) == "hello back"
-        request = script.seen[0]
+        request = server.requests[0]
         assert request["path"] == "/v1/chat/completions"
         assert request["auth"] == "Bearer test-key"
         assert request["body"]["model"] == "test-model"
@@ -704,56 +656,56 @@ class TestHTTPBackend:
     @pytest.mark.parametrize(
         "prefix, path", [("/proxy", "/proxy"), ("/proxy/", "/proxy"), ("/a b/\u00e9", "/a%20b/%C3%A9"), ("/a%20b", "/a%20b")]
     )
-    def test_base_url_path_prefixes_the_endpoint(self, http_server, prefix, path):
-        base_url, script = http_server
-        script.script.append(_ok())
+    def test_base_url_path_prefixes_the_endpoint(self, provider, prefix, path):
+        base_url, server = provider
+        server.script.append(ok())
         assert self._backend(base_url + prefix).complete(TURNS, PARAMS) == "fine"
-        assert script.seen[0]["path"] == f"{path}/v1/chat/completions"
+        assert server.requests[0]["path"] == f"{path}/v1/chat/completions"
 
-    def test_seed_omitted_when_unset(self, http_server):
-        base_url, script = http_server
-        script.script.append(_ok())
+    def test_seed_omitted_when_unset(self, provider):
+        base_url, server = provider
+        server.script.append(ok())
         self._backend(base_url).complete(TURNS, PARAMS)
-        assert "seed" not in script.seen[0]["body"]
+        assert "seed" not in server.requests[0]["body"]
 
-    def test_retries_server_errors_with_backoff(self, http_server):
-        base_url, script = http_server
-        script.script.extend([(500, {}), (503, {}), _ok("third time")])
+    def test_retries_server_errors_with_backoff(self, provider):
+        base_url, server = provider
+        server.script.extend([(500, {}), (503, {}), ok("third time")])
         sleeps: list[float] = []
         backend = self._backend(base_url, sleep=sleeps.append)
         assert backend.complete(TURNS, PARAMS) == "third time"
         assert sleeps == [1.0, 2.0]
-        assert len(script.seen) == 3
+        assert len(server.requests) == 3
 
-    def test_gives_up_after_three_attempts(self, http_server):
-        base_url, script = http_server
-        script.script.extend([(500, {}), (500, {}), (500, {})])
+    def test_gives_up_after_three_attempts(self, provider):
+        base_url, server = provider
+        server.script.extend([(500, {}), (500, {}), (500, {})])
         with pytest.raises(BackendError, match="after 3 attempts"):
             self._backend(base_url).complete(TURNS, PARAMS)
-        assert len(script.seen) == 3
+        assert len(server.requests) == 3
 
-    def test_rate_limit_honours_retry_after(self, http_server):
-        base_url, script = http_server
-        script.script.extend([(429, {}, {"Retry-After": "3"}), _ok("after the wait")])
+    def test_rate_limit_honours_retry_after(self, provider):
+        base_url, server = provider
+        server.script.extend([(429, {}, {"Retry-After": "3"}), ok("after the wait")])
         sleeps: list[float] = []
         backend = self._backend(base_url, sleep=sleeps.append)
         assert backend.complete(TURNS, PARAMS) == "after the wait"
         assert sleeps == [3.0]
-        assert len(script.seen) == 2
+        assert len(server.requests) == 2
 
     @pytest.mark.parametrize("headers", [{}, {"Retry-After": "soon"}])
-    def test_rate_limit_without_delta_seconds_backs_off(self, http_server, headers):
-        base_url, script = http_server
-        script.script.extend([(429, {}, headers), (429, {}, headers), _ok("third time")])
+    def test_rate_limit_without_delta_seconds_backs_off(self, provider, headers):
+        base_url, server = provider
+        server.script.extend([(429, {}, headers), (429, {}, headers), ok("third time")])
         sleeps: list[float] = []
         backend = self._backend(base_url, sleep=sleeps.append)
         assert backend.complete(TURNS, PARAMS) == "third time"
         assert sleeps == [1.0, 2.0]
 
-    def test_rate_limit_past_http_date_retries_at_once(self, http_server):
-        base_url, script = http_server
+    def test_rate_limit_past_http_date_retries_at_once(self, provider):
+        base_url, server = provider
         headers = {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}
-        script.script.extend([(429, {}, headers), (429, {}, headers), _ok("third time")])
+        server.script.extend([(429, {}, headers), (429, {}, headers), ok("third time")])
         sleeps: list[float] = []
         backend = self._backend(base_url, sleep=sleeps.append)
         assert backend.complete(TURNS, PARAMS) == "third time"
@@ -761,33 +713,33 @@ class TestHTTPBackend:
 
     # RFC 9110 sends GMT; RFC 5322's "-0000" zone parses to a naive datetime.
     @pytest.mark.parametrize("zone", ["GMT", "-0000"])
-    def test_rate_limit_honours_retry_after_http_date(self, http_server, zone):
-        base_url, script = http_server
+    def test_rate_limit_honours_retry_after_http_date(self, provider, zone):
+        base_url, server = provider
         then = datetime.now(timezone.utc) + timedelta(seconds=30)
         when = format_datetime(then, usegmt=True).replace("GMT", zone)
-        script.script.extend([(429, {}, {"Retry-After": when}), _ok("after the wait")])
+        server.script.extend([(429, {}, {"Retry-After": when}), ok("after the wait")])
         sleeps: list[float] = []
         backend = self._backend(base_url, sleep=sleeps.append)
         assert backend.complete(TURNS, PARAMS) == "after the wait"
         assert len(sleeps) == 1 and 25 < sleeps[0] <= 30
 
-    def test_rate_limit_gives_up_after_three_attempts(self, http_server):
-        base_url, script = http_server
-        script.script.extend([(429, {}, {"Retry-After": "0"})] * 3)
+    def test_rate_limit_gives_up_after_three_attempts(self, provider):
+        base_url, server = provider
+        server.script.extend([(429, {}, {"Retry-After": "0"})] * 3)
         sleeps: list[float] = []
         with pytest.raises(BackendError, match="after 3 attempts: status 429"):
             self._backend(base_url, sleep=sleeps.append).complete(TURNS, PARAMS)
         assert sleeps == [0.0, 0.0]
-        assert len(script.seen) == 3
+        assert len(server.requests) == 3
 
     # A wait past the request timeout fails the call instead of stalling the
     # worker; retrying sooner than asked would break the provider's rule.
     @pytest.mark.parametrize("ahead", ["delta-seconds", "http-date"])
-    def test_retry_after_longer_than_timeout_fails_without_sleeping(self, http_server, ahead):
-        base_url, script = http_server
+    def test_retry_after_longer_than_timeout_fails_without_sleeping(self, provider, ahead):
+        base_url, server = provider
         then = datetime.now(timezone.utc) + timedelta(days=1)
         when = "86400" if ahead == "delta-seconds" else format_datetime(then, usegmt=True)
-        script.script.extend([(429, {}, {"Retry-After": when}), _ok("never reached")])
+        server.script.extend([(429, {}, {"Retry-After": when}), ok("never reached")])
         sleeps: list[float] = []
         backend = self._backend(base_url, sleep=sleeps.append, timeout=60.0)
         with pytest.raises(BackendError, match="status 429: Retry-After asks for a") as excinfo:
@@ -795,11 +747,11 @@ class TestHTTPBackend:
         wait = re.search(r"asks for a ([\d.]+) s wait, longer than the 60 s timeout", str(excinfo.value))
         assert wait and 86000 < float(wait.group(1)) <= 86400
         assert sleeps == []
-        assert len(script.seen) == 1
+        assert len(server.requests) == 1
 
-    def test_retry_after_equal_to_timeout_still_waits(self, http_server):
-        base_url, script = http_server
-        script.script.extend([(503, {}, {"Retry-After": "5"}), _ok("after the wait")])
+    def test_retry_after_equal_to_timeout_still_waits(self, provider):
+        base_url, server = provider
+        server.script.extend([(503, {}, {"Retry-After": "5"}), ok("after the wait")])
         sleeps: list[float] = []
         backend = self._backend(base_url, sleep=sleeps.append, timeout=5.0)
         assert backend.complete(TURNS, PARAMS) == "after the wait"
@@ -821,12 +773,12 @@ class TestHTTPBackend:
         ):
             HTTPBackend("m", **{"base_url": "http://127.0.0.1:9", **setting})
 
-    def test_longest_timeout_and_a_latin1_key_are_sent(self, http_server):
-        base_url, script = http_server
-        script.script.append(_ok())
+    def test_longest_timeout_and_a_latin1_key_are_sent(self, provider):
+        base_url, server = provider
+        server.script.append(ok())
         backend = self._backend(base_url, api_key="cl\xe9", timeout=threading.TIMEOUT_MAX)
         assert backend.complete(TURNS, PARAMS) == "fine"
-        assert script.seen[0]["auth"] == "Bearer cl\xe9"
+        assert server.requests[0]["auth"] == "Bearer cl\xe9"
 
     def test_retry_settings_that_cannot_work_rejected(self):
         with pytest.raises(ValueError, match="backoff_base must be >= 0"):
@@ -836,23 +788,23 @@ class TestHTTPBackend:
         with pytest.raises(TypeError, match="max_attempts"):
             HTTPBackend("m", "http://127.0.0.1:9", max_attempts=3)
 
-    def test_client_errors_never_retry(self, http_server):
-        base_url, script = http_server
-        script.script.append((404, {"error": "nope"}))
+    def test_client_errors_never_retry(self, provider):
+        base_url, server = provider
+        server.script.append((404, {"error": "nope"}))
         with pytest.raises(BackendError, match="404"):
             self._backend(base_url).complete(TURNS, PARAMS)
-        assert len(script.seen) == 1
+        assert len(server.requests) == 1
 
-    def test_malformed_payload_rejected(self, http_server):
-        base_url, script = http_server
-        script.script.append((200, {"choices": []}))
+    def test_malformed_payload_rejected(self, provider):
+        base_url, server = provider
+        server.script.append((200, {"choices": []}))
         with pytest.raises(BackendError, match="malformed"):
             self._backend(base_url).complete(TURNS, PARAMS)
 
     @pytest.mark.parametrize("content", [5, ["a"], {"text": "a"}, None], ids=["number", "list", "object", "null"])
-    def test_non_string_content_rejected(self, http_server, content):
-        base_url, script = http_server
-        script.script.append((200, {"choices": [{"message": {"content": content}}]}))
+    def test_non_string_content_rejected(self, provider, content):
+        base_url, server = provider
+        server.script.append((200, {"choices": [{"message": {"content": content}}]}))
         with pytest.raises(BackendError, match="malformed completion response: content is"):
             self._backend(base_url).complete(TURNS, PARAMS)
 
@@ -866,84 +818,30 @@ class TestHTTPBackend:
             backend.complete(TURNS, PARAMS)
         assert sleeps == [1.0, 2.0]
 
-    def test_base_url_from_environment(self, http_server, monkeypatch):
-        base_url, script = http_server
-        script.script.append(_ok())
+    def test_base_url_from_environment(self, provider, monkeypatch):
+        base_url, server = provider
+        server.script.append(ok())
         monkeypatch.setenv(BASE_URL_ENV, base_url)
         monkeypatch.setenv(API_KEY_ENV, "env-key")
         backend = HTTPBackend("m")
         backend.complete(TURNS, PARAMS)
-        assert script.seen[0]["auth"] == "Bearer env-key"
+        assert server.requests[0]["auth"] == "Bearer env-key"
 
     def test_missing_base_url_rejected(self, monkeypatch):
         monkeypatch.delenv(BASE_URL_ENV, raising=False)
         with pytest.raises(ValueError, match=BASE_URL_ENV):
             HTTPBackend("m")
 
-    def test_no_auth_header_without_key(self, http_server, monkeypatch):
-        base_url, script = http_server
+    def test_no_auth_header_without_key(self, provider, monkeypatch):
+        base_url, server = provider
         monkeypatch.delenv(API_KEY_ENV, raising=False)
-        script.script.append(_ok())
+        server.script.append(ok())
         HTTPBackend("m", base_url, sleep=lambda s: None).complete(TURNS, PARAMS)
-        assert script.seen[0]["auth"] is None
+        assert server.requests[0]["auth"] is None
 
     def test_env_var_names(self):
         assert API_KEY_ENV == "MPO_API_KEY"
         assert BASE_URL_ENV == "MPO_BASE_URL"
-
-
-class _KeepAlive(BaseHTTPRequestHandler):
-    """Answers every POST with ``_ok()`` over keep-alive HTTP/1.1, in one write, after
-    ``server.delay`` seconds, and logs the client port of each request. With
-    ``server.idle_close`` it then closes the connection without a ``Connection: close``
-    header, as a provider's idle timeout does."""
-
-    protocol_version = "HTTP/1.1"
-    wbufsize = -1  # handle_one_request flushes the whole response at once
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        time.sleep(self.server.delay)
-        with self.server.lock:
-            self.server.ports.append(self.client_address[1])
-        data = json.dumps(_ok()[1]).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-        self.close_connection = self.server.idle_close
-
-    def log_message(self, *args):
-        pass
-
-
-class _KeepAliveServer(ThreadingHTTPServer):
-    """Serves ``_KeepAlive`` on 127.0.0.1 and releases ``closed`` once per connection it has closed."""
-
-    def __init__(self, delay: float = 0.0, idle_close: bool = False, tls: ssl.SSLContext | None = None):
-        super().__init__(("127.0.0.1", 0), _KeepAlive)
-        if tls is not None:
-            self.socket = tls.wrap_socket(self.socket, server_side=True)
-        self.delay, self.idle_close, self.lock, self.ports = delay, idle_close, threading.Lock(), []
-        self.closed = threading.Semaphore(0)
-
-    def shutdown_request(self, request):
-        super().shutdown_request(request)
-        self.closed.release()
-
-    @contextlib.contextmanager
-    def serving(self, scheme: str = "http"):
-        """The base URL while the server runs on its own thread."""
-        thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.01})
-        thread.start()
-        try:
-            yield f"{scheme}://127.0.0.1:{self.server_address[1]}"
-        finally:
-            self.shutdown()
-            self.server_close()
-            thread.join(timeout=5)
-            assert not thread.is_alive()
 
 
 class TestKeepAlive:
@@ -951,7 +849,7 @@ class TestKeepAlive:
     attempt spent on a connection the server closed while it was idle."""
 
     def test_connection_closed_while_idle_costs_no_attempt(self):
-        server = _KeepAliveServer(idle_close=True)
+        server = Provider(idle_close=True)
         sleeps: list[float] = []
         with server.serving() as base_url:
             backend = HTTPBackend("m", base_url, sleep=sleeps.append)
@@ -959,12 +857,12 @@ class TestKeepAlive:
                 assert backend.complete(TURNS, PARAMS) == "fine"
                 assert server.closed.acquire(timeout=5), "the server did not close the connection"
         assert sleeps == []
-        assert len(server.ports) == 3
+        assert len(server.requests) == 3
 
     def test_rounds_of_threads_share_the_connections(self):
         # fan_out starts fresh threads each round; a connection kept per thread would
         # open 5 more every round. Frequent thread switches stress the shared pool.
-        server, interval = _KeepAliveServer(delay=0.02), sys.getswitchinterval()
+        server, interval = Provider(delay=0.02), sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with server.serving() as base_url:
@@ -975,19 +873,28 @@ class TestKeepAlive:
                 del backend
         finally:
             sys.setswitchinterval(interval)
-        assert len(server.ports) == 15
-        assert len(set(server.ports)) <= 5
+        assert len(server.requests) == 15
+        assert len({request["port"] for request in server.requests}) <= 5
 
     def test_dropping_the_backend_closes_its_connections(self):
-        server = _KeepAliveServer(delay=0.02)
+        server = Provider(delay=0.02)
         with server.serving() as base_url:
             backend = HTTPBackend("m", base_url, sleep=lambda seconds: None)
             with fan_out(lambda index: backend.complete(TURNS, PARAMS), range(3), 3) as results:
                 assert list(results) == ["fine"] * 3
             del backend
             gc.collect()
-            opened = len(set(server.ports))
+            opened = len({request["port"] for request in server.requests})
             assert all(server.closed.acquire(timeout=5) for _ in range(opened)), "a connection was left open"
+
+    def test_retry_reuses_the_pooled_connection(self, provider):
+        base_url, server = provider
+        server.script.extend([(503, {}), ok("after the retry")])
+        sleeps: list[float] = []
+        assert HTTPBackend("m", base_url, sleep=sleeps.append).complete(TURNS, PARAMS) == "after the retry"
+        assert sleeps == [1.0]
+        ports = [request["port"] for request in server.requests]
+        assert len(ports) == 2 and len(set(ports)) == 1
 
 
 class TestHTTPS:
@@ -998,24 +905,39 @@ class TestHTTPS:
     def server(self, data_dir):
         tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         tls.load_cert_chain(data_dir / "loopback_cert.pem", data_dir / "loopback_key.pem")
-        return _KeepAliveServer(tls=tls)
+        return Provider(tls=tls)
 
     def test_trusted_through_ssl_cert_file(self, server, data_dir, monkeypatch):
         monkeypatch.setenv("SSL_CERT_FILE", str(data_dir / "loopback_cert.pem"))
         monkeypatch.delenv("SSL_CERT_DIR", raising=False)
-        with server.serving("https") as base_url:
+        with server.serving() as base_url:
             assert HTTPBackend("m", base_url, sleep=lambda seconds: None).complete(TURNS, PARAMS) == "fine"
-        assert len(server.ports) == 1
+        assert len(server.requests) == 1
 
     def test_untrusted_certificate_fails_every_attempt(self, server, monkeypatch):
         monkeypatch.delenv("SSL_CERT_FILE", raising=False)
         monkeypatch.delenv("SSL_CERT_DIR", raising=False)
         sleeps: list[float] = []
-        with server.serving("https") as base_url:
+        with server.serving() as base_url:
             with pytest.raises(BackendError, match=r"after 3 attempts: transport error: .*CERTIFICATE_VERIFY_FAILED"):
                 HTTPBackend("m", base_url, sleep=sleeps.append).complete(TURNS, PARAMS)
         assert sleeps == [1.0, 2.0]
-        assert server.ports == []
+        assert server.requests == []
+
+    def test_pooled_connections_share_one_context(self, server, data_dir, monkeypatch):
+        # Each context loads the CA store, about 40 ms of CPU: once per backend, not per connection.
+        monkeypatch.setenv("SSL_CERT_FILE", str(data_dir / "loopback_cert.pem"))
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        loads, load = [], ssl.SSLContext.load_default_certs
+        monkeypatch.setattr(ssl.SSLContext, "load_default_certs", lambda context, *args: loads.append(load(context, *args)))
+        server.delay = 0.02  # each answer holds its connection, so a round opens several
+        with server.serving() as base_url:
+            backend = HTTPBackend("m", base_url, sleep=lambda seconds: None)
+            for _ in range(3):
+                with fan_out(lambda index: backend.complete(TURNS, PARAMS), range(5), 5) as results:
+                    assert list(results) == ["fine"] * 5
+        assert len({request["port"] for request in server.requests}) > 1
+        assert len(loads) == 1
 
 
 # mpo hashes with CPython's own SHA-256 when the interpreter has one; only a
