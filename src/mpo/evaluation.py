@@ -329,15 +329,7 @@ class ItemRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "raw_response": self.raw_response,
-            "extracted": self.extracted,
-            "gold": self.gold,
-            "correct": self.correct,
-            "subject": self.subject,
-            "note": self.note,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ItemRecord":

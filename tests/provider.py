@@ -2,8 +2,9 @@
 
 It answers ``POST .../v1/chat/completions`` over keep-alive HTTP/1.1 from its ``script`` of
 ``(status, payload[, headers])`` entries, in order. Once the script is empty it answers with
-the mock the posted model names: ``critic`` runs ``MockCritic``, ``solver`` ``MockSolver``, and
-any other model gets ``ok()``. Every request lands in ``requests``.
+the mock the posted model names, as ``build_backend`` does in mock mode: ``critic`` runs
+``MockCritic``, ``solver`` ``MockSolver``, ``extractor`` ``HeadingRuleExtractor``, and any other
+model gets ``ok()``. Every request lands in ``requests``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from mpo import ChatTurn, GenerationParams, MockCritic, MockSolver
+from mpo import ChatTurn, GenerationParams, HeadingRuleExtractor, MockCritic, MockSolver
 
-MOCKS = {"critic": MockCritic(), "solver": MockSolver()}
+MOCKS = {"critic": MockCritic(), "solver": MockSolver(), "extractor": HeadingRuleExtractor()}
 
 
 def ok(content: str = "fine") -> tuple[int, dict]:

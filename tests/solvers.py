@@ -1,15 +1,18 @@
 """Scripted backends: solvers keyed on the question text inside the posed
-prompt, a wrapper that answers every call differently, and a recorder that
-reads back the records it wrote."""
+prompt, the call hook that stands in for every backend a command builds, and a
+recorder that reads back the records it wrote."""
 
 from __future__ import annotations
 
+import contextlib
 import io
-import itertools
 import json
+import re
 import threading
+from collections.abc import Callable, Container, Iterator
 
 from mpo import BackendError, CriticBackend, Dataset, RecordingBackend, ScriptedBackend, Transcript
+from mpo import cli
 
 
 def gold_solver(dataset: Dataset) -> ScriptedBackend:
@@ -43,18 +46,55 @@ def scored_solver(dataset: Dataset, correct_ids: set[str]) -> ScriptedBackend:
     return ScriptedBackend(reply, name="scored", model="script")
 
 
-def counter_backend(inner: CriticBackend) -> ScriptedBackend:
-    """``inner``'s reply with the call's number as a last line of its own: every
-    call is answered differently, equal requests included, so a replay that
+@contextlib.contextmanager
+def hooked_backends(hook: Callable[..., str] | None = None) -> Iterator[tuple[list, list]]:
+    """Wraps ``cli.build_backend``, the one place a command gets its backend, for
+    the block. Each call to a backend it builds gets a number, counted from 1
+    across the block, and returns ``hook(number, inner, turns, params)``, or
+    ``inner``'s reply without a hook; the wrapper keeps ``inner``'s name and model.
+    Yields ``(builds, calls)``: each build's ``(mode, role)`` and each call's number."""
+    build, builds, calls, lock = cli.build_backend, [], [], threading.Lock()
+
+    def built(config, role):
+        inner = build(config, role)
+        builds.append((config.mode, role))
+
+        def complete(turns, params):
+            with lock:
+                number = len(calls) + 1
+                calls.append(number)
+            return inner.complete(turns, params) if hook is None else hook(number, inner, turns, params)
+
+        return ScriptedBackend(complete, name=inner.name, model=inner.model)
+
+    cli.build_backend = built
+    try:
+        yield builds, calls
+    finally:
+        cli.build_backend = build
+
+
+def counter(number: int, inner: CriticBackend, turns, params) -> str:
+    """``inner``'s reply with the call's number, from 0, as a last line of its own:
+    every call is answered differently, equal requests included, so a replay that
     serves one call another call's record writes different artifacts."""
-    calls, lock = itertools.count(), threading.Lock()
+    return f"{inner.complete(turns, params)}\nCall {number - 1}."
 
-    def reply(turns, params):
-        with lock:
-            number = next(calls)
-        return f"{inner.complete(turns, params)}\nCall {number}."
 
-    return ScriptedBackend(reply, name="counter", model=inner.identity)
+def refused(numbers: Container[int]) -> Callable[..., str]:
+    """A hook that raises BackendError on the calls numbered in ``numbers``."""
+
+    def hook(number, inner, turns, params):
+        if number in numbers:
+            raise BackendError(f"call {number} refused")
+        return inner.complete(turns, params)
+
+    return hook
+
+
+def masked_identity(data: bytes) -> bytes:
+    """``data`` with every ``critic_identity`` blanked: a replay names itself as the critic."""
+    return re.sub(rb'"critic_identity": "[^"]*"', b'"critic_identity": ""', data)
 
 
 class Recorder(RecordingBackend):

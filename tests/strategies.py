@@ -38,15 +38,6 @@ def prompt_states() -> st.SearchStrategy[PromptState]:
     )
 
 
-def directive_lines() -> st.SearchStrategy[str]:
-    """Plausible single-line critic directives."""
-    return st.text(
-        alphabet=st.characters(codec="ascii", categories=("L", "N", "Zs"), include_characters=(" ",)),
-        min_size=1,
-        max_size=60,
-    ).filter(lambda line: line.strip())
-
-
 _WORDS = (
     "answer", "letter", "single", "keep", "short", "state", "every", "question",
     "format", "line", "only", "avoid", "repeat", "choice", "final", "explain",

@@ -25,7 +25,6 @@ from mpo import (
     ItemRecord,
     MockCritic,
     OptimizerConfig,
-    SectionKind,
     evaluate,
     extract_answer,
     lexical_dedup,

@@ -25,9 +25,6 @@ from mpo import (
     DedupMode,
     EvalResult,
     GenerationParams,
-    HeadingRuleExtractor,
-    MockCritic,
-    MockSolver,
     OptimizerConfig,
     RecordingBackend,
     ScriptedBackend,
@@ -42,29 +39,23 @@ from mpo import (
 )
 from mpo import cli, optimizer
 from mpo.cli import CLIError, build_parser, build_run_config, main
-from solvers import gold_solver, scored_solver
+from solvers import gold_solver, hooked_backends, masked_identity, refused, scored_solver
 
-# ``mpo.cli.main`` on argv[2:] with a mock critic that SIGKILLs the process
-# on its argv[1]-th call.
+# ``mpo.cli.main`` on argv[2:], SIGKILLed on its argv[1]-th backend call.
 _KILLED_AT_CALL = """
-import os, signal, sys, threading
+import os, signal, sys
 import mpo.cli
-
-kill_at, calls, lock = int(sys.argv[1]), [], threading.Lock()
-
-
-class KillingCritic(mpo.cli.MockCritic):
-    def complete(self, turns, params):
-        with lock:
-            calls.append(turns)
-            number = len(calls)
-        if number == kill_at:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return super().complete(turns, params)
+from solvers import hooked_backends
 
 
-mpo.cli.MockCritic = KillingCritic
-sys.exit(mpo.cli.main(sys.argv[2:]))
+def kill(number, inner, turns, params):
+    if number == int(sys.argv[1]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return inner.complete(turns, params)
+
+
+with hooked_backends(kill):
+    sys.exit(mpo.cli.main(sys.argv[2:]))
 """
 
 DEDUP_RUNS = [("lexical", []), ("llm", ["--concurrency", "5"])]
@@ -508,29 +499,22 @@ class TestOneBackendPerCommand:
         assert f"error: cannot write {out / artifact}: " in capsys.readouterr().err
 
     def test_live_builds_one_http_backend_for_its_role(
-        self, tagged_file, dataset_file, data_dir, tmp_path, capsys, monkeypatch
+        self, provider, tagged_file, dataset_file, data_dir, tmp_path, capsys, monkeypatch
     ):
-        built, mocks = [], {"critic": MockCritic(), "solver": MockSolver(), "extractor": HeadingRuleExtractor()}
-
-        class MockedHTTPBackend(cli.HTTPBackend):
-            def __init__(self, model, *args, **kwargs):
-                super().__init__(model, *args, **kwargs)
-                built.append(model)
-
-            def complete(self, turns, params):
-                return mocks[self.model].complete(turns, params)
-
-        monkeypatch.setattr(cli, "HTTPBackend", MockedHTTPBackend)
-        monkeypatch.setenv("MPO_BASE_URL", "http://127.0.0.1:9")
+        base_url, server = provider
+        monkeypatch.setenv("MPO_BASE_URL", base_url)
+        monkeypatch.delenv("MPO_API_KEY", raising=False)
         runs = [
             (["decompose", str(data_dir / "multi_task_raw.txt")], "extractor"),
             (["optimize", str(tagged_file), "--iterations", "1"], "critic"),
             (["eval", str(tagged_file), str(dataset_file)], "solver"),
         ]
         for argv, role in runs:
-            built.clear()
-            assert main(argv + ["--live", "--record", "--out", str(tmp_path / role)]) == 0
-            assert built == [role]
+            server.requests.clear()
+            with hooked_backends() as (builds, calls):
+                assert main(argv + ["--live", "--record", "--out", str(tmp_path / role)]) == 0
+            assert builds == [("live", role)]
+            assert [request["body"]["model"] for request in server.requests] == [role] * len(calls)
             assert Transcript.load(tmp_path / role / "transcript.jsonl")
 
 
@@ -600,23 +584,21 @@ class TestDecompose:
 
 
     @pytest.mark.parametrize("fault", ["backend_error", "replay_miss"])
-    def test_extractor_fault_exits_three(self, fault, data_dir, tmp_path, capsys, monkeypatch):
+    def test_extractor_fault_exits_three(self, fault, data_dir, tmp_path, capsys):
         # A backend that fails past its retries aborts the run; only an unusable reply is an input error.
+        def down(number, inner, turns, params):
+            raise BackendError("503 down")
+
         out = tmp_path / "o"
         argv = ["decompose", str(data_dir / "multi_task_raw.txt"), "--out", str(out)]
-        if fault == "backend_error":
-            class Down(HeadingRuleExtractor):
-                def complete(self, turns, params):
-                    raise BackendError("503 down")
-
-            monkeypatch.setattr(cli, "HeadingRuleExtractor", Down)
-        else:
+        if fault == "replay_miss":
             other = tmp_path / "other.txt"
             other.write_text("Another prompt entirely.\n", encoding="utf-8")
             assert main(["decompose", str(other), "--record", "--out", str(tmp_path / "recorded")]) == 0
             argv += ["--replay", str(tmp_path / "recorded" / "transcript.jsonl")]
         capsys.readouterr()
-        assert main(argv) == 3
+        with hooked_backends(down if fault == "backend_error" else None):
+            assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("aborted: ") and ("503 down" in err if fault == "backend_error" else "no " in err)
         assert not (out / "decomposed_prompt.txt").exists()
@@ -767,18 +749,11 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert f"cannot read {prompt}: " in err and "utf-8" in err
 
-    def test_unwritable_transcript_exits_two_before_any_call(self, tagged_file, tmp_path, capsys, monkeypatch):
-        calls = []
-
-        class CountingCritic(MockCritic):
-            def complete(self, turns, params):
-                calls.append(turns)
-                return super().complete(turns, params)
-
-        monkeypatch.setattr("mpo.cli.MockCritic", CountingCritic)
+    def test_unwritable_transcript_exits_two_before_any_call(self, tagged_file, tmp_path, capsys):
         out = tmp_path / "run"
         (out / "transcript.jsonl").mkdir(parents=True)
-        assert main(["optimize", str(tagged_file), "--mock", "--record", "--out", str(out)]) == 2
+        with hooked_backends() as (_, calls):
+            assert main(["optimize", str(tagged_file), "--mock", "--record", "--out", str(out)]) == 2
         assert f"error: cannot write transcript {out / 'transcript.jsonl'}: " in capsys.readouterr().err
         assert calls == [] and [path.name for path in out.iterdir()] == ["transcript.jsonl"]
 
@@ -791,7 +766,7 @@ class TestOptimize:
         args += ["--concurrency", str(width), "--out", str(out)]
         result = subprocess.run(
             [sys.executable, "-c", _KILLED_AT_CALL, str(kill_at), *args],
-            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), str(Path(__file__).parent)])},
             capture_output=True,
             text=True,
             timeout=120,
@@ -803,20 +778,15 @@ class TestOptimize:
         text = (out / "transcript.jsonl").read_text(encoding="utf-8")
         assert text == "" or text.endswith("}\n")
 
-    def test_interrupted_run_keeps_transcript(self, tagged_file, tmp_path, monkeypatch):
-        class InterruptedCritic(MockCritic):
-            calls = 0
+    def test_interrupted_run_keeps_transcript(self, tagged_file, tmp_path):
+        def interrupt(number, inner, turns, params):
+            if number == 3:
+                raise KeyboardInterrupt
+            return inner.complete(turns, params)
 
-            def complete(self, turns, params):
-                InterruptedCritic.calls += 1
-                if InterruptedCritic.calls == 3:
-                    raise KeyboardInterrupt
-                return super().complete(turns, params)
-
-        monkeypatch.setattr("mpo.cli.MockCritic", InterruptedCritic)
         out = tmp_path / "run"
         args = ["optimize", str(tagged_file), "--record", "--concurrency", "1", "--out", str(out)]
-        with pytest.raises(KeyboardInterrupt):
+        with hooked_backends(interrupt), pytest.raises(KeyboardInterrupt):
             main(args)
         assert len(Transcript.load(out / "transcript.jsonl")) == 2
 
@@ -857,7 +827,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("dedup, extra", DEDUP_RUNS)
     def test_fixed_point_run_matches_pinned_artifacts(self, data_dir, tmp_path, capsys, monkeypatch, dedup, extra):
-        # Recorded with solvers.counter_backend around the mock critic at a
+        # Recorded with the mock critic under the solvers.counter hook at a
         # budget of 20 for 6 rounds, and replayed to write the pins while every
         # round still called step. Round 2 (lexical) or 1 (llm) is the first to
         # saturate every section; each later round repeats it without a step.
@@ -1083,15 +1053,14 @@ class TestEval:
         assert code == 2
         assert "no items" in capsys.readouterr().err
 
-    def test_majority_solver_failures_abort(
-        self, tagged_file, dataset_file, tmp_path, capsys, monkeypatch
-    ):
-        def failing(turns, params):
-            raise BackendError("service down")
+    @staticmethod
+    def _down(number, inner, turns, params):
+        raise BackendError("service down")
 
-        monkeypatch.setattr("mpo.cli.build_backend", lambda config, role: ScriptedBackend(failing))
+    def test_majority_solver_failures_abort(self, tagged_file, dataset_file, tmp_path, capsys):
         out = tmp_path / "out"
-        code = main(["eval", str(tagged_file), str(dataset_file), "--out", str(out)])
+        with hooked_backends(self._down):
+            code = main(["eval", str(tagged_file), str(dataset_file), "--out", str(out)])
         assert code == 3
         assert "aborted" in capsys.readouterr().err
         partial = json.loads(
@@ -1100,18 +1069,13 @@ class TestEval:
         assert partial["total"] == 6
         assert all("solver failed" in r["note"] for r in partial["records"])
 
-    def test_abort_artifact_same_at_every_width(
-        self, tagged_file, dataset_file, tmp_path, capsys, monkeypatch
-    ):
-        def failing(turns, params):
-            raise BackendError("service down")
-
-        monkeypatch.setattr("mpo.cli.build_backend", lambda config, role: ScriptedBackend(failing))
+    def test_abort_artifact_same_at_every_width(self, tagged_file, dataset_file, tmp_path, capsys):
         partials = []
         for width in ("1", "4"):
             out = tmp_path / f"width{width}"
             args = ["eval", str(tagged_file), str(dataset_file), "--out", str(out)]
-            assert main(args + ["--concurrency", width]) == 3
+            with hooked_backends(self._down):
+                assert main(args + ["--concurrency", width]) == 3
             partials.append((out / "eval_result.partial.json").read_bytes())
         assert partials[0] == partials[1]
         assert json.loads(partials[0])["total"] == 6
@@ -1177,27 +1141,6 @@ class TestEval:
         assert f"cannot load dataset {dataset}: " in err and "utf-8" in err
 
 
-def failing_mocks(numbers: set[int]):
-    """``build_backend`` whose mock backends raise BackendError on the calls
-    numbered in ``numbers``, counted from 1 across the run."""
-    build, calls, lock = cli.build_backend, [], threading.Lock()
-
-    def built(config, role):
-        inner = build(config, role)
-
-        def complete(turns, params):
-            with lock:
-                calls.append(None)
-                number = len(calls)
-            if number in numbers:
-                raise BackendError(f"call {number} refused")
-            return inner.complete(turns, params)
-
-        return inner if config.mode != "mock" else ScriptedBackend(complete, name=inner.name, model=inner.model)
-
-    return built
-
-
 class TestRecordedFailures:
     """A run that absorbed failed backend calls replays from its transcript,
     at any width and from its lines in any order."""
@@ -1214,13 +1157,12 @@ class TestRecordedFailures:
                 yield out
 
     @pytest.mark.parametrize("dedup, fails", [("lexical", {3}), ("llm", {3, 5})])
-    def test_optimize_with_failed_calls_replays(self, dedup, fails, tagged_file, tmp_path, monkeypatch):
+    def test_optimize_with_failed_calls_replays(self, dedup, fails, tagged_file, tmp_path):
         # One round: in a later one a failed call's request can come again and
         # succeed, and which twin gets the failure follows transcript order (ROADMAP item 3).
         argv = ["optimize", str(tagged_file), "--iterations", "1", "--dedup", dedup]
         recorded = tmp_path / "recorded"
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "build_backend", failing_mocks(fails))
+        with hooked_backends(refused(fails)):
             assert main([*argv, "--mock", "--record", "--out", str(recorded)]) == 0
         records = Transcript.load(recorded / "transcript.jsonl")
         assert [record["error"] for record in records if "error" in record] == [f"call {n} refused" for n in sorted(fails)]
@@ -1230,18 +1172,16 @@ class TestRecordedFailures:
             for failure in json.loads(line)["failures"]
         ]
         assert failures == ["critique failed", "update failed"][: len(fails)]
-        identity = re.compile(rb'"critic_identity": "[^"]*"')
         for out in self._replays(recorded, argv, tmp_path, 0):
             for name in ("history.jsonl", "metrics.json", "final_prompt.txt", "gradients.jsonl"):
-                expected, actual = (identity.sub(b"", (run / name).read_bytes()) for run in (recorded, out))
+                expected, actual = (masked_identity((run / name).read_bytes()) for run in (recorded, out))
                 assert actual == expected, (out.name, name)
 
     @pytest.mark.parametrize("fails, code, artifact", [({3}, 0, "eval_result.json"), (set(range(1, 7)), 3, "eval_result.partial.json")])
-    def test_eval_with_failed_solves_replays(self, fails, code, artifact, tagged_file, dataset_file, tmp_path, monkeypatch):
+    def test_eval_with_failed_solves_replays(self, fails, code, artifact, tagged_file, dataset_file, tmp_path):
         argv = ["eval", str(tagged_file), str(dataset_file)]
         recorded = tmp_path / "recorded"
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "build_backend", failing_mocks(fails))
+        with hooked_backends(refused(fails)):
             assert main([*argv, "--mock", "--record", "--concurrency", "1", "--out", str(recorded)]) == code
         notes = [record["note"] for record in json.loads((recorded / artifact).read_text(encoding="utf-8"))["records"]]
         assert [number + 1 for number, note in enumerate(notes) if note] == sorted(fails)

@@ -8,9 +8,9 @@ One matrix, driven through ``main`` in-process:
   saturate every section by round 2 and repeat that round after it; and
   ``eval`` on a generated set of 40 items that asks each question twice
   under distinct ids;
-- backends: the mocks, which answer equal requests alike,
-  :func:`solvers.counter_backend`, which answers every call differently, and,
-  for ``optimize`` only, ``flaky``: the mocks with every 7th call failing with
+- backends: the mocks, which answer equal requests alike, the mocks under
+  :func:`solvers.counter`, which answers every call differently, and, for
+  ``optimize`` only, ``flaky``: the mocks with every 7th call failing with
   a :class:`BackendError`, which the run absorbs and the transcript records;
 - runs: each cell is recorded at width 1 (``record``), then run again with
   the mocks and ``--record`` at width 5 (``live``), and replayed at widths 1
@@ -51,21 +51,19 @@ from __future__ import annotations
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mpo import BackendError, ScriptedBackend, Transcript
+from mpo import Transcript
 from mpo import cli
 from mpo.cli import main
-from solvers import counter_backend
+from solvers import counter, hooked_backends, masked_identity, refused
 
 PROMPT = Path(__file__).parent / "data" / "multi_task_tagged.txt"
 ITERATIONS = 5
-IDENTITY = re.compile(rb'"critic_identity": "[^"]*"')
 ITEM_3 = pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 
 COMMANDS = [
@@ -99,27 +97,13 @@ CELLS = [
 ]
 
 
+HOOKS = {"mock": None, "counter": counter, "flaky": refused(range(7, sys.maxsize, 7))}
+
+
 def run_cli(argv: list[str], out: Path, backend: str) -> int:
-    """``mpo <argv> --out OUT``, its mock backend wrapped by ``backend``;
+    """``mpo <argv> --out OUT``, a mock run's calls hooked by ``backend``;
     the number of backend calls the run made."""
-    calls, build = [], cli.build_backend
-
-    def counted(config, role):
-        inner = build(config, role)
-        if config.mode == "mock" and backend == "counter":
-            inner = counter_backend(inner)
-        flaky = config.mode == "mock" and backend == "flaky"
-
-        def complete(turns, params):
-            calls.append(None)
-            if flaky and len(calls) % 7 == 0:
-                raise BackendError(f"call {len(calls)} refused")
-            return inner.complete(turns, params)
-
-        return ScriptedBackend(complete, name=inner.name, model=inner.model)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "build_backend", counted)
+    with hooked_backends(HOOKS[backend] if "--mock" in argv else None) as (_, calls):
         assert main([*argv, "--out", str(out)]) == 0
     return len(calls)
 
@@ -175,7 +159,7 @@ def assert_same_artifacts(recorded: Path, out: Path, replayed: bool) -> None:
     for name in names:
         expected, actual = (recorded / name).read_bytes(), (out / name).read_bytes()
         if replayed and name == "gradients.jsonl":
-            expected, actual = (IDENTITY.sub(b'"critic_identity": ""', data) for data in (expected, actual))
+            expected, actual = masked_identity(expected), masked_identity(actual)
         assert actual == expected, name
     if (out / "eval_result.json").exists():  # compare reads both
         assert main(["compare", str(recorded / "eval_result.json"), str(out / "eval_result.json")]) == 0
