@@ -1,15 +1,20 @@
 """Scripted backends: solvers keyed on the question text inside the posed
-prompt, the call hook that stands in for every backend a command builds, and a
-recorder that reads back the records it wrote."""
+prompt, the call hook that stands in for every backend a command builds, a
+recorder that reads back the records it wrote, and the runner for a fresh
+interpreter."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from collections.abc import Callable, Container, Iterator
+from pathlib import Path
 
 from mpo import BackendError, CriticBackend, Dataset, RecordingBackend, ScriptedBackend, Transcript
 from mpo import cli
@@ -72,6 +77,20 @@ def hooked_backends(hook: Callable[..., str] | None = None) -> Iterator[tuple[li
         yield builds, calls
     finally:
         cli.build_backend = build
+
+
+def fresh_python(*args: str, env: dict[str, str] | None = None, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Runs ``python *args`` in a fresh interpreter that imports this mpo and
+    these test helpers, with ``env`` laid over this process's environment, and
+    returns the finished process, its output captured as text."""
+    path = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)])
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 def counter(number: int, inner: CriticBackend, turns, params) -> str:

@@ -7,10 +7,8 @@ import hashlib
 import importlib.util
 import io
 import json
-import os
 import re
 import ssl
-import subprocess
 import sys
 import textwrap
 import threading
@@ -47,7 +45,7 @@ from mpo.backends import (
     open_utf8,
 )
 from provider import Provider, ok
-from solvers import Recorder
+from solvers import Recorder, fresh_python
 
 TURNS = (ChatTurn("user", "hello"),)
 PARAMS = GenerationParams()
@@ -973,15 +971,8 @@ _OFFLINE_RUNS = textwrap.dedent(
 
 
 def test_offline_runs_never_load_the_http_stack(data_dir, tmp_path):
-    src = Path(mpo.__file__).resolve().parents[1]
     unloaded = ["requests", "urllib3", "http.client"] + (["_hashlib"] if BUILTIN_SHA256 else [])
-    result = subprocess.run(
-        [sys.executable, "-c", _OFFLINE_RUNS, str(data_dir), str(tmp_path), *unloaded],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = fresh_python("-c", _OFFLINE_RUNS, str(data_dir), str(tmp_path), *unloaded)
     assert result.returncode == 0, result.stderr
     if not BUILTIN_SHA256:
         pytest.skip(f"the _hashlib check: {NO_BUILTIN_SHA256}")
@@ -1001,13 +992,7 @@ def test_importing_the_cli_leaves_deferred_modules_unloaded():
     # What every offline command pays before it starts, in a fresh interpreter.
     deferred = [name for name in DEFERRED_MODULES if BUILTIN_SHA256 or name != "_hashlib"]
     code = f"import sys, mpo.cli; print(*(name for name in {deferred!r} if name in sys.modules))"
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(Path(mpo.__file__).resolve().parents[1])},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = fresh_python("-c", code, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "\n", f"import mpo.cli loaded {result.stdout.split()}"
     if not BUILTIN_SHA256:
@@ -1052,13 +1037,7 @@ def test_hashlib_fallback_gives_the_built_in_digests(data_dir):
     block = 'import sys; sys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
     runs = []
     for prelude in ("", block):
-        result = subprocess.run(
-            [sys.executable, "-c", prelude + _DIGESTS, str(data_dir)],
-            env={**os.environ, "PYTHONPATH": str(Path(mpo.__file__).resolve().parents[1])},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        result = fresh_python("-c", prelude + _DIGESTS, str(data_dir), timeout=60)
         assert result.returncode == 0, result.stderr
         runs.append(json.loads(result.stdout))
     built_in, fallback = runs

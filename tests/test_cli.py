@@ -5,12 +5,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import re
 import signal
-import subprocess
-import sys
 import threading
 import tracemalloc
 from datetime import datetime, timezone
@@ -39,7 +36,7 @@ from mpo import (
 )
 from mpo import cli, optimizer
 from mpo.cli import CLIError, build_parser, build_run_config, main
-from solvers import gold_solver, hooked_backends, masked_identity, refused, scored_solver
+from solvers import fresh_python, gold_solver, hooked_backends, masked_identity, refused, scored_solver
 
 # ``mpo.cli.main`` on argv[2:], SIGKILLed on its argv[1]-th backend call.
 _KILLED_AT_CALL = """
@@ -759,24 +756,17 @@ class TestOptimize:
 
     @pytest.mark.parametrize("width", [1, 5])
     def test_killed_run_keeps_its_finished_calls(self, tagged_file, tmp_path, width):
-        # The mock critic SIGKILLs the process on its 7th call: nothing of the
-        # run's own cleanup runs, yet every line written so far is whole.
-        out, kill_at = tmp_path / "run", 7
+        # Round 1 makes 10 calls, 5 critiques and 5 consolidations, and every
+        # section's update is read before round 2 starts, so at any width the
+        # SIGKILL on call 11 comes after all 10 lines are written. Nothing of
+        # the run's own cleanup runs, yet all 10 lines are there and whole.
+        out = tmp_path / "run"
         args = ["optimize", str(tagged_file), "--mock", "--record", "--dedup", "llm", "--iterations", "3"]
         args += ["--concurrency", str(width), "--out", str(out)]
-        result = subprocess.run(
-            [sys.executable, "-c", _KILLED_AT_CALL, str(kill_at), *args],
-            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), str(Path(__file__).parent)])},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = fresh_python("-c", _KILLED_AT_CALL, "11", *args)
         assert result.returncode == -signal.SIGKILL, result.stderr
-        loaded = Transcript.load(out / "transcript.jsonl")
-        if width == 1:
-            assert len(loaded) == kill_at - 1
-        text = (out / "transcript.jsonl").read_text(encoding="utf-8")
-        assert text == "" or text.endswith("}\n")
+        assert len(Transcript.load(out / "transcript.jsonl")) == 10
+        assert (out / "transcript.jsonl").read_text(encoding="utf-8").endswith("}\n")
 
     def test_interrupted_run_keeps_transcript(self, tagged_file, tmp_path):
         def interrupt(number, inner, turns, params):

@@ -49,18 +49,15 @@ strict xfails until ROADMAP item 3 keys each call by its purpose.
 from __future__ import annotations
 
 import json
-import os
 import random
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from mpo import Transcript
-from mpo import cli
 from mpo.cli import main
-from solvers import counter, hooked_backends, masked_identity, refused
+from solvers import counter, fresh_python, hooked_backends, masked_identity, refused
 
 PROMPT = Path(__file__).parent / "data" / "multi_task_tagged.txt"
 ITERATIONS = 5
@@ -233,19 +230,12 @@ def test_record_and_replay_in_fresh_processes(recordings, tmp_path):
     argv, recorded, calls = recordings("eval-40", "mock")
     reversed_ = tmp_path / "reversed.jsonl"
     reversed_.write_text("".join(reversed((recorded / "transcript.jsonl").read_text(encoding="utf-8").splitlines(True))), encoding="utf-8")
-    source = str(Path(cli.__file__).resolve().parents[1])
     for seed, out, extra in (
         ("1", tmp_path / "record", ["--mock", "--record", "--concurrency", "1"]),
         ("2", tmp_path / "replay", ["--replay", str(reversed_), "--concurrency", "5"]),
         ("3", tmp_path / "record5", ["--mock", "--record", "--concurrency", "5"]),
     ):
-        result = subprocess.run(
-            [sys.executable, "-m", "mpo.cli", *argv, *extra, "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": source, "PYTHONHASHSEED": seed},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = fresh_python("-m", "mpo.cli", *argv, *extra, "--out", str(out), env={"PYTHONHASHSEED": seed})
         assert result.returncode == 0, result.stderr
         assert_same_artifacts(recorded, out, replayed=extra[0] == "--replay")
     for run in ("record", "record5"):

@@ -3,15 +3,10 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import mpo
 from mpo.cli import main
+from solvers import fresh_python
 
 
 @pytest.fixture
@@ -70,11 +65,9 @@ def test_live_run_and_replay_need_no_requests(throttled, data_dir, tmp_path):
     base_url, server = throttled
     prompt = str(data_dir / "multi_task_tagged.txt")
     assert main(["optimize", prompt, "--mock", "--out", str(tmp_path / "mock")]) == 0
-    env = {**os.environ, "MPO_BASE_URL": base_url}
-    env.update(PYTHONPATH=str(Path(mpo.__file__).resolve().parents[1]), MPO_API_KEY="")
-    result = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_REQUESTS, prompt, str(tmp_path / "live"), str(tmp_path / "replay")],
-        env=env, capture_output=True, text=True, timeout=120,
+    result = fresh_python(
+        "-c", _WITHOUT_REQUESTS, prompt, str(tmp_path / "live"), str(tmp_path / "replay"),
+        env={"MPO_BASE_URL": base_url, "MPO_API_KEY": ""},
     )
     assert result.returncode == 0, result.stderr
     assert [request["status"] for request in server.requests] == [429] + [200] * 15
