@@ -1,7 +1,7 @@
 """Scripted backends: solvers keyed on the question text inside the posed
 prompt, the call hook that stands in for every backend a command builds, a
-recorder that reads back the records it wrote, and the runner for a fresh
-interpreter."""
+recorder that reads back the records it wrote, the runner for a fresh
+interpreter, and the comparison of the artifacts two runs wrote."""
 
 from __future__ import annotations
 
@@ -114,6 +114,24 @@ def refused(numbers: Container[int]) -> Callable[..., str]:
 def masked_identity(data: bytes) -> bytes:
     """``data`` with every ``critic_identity`` blanked: a replay names itself as the critic."""
     return re.sub(rb'"critic_identity": "[^"]*"', b'"critic_identity": ""', data)
+
+
+def assert_same_run(expected: Path, *runs: Path, masked: bool = False) -> None:
+    """Each of ``runs`` wrote exactly the artifacts ``expected`` holds, every file
+    but ``transcript.jsonl``, byte for byte; with ``masked``, both sides are
+    compared through :func:`masked_identity`."""
+
+    def artifacts(run: Path) -> dict[str, bytes]:
+        files = [path for path in run.iterdir() if path.name != "transcript.jsonl"]
+        return {path.name: masked_identity(path.read_bytes()) if masked else path.read_bytes() for path in files}
+
+    want = artifacts(expected)
+    assert want, f"{expected} holds no artifact"
+    for run in runs:
+        got = artifacts(run)
+        assert got.keys() == want.keys(), run.name
+        for name, data in want.items():
+            assert got[name] == data, (run.name, name)
 
 
 class Recorder(RecordingBackend):

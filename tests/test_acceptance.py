@@ -13,7 +13,6 @@ import json
 import os
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -35,7 +34,7 @@ from mpo import (
     step,
 )
 from mpo.cli import main
-from solvers import scored_solver
+from solvers import assert_same_run, scored_solver
 
 
 @pytest.fixture
@@ -161,15 +160,7 @@ def test_06_replay_determinism(clock, tmp_path, data_dir):
         main(base + ["--out", str(replayed), "--replay", str(recorded / "transcript.jsonl")])
         == 0
     )
-
-    def digests(run_dir: Path) -> list[str]:
-        lines = (run_dir / "history.jsonl").read_text(encoding="utf-8").splitlines()
-        return [json.loads(line)["digest"] for line in lines]
-
-    assert digests(replayed) == digests(recorded)
-    assert (replayed / "final_prompt.txt").read_bytes() == (
-        recorded / "final_prompt.txt"
-    ).read_bytes()
+    assert_same_run(recorded, replayed, masked=True)
     elapsed = clock()
     assert elapsed < 5.0, f"took {elapsed:.2f}s, bound is 5s"
     print("ACCEPTANCE 6 PASS")

@@ -36,7 +36,7 @@ from mpo import (
 )
 from mpo import cli, optimizer
 from mpo.cli import CLIError, build_parser, build_run_config, main
-from solvers import fresh_python, gold_solver, hooked_backends, masked_identity, refused, scored_solver
+from solvers import assert_same_run, fresh_python, gold_solver, hooked_backends, refused, scored_solver
 
 # ``mpo.cli.main`` on argv[2:], SIGKILLed on its argv[1]-th backend call.
 _KILLED_AT_CALL = """
@@ -109,11 +109,6 @@ def optimize_at_budget(data_dir: Path, out: Path, budget: int, *extra: str) -> P
     args = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--mock", "--iterations", "3"]
     assert main(args + ["--config", str(config), *extra, "--out", str(out)]) == 0
     return out
-
-
-def assert_pinned(out: Path, pinned: Path) -> None:
-    for name in ("history.jsonl", "gradients.jsonl", "metrics.json", "final_prompt.txt"):
-        assert (out / name).read_bytes() == (pinned / name).read_bytes(), name
 
 
 def record_eval(solver, prompt_path: Path, dataset_path: Path, out: Path) -> Path:
@@ -688,7 +683,7 @@ class TestOptimize:
         args = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--dedup", "lexical_then_llm"]
         args += ["--iterations", "2", "--replay", str(seed / "transcript.jsonl"), "--out", str(out)]
         assert main(args) == 0
-        assert_pinned(out, seed)
+        assert_same_run(seed, out)
 
     @pytest.mark.parametrize(
         "line",
@@ -789,7 +784,7 @@ class TestOptimize:
         # 103, Output Format 51 tokens) comes in over it, so nothing is cut.
         with caplog.at_level("WARNING", logger="mpo.optimizer"):
             out = optimize_at_budget(data_dir, tmp_path / dedup, 40, "--dedup", dedup, *extra)
-        assert_pinned(out, data_dir / "budget_run" / dedup)
+        assert_same_run(data_dir / "budget_run" / dedup, out)
         assert [m for m in caplog.messages if "truncated from" in m] == []
 
     @pytest.mark.parametrize("dedup, extra", DEDUP_RUNS)
@@ -802,7 +797,7 @@ class TestOptimize:
         # back section kept its incoming object: those two stay `original`.
         with caplog.at_level("WARNING", logger="mpo.optimizer"):
             out = optimize_at_budget(data_dir, tmp_path / dedup, 55, "--dedup", dedup, *extra)
-        assert_pinned(out, data_dir / "budget_run_55" / dedup)
+        assert_same_run(data_dir / "budget_run_55" / dedup, out)
         assert sorted(m for m in caplog.messages if "truncated from" in m) == [
             "section Output Format exceeded 55 tokens, truncated from 66 to 51",
             "section Task Details exceeded 55 tokens, truncated from 61 to 52",
@@ -829,7 +824,7 @@ class TestOptimize:
         args = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--dedup", dedup, "--iterations", "6"]
         args += ["--config", str(config), "--replay", str(pinned / "transcript.jsonl"), *extra, "--out", str(tmp_path / "o")]
         assert main(args) == 0
-        assert_pinned(tmp_path / "o", pinned)
+        assert_same_run(pinned, tmp_path / "o")
         rounds = [json.loads(line)["gradients"] for line in (pinned / "gradients.jsonl").read_text().splitlines()]
         saturated = [sum(g["saturated"] for g in gradients) for gradients in rounds]
         assert saturated == {"lexical": [4, 4, 5, 5, 5, 5], "llm": [4, 5, 5, 5, 5, 5]}[dedup]
@@ -885,8 +880,7 @@ class TestOptimize:
             outs.append(optimize_at_budget(data_dir, tmp_path / name, 55, *extra))
             monkeypatch.undo()
         assert b'"saturated": true' in (outs[0] / "gradients.jsonl").read_bytes()
-        for name in ("history.jsonl", "gradients.jsonl"):
-            assert len({(out / name).read_bytes() for out in outs}) == 1, name
+        assert_same_run(*outs)
 
 
 class TestEval:
@@ -925,16 +919,15 @@ class TestEval:
         sampled = {record["id"] for record in json.loads((recorded / "eval_result.json").read_text())["records"]}
         ids = [item.id for item in load_dataset(dataset_file, "generic_jsonl").items]
         missed = next(index for index, item_id in enumerate(ids) if item_id not in sampled)
-        partials = []
         for width in ("1", "5"):
             out = tmp_path / f"replay{width}"
             replay = ["--replay", str(recorded / "transcript.jsonl"), "--concurrency", width, "--out", str(out)]
             assert main(args + replay) == 3
             assert f"aborted: run aborted at item {ids[missed]}: " in capsys.readouterr().err
             assert not (out / "eval_result.json").exists()
-            partials.append((out / "eval_result.partial.json").read_bytes())
-        assert partials[0] == partials[1]
-        assert [record["id"] for record in json.loads(partials[0])["records"]] == ids[:missed] == ["q01", "q02", "q03"]
+        assert_same_run(tmp_path / "replay1", tmp_path / "replay5")
+        partial = json.loads((tmp_path / "replay1" / "eval_result.partial.json").read_text(encoding="utf-8"))
+        assert [record["id"] for record in partial["records"]] == ids[:missed] == ["q01", "q02", "q03"]
 
     def test_mock_eval_prints_accuracy(self, tagged_file, dataset_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1060,15 +1053,12 @@ class TestEval:
         assert all("solver failed" in r["note"] for r in partial["records"])
 
     def test_abort_artifact_same_at_every_width(self, tagged_file, dataset_file, tmp_path, capsys):
-        partials = []
         for width in ("1", "4"):
-            out = tmp_path / f"width{width}"
-            args = ["eval", str(tagged_file), str(dataset_file), "--out", str(out)]
+            args = ["eval", str(tagged_file), str(dataset_file), "--out", str(tmp_path / f"width{width}")]
             with hooked_backends(self._down):
                 assert main(args + ["--concurrency", width]) == 3
-            partials.append((out / "eval_result.partial.json").read_bytes())
-        assert partials[0] == partials[1]
-        assert json.loads(partials[0])["total"] == 6
+        assert_same_run(tmp_path / "width1", tmp_path / "width4")
+        assert json.loads((tmp_path / "width1" / "eval_result.partial.json").read_text(encoding="utf-8"))["total"] == 6
 
     def test_subject_breakdown_printed(self, tagged_file, data_dir, tmp_path, capsys):
         code = main(
@@ -1162,10 +1152,7 @@ class TestRecordedFailures:
             for failure in json.loads(line)["failures"]
         ]
         assert failures == ["critique failed", "update failed"][: len(fails)]
-        for out in self._replays(recorded, argv, tmp_path, 0):
-            for name in ("history.jsonl", "metrics.json", "final_prompt.txt", "gradients.jsonl"):
-                expected, actual = (masked_identity((run / name).read_bytes()) for run in (recorded, out))
-                assert actual == expected, (out.name, name)
+        assert_same_run(recorded, *self._replays(recorded, argv, tmp_path, 0), masked=True)
 
     @pytest.mark.parametrize("fails, code, artifact", [({3}, 0, "eval_result.json"), (set(range(1, 7)), 3, "eval_result.partial.json")])
     def test_eval_with_failed_solves_replays(self, fails, code, artifact, tagged_file, dataset_file, tmp_path):
@@ -1175,8 +1162,7 @@ class TestRecordedFailures:
             assert main([*argv, "--mock", "--record", "--concurrency", "1", "--out", str(recorded)]) == code
         notes = [record["note"] for record in json.loads((recorded / artifact).read_text(encoding="utf-8"))["records"]]
         assert [number + 1 for number, note in enumerate(notes) if note] == sorted(fails)
-        for out in self._replays(recorded, argv, tmp_path, code):
-            assert (out / artifact).read_bytes() == (recorded / artifact).read_bytes(), out.name
+        assert_same_run(recorded, *self._replays(recorded, argv, tmp_path, code))
 
     def test_readme_transcript_keys(self, tmp_path):
         """The README's key list is, in order, the keys of a failed call's line,

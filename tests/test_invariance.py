@@ -22,8 +22,8 @@ with the mocks at width 1 and at width 8, for the recorded stream of many
 short calls.
 
 Every artifact of a run is compared byte for byte with the recording's; a
-replay's ``gradients.jsonl`` with ``critic_identity`` masked, since replay
-names itself as the critic. Every transcript holds one line per backend call
+replay's with ``critic_identity`` masked, since replay names itself as the
+critic. Every transcript holds one line per backend call
 the run made, whose loaded records dump back to the file's bytes, and a
 replay serves each of its lines once. A wider run makes as many calls as the recording.
 
@@ -42,7 +42,7 @@ either order. At width 1 the counter's ``eval`` replays from the reversed
 or shuffled transcript fail: replay serves equal requests their records in
 transcript order, so one id gets its twin's reply. So do ``flaky``'s at both widths: a critique or a
 consolidation that failed is asked again, alike, a round later, and
-succeeds. Those cells, and one comparing ``gradients.jsonl`` unmasked, are
+succeeds. Those cells, and one comparing a replay's artifacts unmasked, are
 strict xfails until ROADMAP item 3 keys each call by its purpose.
 """
 
@@ -57,7 +57,7 @@ import pytest
 
 from mpo import Transcript
 from mpo.cli import main
-from solvers import counter, fresh_python, hooked_backends, masked_identity, refused
+from solvers import assert_same_run, counter, fresh_python, hooked_backends, refused
 
 PROMPT = Path(__file__).parent / "data" / "multi_task_tagged.txt"
 ITERATIONS = 5
@@ -151,13 +151,7 @@ def assert_one_line_per_call(transcript: Path, calls: int) -> None:
 
 
 def assert_same_artifacts(recorded: Path, out: Path, replayed: bool) -> None:
-    names = sorted(path.name for path in recorded.iterdir() if path.name != "transcript.jsonl")
-    assert names == sorted(path.name for path in out.iterdir() if path.name != "transcript.jsonl")
-    for name in names:
-        expected, actual = (recorded / name).read_bytes(), (out / name).read_bytes()
-        if replayed and name == "gradients.jsonl":
-            expected, actual = masked_identity(expected), masked_identity(actual)
-        assert actual == expected, name
+    assert_same_run(recorded, out, masked=replayed)
     if (out / "eval_result.json").exists():  # compare reads both
         assert main(["compare", str(recorded / "eval_result.json"), str(out / "eval_result.json")]) == 0
 
@@ -220,7 +214,7 @@ def test_replay_names_the_recorded_critic(recordings, tmp_path):
     # A replay writes ``replay:transcript`` as each gradient's critic_identity.
     argv, recorded, _ = recordings("optimize-lexical-800", "mock")
     run_cli([*argv, "--replay", str(recorded / "transcript.jsonl")], tmp_path, "mock")
-    assert (tmp_path / "gradients.jsonl").read_bytes() == (recorded / "gradients.jsonl").read_bytes()
+    assert_same_run(recorded, tmp_path)
 
 
 def test_record_and_replay_in_fresh_processes(recordings, tmp_path):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from mpo.cli import main
-from solvers import fresh_python
+from solvers import assert_same_run, fresh_python
 
 
 @pytest.fixture
@@ -27,10 +27,7 @@ def test_live_record_matches_mock_and_replays(throttled, data_dir, tmp_path, mon
     assert main([*run, "--replay", str(tmp_path / "live" / "transcript.jsonl"), "--out", str(tmp_path / "replay")]) == 0
     # Three rounds of five critiques, and the throttled first call asked again.
     assert [request["status"] for request in server.requests] == [429] + [200] * 15
-    for name in ("history.jsonl", "metrics.json", "final_prompt.txt"):
-        expected = (tmp_path / "mock" / name).read_bytes()
-        assert (tmp_path / "live" / name).read_bytes() == expected, name
-        assert (tmp_path / "replay" / name).read_bytes() == expected, name
+    assert_same_run(tmp_path / "mock", tmp_path / "live", tmp_path / "replay", masked=True)
 
 
 def test_live_eval_matches_mock_replays_and_compares(throttled, data_dir, tmp_path, monkeypatch):
@@ -43,9 +40,7 @@ def test_live_eval_matches_mock_replays_and_compares(throttled, data_dir, tmp_pa
     assert main([*run, "--replay", str(tmp_path / "live" / "transcript.jsonl"), "--out", str(tmp_path / "replay")]) == 0
     # Ten items, and the throttled first call asked again.
     assert [request["status"] for request in server.requests] == [429] + [200] * 10
-    expected = (tmp_path / "mock" / "eval_result.json").read_bytes()
-    assert (tmp_path / "live" / "eval_result.json").read_bytes() == expected
-    assert (tmp_path / "replay" / "eval_result.json").read_bytes() == expected
+    assert_same_run(tmp_path / "mock", tmp_path / "live", tmp_path / "replay")
     assert main(["compare", str(tmp_path / "mock" / "eval_result.json"), str(tmp_path / "live" / "eval_result.json")]) == 0
 
 
@@ -71,7 +66,4 @@ def test_live_run_and_replay_need_no_requests(throttled, data_dir, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert [request["status"] for request in server.requests] == [429] + [200] * 15
-    for name in ("history.jsonl", "metrics.json", "final_prompt.txt"):
-        expected = (tmp_path / "mock" / name).read_bytes()
-        assert (tmp_path / "live" / name).read_bytes() == expected, name
-        assert (tmp_path / "replay" / name).read_bytes() == expected, name
+    assert_same_run(tmp_path / "mock", tmp_path / "live", tmp_path / "replay", masked=True)

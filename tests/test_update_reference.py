@@ -86,7 +86,7 @@ from mpo.backends import CriticBackend, _params_json
 from mpo.cli import _gradient_lines, _history_lines, _write_run_artifacts, main
 from mpo.optimizer import SectionUpdate, _truncate_to_token_budget
 from mpo.schema import TAG_STRING_RE, _parse_tag_line
-from solvers import Recorder
+from solvers import Recorder, assert_same_run
 
 
 def reference_truncate(section: Section, budget: int) -> tuple[Section, int, tuple | None]:
@@ -602,8 +602,7 @@ class TestReplayInOrderMatchesReference:
 
         monkeypatch.setattr(cli, "ReplayBackend", build)
         assert main(args) == 0
-        for name in ("history.jsonl", "gradients.jsonl", "metrics.json", "final_prompt.txt"):
-            assert (out / name).read_bytes() == (seed / name).read_bytes(), name
+        assert_same_run(seed, out)
         # Every record was served, and each key left once its queue emptied.
         assert built[0]._index == {}
         return built[0]
