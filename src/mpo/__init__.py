@@ -20,7 +20,6 @@ from .backends import (
     RecordingBackend,
     ReplayBackend,
     ReplayMiss,
-    ScriptedBackend,
     Transcript,
     request_digest,
 )

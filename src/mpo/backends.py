@@ -1,9 +1,8 @@
-"""Chat-completion backends: live HTTP, scripted, and record/replay.
+"""Chat-completion backends: live HTTP, and record/replay.
 
 Every backend exposes one operation, ``complete(turns, params) -> str``.  The
 live backend speaks the common ``/v1/chat/completions`` wire protocol; the
-scripted backend turns a constant or a callable into a deterministic stand-in;
-the recording wrapper captures request/response pairs into a transcript and
+recording wrapper captures request/response pairs into a transcript and
 the replay backend indexes them once by request and serves each back for the
 same turns and params, in any arrival order, so whole optimization runs can
 be reproduced byte-for-byte without model access.
@@ -373,29 +372,6 @@ class ReplayBackend(CriticBackend):
         )
 
 
-class ScriptedBackend(CriticBackend):
-    """Deterministic backend driven by a constant string or a callable.
-
-    The callable receives ``(turns, params)`` and returns the response text;
-    it may raise :class:`BackendError` to simulate failures.
-    """
-
-    def __init__(
-        self,
-        script: str | Callable[[Sequence[ChatTurn], GenerationParams], str],
-        name: str = "scripted",
-        model: str = "script",
-    ) -> None:
-        self._script = script
-        self.name = name
-        self.model = model
-
-    def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
-        if callable(self._script):
-            return self._script(turns, params)
-        return self._script
-
-
 def _retry_after_seconds(value: str) -> float | None:
     """The wait a ``Retry-After`` value asks for: delta-seconds or an HTTP-date
     (RFC 9110 section 10.2.3), or None when it is empty or neither, which
@@ -420,7 +396,8 @@ class HTTPBackend(CriticBackend):
     keep-alive connections that its threads share. Retries transport failures, 429 and 5xx responses
     up to ``MAX_ATTEMPTS`` (three) attempts with exponential backoff (1s then 2s), or after the
     response's ``Retry-After`` when it gives seconds or an HTTP-date; such a wait longer than
-    ``timeout`` fails at once instead. Other HTTP errors fail immediately.
+    ``timeout`` fails at once instead. Other HTTP errors fail immediately, as does a reply the provider
+    cut short (``finish_reason`` ``length`` or ``content_filter``): the same request would be cut again.
     """
 
     name = "http"
@@ -509,7 +486,7 @@ class HTTPBackend(CriticBackend):
                     f"request failed with status {status}: "
                     f"{payload.decode('utf-8', errors='replace')[:500]}"
                 )
-            return self._extract_content(payload)
+            return self._extract_content(payload, params.max_output_tokens)
         raise BackendError(
             f"request failed after {MAX_ATTEMPTS} attempts: {last_error}"
         )
@@ -534,12 +511,16 @@ class HTTPBackend(CriticBackend):
                 self._idle.append(conn)
 
     @staticmethod
-    def _extract_content(body: bytes) -> str:
+    def _extract_content(body: bytes, max_tokens: int) -> str:
         try:
-            payload = json.loads(body)
-            content = payload["choices"][0]["message"]["content"]
+            choice = json.loads(body)["choices"][0]
+            content = choice["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
         if not isinstance(content, str):
             raise BackendError(f"malformed completion response: content is {type(content).__name__}, not a string")
+        if (reason := choice.get("finish_reason")) == "length":
+            raise BackendError(f"reply cut at max_tokens ({max_tokens})")
+        if reason == "content_filter":
+            raise BackendError("reply cut by the provider's content filter")
         return content

@@ -246,12 +246,12 @@ def _load_state(path: Path) -> PromptState:
 
 
 @contextlib.contextmanager
-def _run_backend(config: RunConfig, role: str) -> Iterator[tuple[CriticBackend, Path]]:
-    """The command's one backend and its output directory. Commands read their
-    inputs first, so an input error leaves ``OUT`` as it was. ``--record``
-    opens ``OUT/transcript.jsonl`` before the first call, which writes its line
-    when it finishes; the file is closed however the command ends, Ctrl-C
-    included."""
+def _run_backend(config: RunConfig, role: str) -> Iterator[tuple[CriticBackend, dict[str, Iterable[str]]]]:
+    """The command's one backend, and the files it leaves in ``OUT``: each name put in the dict is
+    written with its lines when the block ends, by return or by abort; a failed call or replay miss
+    that reaches the block aborts the run (exit 3). Commands read their inputs first, so an input
+    error leaves ``OUT`` as it was. ``--record`` opens ``OUT/transcript.jsonl`` before the first call,
+    which writes its line when it finishes; it is closed however the command ends, Ctrl-C included."""
     backend = build_backend(config, role)
     _make_dir(config.out_dir)
     stream = contextlib.nullcontext()
@@ -262,8 +262,15 @@ def _run_backend(config: RunConfig, role: str) -> Iterator[tuple[CriticBackend, 
         except OSError as exc:
             raise CLIError(f"cannot write transcript {path}: {exc}") from exc
         backend = RecordingBackend(backend, Transcript(stream=stream))
-    with stream:
-        yield backend, config.out_dir
+    files: dict[str, Iterable[str]] = {}
+    try:
+        with stream:
+            yield backend, files
+    except (ReplayMiss, BackendError) as exc:
+        raise CLIError(str(exc), 3) from exc
+    finally:
+        for name, lines in files.items():
+            _write(config.out_dir / name, lines)
 
 
 def _make_dir(path: Path) -> None:
@@ -283,8 +290,8 @@ def _write(path: Path, lines: Iterable[str]) -> None:
         raise CLIError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_json(path: Path, data: dict) -> None:
-    _write(path, [json.dumps(data, indent=2, ensure_ascii=False) + "\n"])
+def _json_lines(data: dict) -> list[str]:
+    return [json.dumps(data, indent=2, ensure_ascii=False) + "\n"]
 
 
 def _gradient_lines(history: RunHistory) -> Iterator[str]:
@@ -320,17 +327,19 @@ def _history_lines(states: tuple[PromptState, ...]) -> Iterator[str]:
         yield f'{json.dumps(head, ensure_ascii=False)[:-1]}, "sections": [{", ".join(encoded.values())}]}}\n'
 
 
-def _write_run_artifacts(history: RunHistory, out_dir: Path) -> None:
-    _write(out_dir / "history.jsonl", _history_lines(history.states))
-    _write(out_dir / "gradients.jsonl", _gradient_lines(history))
+def _run_artifacts(history: RunHistory) -> dict[str, Iterable[str]]:
     metrics = {
         "iterations": history.iterations,
         "digests": list(history.digests),
         "failure_count": sum(len(round_) for round_ in history.failures),
         "growth": growth_metrics(history),
     }
-    _write_json(out_dir / "metrics.json", metrics)
-    _write(out_dir / "final_prompt.txt", [render_prompt(history.final)])
+    return {
+        "history.jsonl": _history_lines(history.states),
+        "gradients.jsonl": _gradient_lines(history),
+        "metrics.json": _json_lines(metrics),
+        "final_prompt.txt": [render_prompt(history.final)],
+    }
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -338,17 +347,16 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     text, template = _read_text(Path(args.input)), config.template("decompose")
     if not text.strip():
         raise CLIError("decomposition failed: cannot decompose an empty prompt")
-    with _run_backend(config, "extractor") as (extractor, out_dir):
+    with _run_backend(config, "extractor") as (extractor, files):
         try:
             state = decompose_unstructured(text, extractor, template=template)
         except SchemaError as exc:
             raise CLIError(f"decomposition failed: {exc}") from exc
-    out_path = out_dir / "decomposed_prompt.txt"
-    _write(out_path, [render_prompt(state)])
+        files["decomposed_prompt.txt"] = [render_prompt(state)]
     for section in state.sections:
         marker = " (empty)" if section.is_empty else ""
         print(f"{section.kind.display_name}: {section.provenance.value}{marker}")
-    print(f"wrote {out_path}")
+    print(f"wrote {config.out_dir / 'decomposed_prompt.txt'}")
     return 0
 
 
@@ -356,24 +364,22 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     state, optimizer_config = _load_state(Path(args.input)), config.optimizer_config()
     gradient, consolidate = config.template("gradient"), config.template("consolidate")
-    with _run_backend(config, "critic") as (critic, out_dir):
+    with _run_backend(config, "critic") as (critic, files):
         try:
             history = optimize(
                 state, critic, optimizer_config, gradient_template=gradient, consolidate_template=consolidate
             )
         except OptimizationAborted as exc:
-            _write_run_artifacts(exc.history, out_dir)
-            print(f"aborted: {exc}", file=sys.stderr)
-            print(f"partial artifacts kept in {out_dir}", file=sys.stderr)
-            return 3
-    _write_run_artifacts(history, out_dir)
+            files.update(_run_artifacts(exc.history))
+            raise CLIError(f"{exc}\npartial artifacts kept in {config.out_dir}", 3) from exc
+        files.update(_run_artifacts(history))
     initial, final = history.initial, history.final
     print(f"iterations: {history.iterations}")
     print(f"tokens: {initial.total_tokens} -> {final.total_tokens}")
     skipped = sum(update.saturated for round_ in history.updates for update in round_)
     print(f"saturated section updates (not critiqued): {skipped}")
     print(f"final digest: {final.digest}")
-    print(f"wrote {out_dir}")
+    print(f"wrote {config.out_dir}")
     return 0
 
 
@@ -388,23 +394,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CLIError(f"dataset {args.dataset} has no items")
     if config.limit is not None:
         dataset = sample_items(dataset, config.limit, config.seed)
-    with _run_backend(config, "solver") as (solver, out_dir):
+    with _run_backend(config, "solver") as (solver, files):
         try:
             result = evaluate(state, dataset, solver, concurrency=config.concurrency, template=template)
         except EvaluationAborted as exc:
-            path = out_dir / "eval_result.partial.json"
-            _write_json(path, exc.result.to_dict())
-            print(f"aborted: {exc}", file=sys.stderr)
-            print(f"partial result kept in {path}", file=sys.stderr)
-            return 3
-    path = out_dir / "eval_result.json"
-    _write_json(path, data := result.to_dict())
+            files["eval_result.partial.json"] = _json_lines(exc.result.to_dict())
+            raise CLIError(f"{exc}\npartial result kept in {config.out_dir / 'eval_result.partial.json'}", 3) from exc
+        files["eval_result.json"] = _json_lines(data := result.to_dict())
     print(f"accuracy: {result.accuracy * 100:.2f}%")
     if result.unparseable:
         print(f"unparseable: {result.unparseable}/{result.total}")
     for subject, counts in data.get("per_subject", {}).items():
         print(f"{subject}: {counts['accuracy'] * 100:.2f}%")
-    print(f"wrote {path}")
+    print(f"wrote {config.out_dir / 'eval_result.json'}")
     return 0
 
 
@@ -439,7 +441,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.out:
         _make_dir(out_dir := Path(args.out))
         path = out_dir / "comparison.json"
-        _write_json(path, comparison.to_dict())
+        _write(path, _json_lines(comparison.to_dict()))
         print(f"wrote {path}")
     return 0
 
@@ -513,11 +515,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{'aborted' if exc.code == 3 else 'error'}: {exc}", file=sys.stderr)
         return exc.code
-    except (ReplayMiss, BackendError) as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

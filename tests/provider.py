@@ -21,9 +21,10 @@ from mpo import ChatTurn, GenerationParams, HeadingRuleExtractor, MockCritic, Mo
 MOCKS = {"critic": MockCritic(), "solver": MockSolver(), "extractor": HeadingRuleExtractor()}
 
 
-def ok(content: str = "fine") -> tuple[int, dict]:
-    """A completion whose content is ``content``."""
-    return 200, {"choices": [{"message": {"role": "assistant", "content": content}}]}
+def ok(content: str = "fine", finish_reason: str | None = None) -> tuple[int, dict]:
+    """A completion whose content is ``content``, with ``finish_reason`` when one is given."""
+    reason = {"finish_reason": finish_reason} if finish_reason else {}
+    return 200, {"choices": [{"message": {"role": "assistant", "content": content}, **reason}]}
 
 
 def _mock_answer(body: dict) -> tuple[int, dict]:

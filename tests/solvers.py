@@ -1,7 +1,8 @@
-"""Scripted backends: solvers keyed on the question text inside the posed
-prompt, the call hook that stands in for every backend a command builds, a
-recorder that reads back the records it wrote, the runner for a fresh
-interpreter, and the comparison of the artifacts two runs wrote."""
+"""Scripted backends: the stand-in that answers from a constant or a callable,
+solvers keyed on the question text inside the posed prompt, the call hook
+that stands in for every backend a command builds, a recorder that reads back
+the records it wrote, the runner for a fresh interpreter, and the comparison
+of the artifacts two runs wrote."""
 
 from __future__ import annotations
 
@@ -13,11 +14,34 @@ import re
 import subprocess
 import sys
 import threading
-from collections.abc import Callable, Container, Iterator
+from collections.abc import Callable, Container, Iterator, Sequence
 from pathlib import Path
 
-from mpo import BackendError, CriticBackend, Dataset, RecordingBackend, ScriptedBackend, Transcript
+from mpo import BackendError, ChatTurn, CriticBackend, Dataset, GenerationParams, RecordingBackend, Transcript
 from mpo import cli
+
+
+class ScriptedBackend(CriticBackend):
+    """Deterministic backend driven by a constant string or a callable.
+
+    The callable receives ``(turns, params)`` and returns the response text;
+    it may raise :class:`BackendError` to simulate failures.
+    """
+
+    def __init__(
+        self,
+        script: str | Callable[[Sequence[ChatTurn], GenerationParams], str],
+        name: str = "scripted",
+        model: str = "script",
+    ) -> None:
+        self._script = script
+        self.name = name
+        self.model = model
+
+    def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
+        if callable(self._script):
+            return self._script(turns, params)
+        return self._script
 
 
 def gold_solver(dataset: Dataset) -> ScriptedBackend:

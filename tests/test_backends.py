@@ -31,7 +31,6 @@ from mpo import (
     RecordingBackend,
     ReplayBackend,
     ReplayMiss,
-    ScriptedBackend,
     Transcript,
     request_digest,
 )
@@ -45,7 +44,7 @@ from mpo.backends import (
     open_utf8,
 )
 from provider import Provider, ok
-from solvers import Recorder, fresh_python
+from solvers import Recorder, ScriptedBackend, fresh_python
 
 TURNS = (ChatTurn("user", "hello"),)
 PARAMS = GenerationParams()
@@ -798,6 +797,23 @@ class TestHTTPBackend:
         server.script.append((200, {"choices": []}))
         with pytest.raises(BackendError, match="malformed"):
             self._backend(base_url).complete(TURNS, PARAMS)
+
+    @pytest.mark.parametrize(
+        "reason, message",
+        [("length", r"reply cut at max_tokens \(512\)"), ("content_filter", "reply cut by the provider's content filter")],
+    )
+    def test_cut_reply_fails_without_retry(self, provider, reason, message):
+        base_url, server = provider
+        server.script += [ok("half a rep", reason), ok("whole")]
+        with pytest.raises(BackendError, match=message):
+            self._backend(base_url).complete(TURNS, PARAMS)
+        assert len(server.requests) == 1
+
+    @pytest.mark.parametrize("reason", ["stop", "tool_calls", None])
+    def test_any_other_finish_reason_is_whole(self, provider, reason):
+        base_url, server = provider
+        server.script.append(ok("whole", reason))
+        assert self._backend(base_url).complete(TURNS, PARAMS) == "whole"
 
     @pytest.mark.parametrize("content", [5, ["a"], {"text": "a"}, None], ids=["number", "list", "object", "null"])
     def test_non_string_content_rejected(self, provider, content):

@@ -24,7 +24,6 @@ from mpo import (
     GenerationParams,
     OptimizerConfig,
     RecordingBackend,
-    ScriptedBackend,
     SectionKind,
     Transcript,
     default_template,
@@ -36,7 +35,7 @@ from mpo import (
 )
 from mpo import cli, optimizer
 from mpo.cli import CLIError, build_parser, build_run_config, main
-from solvers import assert_same_run, fresh_python, gold_solver, hooked_backends, refused, scored_solver
+from solvers import ScriptedBackend, assert_same_run, fresh_python, gold_solver, hooked_backends, refused, scored_solver
 
 # ``mpo.cli.main`` on argv[2:], SIGKILLed on its argv[1]-th backend call.
 _KILLED_AT_CALL = """
@@ -479,13 +478,17 @@ class TestOneBackendPerCommand:
             (["decompose", "{raw}"], "decomposed_prompt.txt"),
             (["optimize", "{prompt}", "--iterations", "1"], "metrics.json"),
             (["eval", "{prompt}", "{dataset}"], "eval_result.json"),
+            # Aborted runs: a third round the two-round recording lacks, and a replay of no eval call.
+            (["optimize", "{prompt}", "--dedup", "lexical_then_llm", "--replay", "{seed}"], "history.jsonl"),
+            (["eval", "{prompt}", "{dataset}", "--replay", "{seed}"], "eval_result.partial.json"),
         ],
-        ids=["decompose", "optimize", "eval"],
+        ids=["decompose", "optimize", "eval", "optimize-aborted", "eval-aborted"],
     )
     def test_unwritable_artifact_exits_two(self, argv, artifact, tagged_file, dataset_file, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
         (out / artifact).mkdir(parents=True)
         paths = {"raw": data_dir / "multi_task_raw.txt", "prompt": tagged_file, "dataset": dataset_file}
+        paths["seed"] = data_dir / "seed_run" / "transcript.jsonl"
         argv = [arg.format(**paths) for arg in argv]
         assert main(argv + ["--mock", "--out", str(out)]) == 2
         assert f"error: cannot write {out / artifact}: " in capsys.readouterr().err
@@ -1185,6 +1188,50 @@ class TestRecordedFailures:
         succeeded, failed = Transcript.load(tmp_path / "t.jsonl")
         assert documented == list(failed)
         assert [key for key in documented if key != "error"] == list(succeeded)
+
+
+class TestAbortOutput:
+    """An aborted run's exit code and its whole stdout and stderr, as ``mpo`` prints
+    them in a fresh interpreter. Each abort replays a recording, so no hook is needed."""
+
+    @staticmethod
+    def _mpo(*argv) -> tuple[int, str, str]:
+        result = fresh_python("-m", "mpo.cli", *map(str, argv))
+        return result.returncode, result.stdout, result.stderr
+
+    def test_optimize_replay_shortfall(self, tagged_file, tmp_path):
+        for rounds in ("1", "2"):
+            argv = ["optimize", str(tagged_file), "--iterations", rounds, "--record", "--out", str(tmp_path / rounds)]
+            assert main(argv) == 0
+        missed = Transcript.load(tmp_path / "2" / "transcript.jsonl")[5]["request_digest"]  # round 2's first call
+        out, replay = tmp_path / "over", tmp_path / "1" / "transcript.jsonl"
+        assert self._mpo("optimize", tagged_file, "--iterations", "2", "--replay", replay, "--out", out) == (
+            3,
+            "",
+            f"aborted: run aborted at iteration 1: no unconsumed recorded response for request digest {missed}; "
+            f"the run diverged from the recording\npartial artifacts kept in {out}\n",
+        )
+
+    def test_eval_majority_failure(self, tagged_file, dataset_file, tmp_path):
+        argv = ["eval", str(tagged_file), str(dataset_file)]
+        with hooked_backends(refused(range(1, 7))):
+            assert main([*argv, "--record", "--out", str(tmp_path / "recorded")]) == 3
+        out, replay = tmp_path / "replayed", tmp_path / "recorded" / "transcript.jsonl"
+        failed = [item.id for item in load_dataset(dataset_file, "generic_jsonl").items[:6]]
+        assert self._mpo(*argv, "--replay", replay, "--out", out) == (
+            3,
+            "",
+            "".join(f"WARNING mpo.evaluation: item {id_}: solver failed: call {n} refused\n" for n, id_ in enumerate(failed, 1))
+            + f"aborted: 6 of 10 items failed; aborting\npartial result kept in {out / 'eval_result.partial.json'}\n",
+        )
+
+    def test_decompose_extractor_fault(self, data_dir, tmp_path):
+        argv = ["decompose", str(data_dir / "multi_task_raw.txt")]
+        with hooked_backends(refused({1})):
+            assert main([*argv, "--record", "--out", str(tmp_path / "recorded")]) == 3
+        out, replay = tmp_path / "replayed", tmp_path / "recorded" / "transcript.jsonl"
+        assert self._mpo(*argv, "--replay", replay, "--out", out) == (3, "", "aborted: call 1 refused\n")
+        assert [path.name for path in out.iterdir()] == []
 
 
 class TestCompare:

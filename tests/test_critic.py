@@ -7,7 +7,6 @@ import pytest
 from mpo import (
     ConsolidationRejected,
     Provenance,
-    ScriptedBackend,
     Section,
     SectionKind,
     TextualGradient,
@@ -17,6 +16,7 @@ from mpo import (
 )
 from mpo.backends import CONSOLIDATION_PARAMS, GRADIENT_PARAMS
 from mpo.templating import PromptTemplate
+from solvers import ScriptedBackend
 
 
 class TestParseDirectives:

@@ -28,7 +28,6 @@ from mpo import (
     MCQItem,
     MissingAnswerKey,
     PromptTemplate,
-    ScriptedBackend,
     evaluate,
     extract_answer,
     load_dataset,
@@ -39,7 +38,7 @@ from mpo import (
 from mpo import evaluation
 from mpo.backends import fan_out
 
-from solvers import gold_solver, scored_solver
+from solvers import ScriptedBackend, gold_solver, scored_solver
 
 
 @pytest.fixture

@@ -22,7 +22,6 @@ from mpo import (
     ReplayBackend,
     ReplayMiss,
     RunHistory,
-    ScriptedBackend,
     Section,
     SectionKind,
     TagCollision,
@@ -37,7 +36,7 @@ from mpo import (
     step,
 )
 from mpo.schema import CANONICAL_ORDER
-from solvers import Recorder
+from solvers import Recorder, ScriptedBackend
 
 
 def _repeats(text: str) -> int:

@@ -20,7 +20,6 @@ from mpo import (
     PromptState,
     Provenance,
     SchemaError,
-    ScriptedBackend,
     Section,
     SectionKind,
     TagCollision,
@@ -34,6 +33,7 @@ from mpo import (
 from mpo.decompose import decompose_unstructured, vocabulary_violations
 from mpo.mocks import HeadingRuleExtractor
 from mpo.schema import _TAG_ALIASES, TAG_STRING_RE, strip_code_fences, strip_tag_strings
+from solvers import ScriptedBackend
 
 
 class TestSection:

@@ -39,7 +39,6 @@ import logging
 import pickle
 import random
 import sys
-import tempfile
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -65,7 +64,6 @@ from mpo import (
     ReplayBackend,
     ReplayMiss,
     RunHistory,
-    ScriptedBackend,
     Section,
     SectionKind,
     TagCollision,
@@ -83,10 +81,10 @@ from mpo import (
 )
 from mpo import backends, cli, optimizer, schema
 from mpo.backends import CriticBackend, _params_json
-from mpo.cli import _gradient_lines, _history_lines, _write_run_artifacts, main
+from mpo.cli import _gradient_lines, _history_lines, _run_artifacts, main
 from mpo.optimizer import SectionUpdate, _truncate_to_token_budget
 from mpo.schema import TAG_STRING_RE, _parse_tag_line
-from solvers import Recorder, assert_same_run
+from solvers import Recorder, ScriptedBackend, assert_same_run
 
 
 def reference_truncate(section: Section, budget: int) -> tuple[Section, int, tuple | None]:
@@ -738,9 +736,7 @@ def stepped_every_round(initial: PromptState, critic, config: OptimizerConfig) -
 
 
 def artifacts(history: RunHistory) -> dict[str, bytes]:
-    with tempfile.TemporaryDirectory() as out:
-        _write_run_artifacts(history, Path(out))
-        return {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
+    return {name: "".join(lines).encode("utf-8") for name, lines in sorted(_run_artifacts(history).items())}
 
 
 class TestSaturationSkipMatchesReference:
