@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import json
 import logging
 import os
@@ -252,30 +253,26 @@ class Transcript:
     A call is one record, the object on one line: ``request_digest`` (a
     label), ``request`` (the turns as role and content objects), ``params``,
     ``response``, ``error`` (on a failed call only) and ``timestamp``. Each
-    call is appended as the line :class:`RecordingBackend` built. Given a
-    ``stream``, the line is written there and flushed, and none is kept;
-    otherwise the lines are kept in order and :meth:`save` writes them
-    unchanged. Appends are serialized internally. :meth:`load` reads a saved
-    transcript back as its records.
+    call is appended as the line :class:`RecordingBackend` built, written to
+    ``stream`` and flushed; appends are serialized internally. Without a
+    ``stream`` the lines go to an in-memory buffer, which :meth:`save` writes
+    unchanged (on a given stream it raises AttributeError and writes no file).
+    :meth:`load` reads a saved transcript back as its records.
     """
 
     def __init__(self, stream: TextIO | None = None) -> None:
-        self._lines: list[str] = []
-        self._stream = stream
+        self._stream = io.StringIO() if stream is None else stream
         self._lock = threading.Lock()
 
     def append(self, line: str) -> None:
         """Add a call as its transcript line, newline included."""
         with self._lock:
-            if self._stream is None:
-                self._lines.append(line)
-            else:
-                self._stream.write(line)
-                self._stream.flush()
+            self._stream.write(line)
+            self._stream.flush()
 
     def save(self, path: str | Path) -> None:
-        with self._lock, Path(path).open("w", encoding="utf-8") as handle:
-            handle.writelines(self._lines)
+        with self._lock:
+            Path(path).write_text(self._stream.getvalue(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> list[dict]:
@@ -299,9 +296,9 @@ class RecordingBackend(CriticBackend):
     Responses pass through unchanged; a :class:`BackendError` is recorded as
     ``"response": ""`` and its ``error`` text, then re-raised. The wrapper
     keeps the inner backend's identity so recorded runs and live runs label
-    their outputs the same way. The line is joined from the request as
-    escaped for its digest and equals ``json.dumps(record,
-    ensure_ascii=False)`` plus a newline.
+    their outputs the same way. The request is joined from its turns as
+    escaped for the digest and the rest of the record is dumped once; the
+    line equals ``json.dumps(record, ensure_ascii=False)`` plus a newline.
     """
 
     def __init__(self, inner: CriticBackend, store: Transcript) -> None:
@@ -318,14 +315,10 @@ class RecordingBackend(CriticBackend):
         except BackendError as exc:  # recorded, so that a replay fails the same call alike
             response, error = "", exc
         digest, escaped = _encoded_request(turns, params)
-        line = [f'{{"request_digest": "{digest}", "request": [']
-        for index, (role, content) in enumerate(escaped):
-            line += (', {"role": ' if index else '{"role": ', role, ', "content": ', content, "}")
-        params_json, stamp = json.dumps(params.to_dict(), ensure_ascii=False), datetime.now(timezone.utc).isoformat()
-        line += (f'], "params": {params_json}, "response": ', json.dumps(response, ensure_ascii=False))
-        failed = "" if error is None else f', "error": {json.dumps(str(error), ensure_ascii=False)}'
-        line.append(f'{failed}, "timestamp": "{stamp}"}}\n')
-        self.store.append("".join(line))
+        request = ", ".join(f'{{"role": {role}, "content": {content}}}' for role, content in escaped)
+        failed = {} if error is None else {"error": str(error)}
+        tail = {"params": params.to_dict(), "response": response, **failed, "timestamp": datetime.now(timezone.utc).isoformat()}
+        self.store.append(f'{{"request_digest": "{digest}", "request": [{request}], {json.dumps(tail, ensure_ascii=False)[1:]}\n')
         if error is not None:
             raise error
         return response

@@ -3,7 +3,8 @@
 Commands: ``decompose`` (structure a free-form prompt), ``optimize`` (run the
 refinement loop), ``eval`` (score a prompt on a dataset), ``compare`` (line
 up result files), ``diff`` (per-section prompt diff). Exit codes: 0 success,
-1 semantic difference (``diff`` only), 2 input error or unwritable output, 3 aborted run.
+1 semantic difference (``diff`` only), 2 input error, unwritable output or an
+unusable ``decompose`` extractor reply, 3 aborted run.
 
 Settings come from an INI config file and command-line flags; flags win.
 Backends run in one of three modes: ``mock`` (deterministic built-ins, the

@@ -306,8 +306,9 @@ class TestRunConfig:
         with pytest.raises(CLIError, match="cannot read config file"):
             parse_config(["optimize", "p.txt", "--config", str(ini)])
 
-    def test_readme_config_example(self, tmp_path):
-        """The README's ``ini`` block, verbatim, parses and names every setting."""
+    def test_readme_config_example(self, tmp_path, tagged_file, monkeypatch):
+        """The README's ``ini`` block, verbatim, parses and names every setting, and
+        ``optimize --mock`` runs with it next to copies of the built-in templates it names."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
         ini = tmp_path / "mpo.ini"
@@ -323,6 +324,11 @@ class TestRunConfig:
             elif key := re.match(r"(\w+) =", line):
                 pairs.add((section, key.group(1)))
         assert pairs == {(section, key) for section, key, *_ in cli._SETTINGS}
+        monkeypatch.chdir(tmp_path)
+        for name, path in config.templates.items():
+            path.write_text(default_template(name).text, encoding="utf-8")
+        assert main(["optimize", str(tagged_file), "--config", str(ini), "--mock", "--iterations", "1"]) == 0
+        assert (tmp_path / "mpo-run" / "final_prompt.txt").stat().st_size > 0
 
     def test_table_flags_exist(self):
         # Each flag of the table is on exactly the commands that read its setting.
