@@ -271,8 +271,10 @@ class Transcript:
             self._stream.flush()
 
     def save(self, path: str | Path) -> None:
-        with self._lock:
-            Path(path).write_text(self._stream.getvalue(), encoding="utf-8")
+        with self._lock, Path(path).open("w", encoding="utf-8") as handle:
+            text = self._stream.getvalue()  # one copy, written in slices, so none is encoded whole
+            for start in range(0, len(text), 65536):
+                handle.write(text[start : start + 65536])
 
     @classmethod
     def load(cls, path: str | Path) -> list[dict]:

@@ -1,8 +1,8 @@
 """Scripted backends: the stand-in that answers from a constant or a callable,
 solvers keyed on the question text inside the posed prompt, the call hook
-that stands in for every backend a command builds, a recorder that reads back
-the records it wrote, the runner for a fresh interpreter, and the comparison
-of the artifacts two runs wrote."""
+that stands in for every backend a command builds, the runner for a fresh
+interpreter, the comparison of the artifacts two runs wrote, and the one way
+a test builds, records, reorders or reads JSON Lines."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import threading
 from collections.abc import Callable, Container, Iterator, Sequence
 from pathlib import Path
 
-from mpo import BackendError, ChatTurn, CriticBackend, Dataset, GenerationParams, RecordingBackend, Transcript
+from mpo import BackendError, ChatTurn, CriticBackend, Dataset, GenerationParams, RecordingBackend, Transcript, request_digest
 from mpo import cli
 
 
@@ -106,13 +107,13 @@ def hooked_backends(hook: Callable[..., str] | None = None) -> Iterator[tuple[li
 def fresh_python(*args: str, env: dict[str, str] | None = None, timeout: float = 120) -> subprocess.CompletedProcess:
     """Runs ``python *args`` in a fresh interpreter that imports this mpo and
     these test helpers, with ``env`` laid over this process's environment, and
-    returns the finished process, its output captured as text."""
+    returns the finished process, its output captured as UTF-8 text."""
     path = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)])
     return subprocess.run(
         [sys.executable, *args],
         env={**os.environ, **(env or {}), "PYTHONPATH": path},
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=timeout,
     )
 
@@ -158,14 +159,75 @@ def assert_same_run(expected: Path, *runs: Path, masked: bool = False) -> None:
             assert got[name] == data, (run.name, name)
 
 
+def record(
+    turns: Sequence[ChatTurn] = (ChatTurn("user", "hello"),), params: GenerationParams = GenerationParams(), /, **keys
+) -> dict:
+    """A valid transcript record of ``turns`` and ``params`` (by default one user
+    turn "hello" and the default params) in the layout :class:`RecordingBackend`
+    writes, with ``"response": "out"`` and a fixed timestamp. Each of ``keys``,
+    ``params`` too, replaces or adds its key; the value ``...`` drops it."""
+    built = {
+        "request_digest": request_digest(turns, params),
+        "request": [turn.to_dict() for turn in turns],
+        "params": params.to_dict(),
+        "response": "out",
+        "timestamp": "2024-01-01T00:00:00+00:00",
+        **keys,
+    }
+    return {key: value for key, value in built.items() if value is not ...}
+
+
+def line(record: dict) -> str:
+    """``record`` as its JSON line, the form :meth:`Transcript.append` takes."""
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of JSON Lines text, split at "\\n" only: a line may hold a raw
+    U+2028 or \\x85, where str.splitlines breaks."""
+    return [each for each in text.split("\n") if each]
+
+
+def jsonl(path: Path) -> list[dict]:
+    """The records of the JSON Lines file at ``path``, read as UTF-8, one per line."""
+    return [json.loads(each) for each in _lines(Path(path).read_bytes().decode("utf-8"))]
+
+
+def reordered(transcript: Path, order: str, dest: Path) -> Path:
+    """``dest``, written with ``transcript``'s lines in ``order``: ``"recorded"``,
+    ``"reversed"``, or ``"shuffled"`` by ``random.Random(0)``."""
+    lines = [each + "\n" for each in _lines(Path(transcript).read_bytes().decode("utf-8"))]
+    if order == "reversed":
+        lines.reverse()
+    elif order == "shuffled":
+        random.Random(0).shuffle(lines)
+    else:
+        assert order == "recorded", order
+    Path(dest).write_bytes("".join(lines).encode("utf-8"))
+    return Path(dest)
+
+
+def assert_redumps(path: Path) -> list[dict]:
+    """The records :meth:`Transcript.load` reads from ``path``, each dumped as its
+    :func:`line`, are the file's bytes; returns those records."""
+    records = Transcript.load(path)
+    assert "".join(map(line, records)).encode("utf-8") == Path(path).read_bytes()
+    return records
+
+
 class Recorder(RecordingBackend):
-    """A :class:`RecordingBackend` whose transcript streams into memory."""
+    """A :class:`RecordingBackend` whose transcript streams into memory: the one
+    in-memory recording."""
 
     def __init__(self, inner: CriticBackend) -> None:
         self.stream = io.StringIO()
         super().__init__(inner, Transcript(self.stream))
 
     def records(self) -> list[dict]:
-        """The records written so far, in call order. Lines are split at "\\n"
-        only: a line may hold a raw U+2028 or \\x85, where str.splitlines breaks."""
-        return [json.loads(line) for line in self.stream.getvalue().split("\n") if line]
+        """The records written so far, in call order, split as :func:`jsonl` splits."""
+        return [json.loads(each) for each in _lines(self.stream.getvalue())]
+
+    def write(self, path: Path) -> Path:
+        """``path``, written with the lines recorded so far as UTF-8."""
+        Path(path).write_bytes(self.stream.getvalue().encode("utf-8"))
+        return Path(path)

@@ -44,7 +44,7 @@ from mpo.backends import (
     open_utf8,
 )
 from provider import Provider, ok
-from solvers import Recorder, ScriptedBackend, fresh_python
+from solvers import Recorder, ScriptedBackend, assert_redumps, fresh_python, jsonl, line, record
 
 TURNS = (ChatTurn("user", "hello"),)
 PARAMS = GenerationParams()
@@ -117,44 +117,26 @@ class TestScriptedBackend:
         assert ScriptedBackend("x", name="n", model="m").identity == "n:m"
 
 
-def transcript_record(response: str = "out", digest: str | None = None) -> dict:
-    """A record of ``TURNS`` and ``PARAMS`` in the layout ``RecordingBackend`` appends."""
-    return {
-        "request_digest": digest or request_digest(TURNS, PARAMS),
-        "request": [turn.to_dict() for turn in TURNS],
-        "params": PARAMS.to_dict(),
-        "response": response,
-        "timestamp": "2024-01-01T00:00:00+00:00",
-    }
-
-
-def line_of(record: dict) -> str:
-    """A record as its transcript line, the form ``Transcript.append`` takes."""
-    return json.dumps(record, ensure_ascii=False) + "\n"
-
-
 def saved(path: Path, records: list[dict]) -> Path:
     """``records`` appended to an in-memory transcript and saved to ``path``."""
     store = Transcript()
-    for record in records:
-        store.append(line_of(record))
+    for each in records:
+        store.append(line(each))
     store.save(path)
     return path
 
 
 class TestTranscript:
     def test_save_load_round_trip(self, tmp_path):
-        records = [transcript_record("a"), transcript_record("b")]
+        records = [record(response="a"), record(response="b")]
         assert Transcript.load(saved(tmp_path / "t.jsonl", records)) == records
 
     def test_jsonl_layout(self, tmp_path):
-        path = saved(tmp_path / "t.jsonl", [transcript_record()])
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 1
-        assert list(json.loads(lines[0])) == ["request_digest", "request", "params", "response", "timestamp"]
+        (saved_record,) = jsonl(saved(tmp_path / "t.jsonl", [record()]))
+        assert list(saved_record) == ["request_digest", "request", "params", "response", "timestamp"]
 
     def test_non_utf8_byte_named_by_line_and_file_offset(self, tmp_path):
-        path = saved(tmp_path / "t.jsonl", [transcript_record(f"out {n}") for n in range(100)])
+        path = saved(tmp_path / "t.jsonl", [record(response=f"out {n}") for n in range(100)])
         data = bytearray(path.read_bytes())
         offset = data.index(b"out 77")
         data[offset] = 0xFF
@@ -178,7 +160,7 @@ class TestTranscript:
     def test_concurrent_appends_all_land(self, tmp_path):
         store = Transcript()
         threads = [
-            threading.Thread(target=lambda n=n: store.append(line_of(transcript_record(f"out {n}"))))
+            threading.Thread(target=lambda n=n: store.append(line(record(response=f"out {n}"))))
             for n in range(16)
         ]
         for thread in threads:
@@ -188,6 +170,20 @@ class TestTranscript:
         store.save(tmp_path / "t.jsonl")
         served = sorted(record["response"] for record in Transcript.load(tmp_path / "t.jsonl"))
         assert served == sorted(f"out {n}" for n in range(16))
+
+    def test_save_holds_no_second_copy_of_a_large_transcript(self, tmp_path):
+        # The buffer's text is copied once and written in slices, not encoded whole.
+        store = Transcript()
+        for n in range(2_000):
+            store.append(line(record(response=f"{n} " + "x" * 1_000)))
+        tracemalloc.start()
+        try:
+            store.save(tmp_path / "t.jsonl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "t.jsonl").stat().st_size
+        assert size >= 2_000_000 and peak < 1.5 * size, (peak, size)
 
 
 class TestRecordReplay:
@@ -236,10 +232,9 @@ class TestRecordReplay:
         assert not issubclass(ReplayMiss, BackendError)
 
     def test_replay_after_disk_round_trip(self, tmp_path):
-        store = Transcript()
-        RecordingBackend(ScriptedBackend("reply"), store).complete(TURNS, PARAMS)
-        path = tmp_path / "t.jsonl"
-        store.save(path)
+        recorder = Recorder(ScriptedBackend("reply"))
+        recorder.complete(TURNS, PARAMS)
+        path = recorder.write(tmp_path / "t.jsonl")
         assert ReplayBackend(Transcript.load(path)).complete(TURNS, PARAMS) == "reply"
 
     @staticmethod
@@ -291,7 +286,7 @@ class TestRecordReplay:
         assert encoded == [params.to_dict()]
 
     def test_stored_digest_is_a_label_not_the_lookup(self):
-        entry = transcript_record("reply", digest="label")
+        entry = record(request_digest="label", response="reply")
         assert ReplayBackend([entry]).complete(TURNS, PARAMS) == "reply"
 
     def test_kept_and_streamed_recordings_of_a_run_are_byte_identical(self, tagged_prompt, tmp_path, monkeypatch):
@@ -328,24 +323,18 @@ class TestRecordReplay:
             replay.complete(turns, params)
 
     def test_seed_run_records_redump_to_the_file_bytes(self, data_dir):
-        pinned = data_dir / "seed_run" / "transcript.jsonl"
-        redumped = "".join(map(line_of, Transcript.load(pinned)))
-        assert redumped.encode("utf-8") == pinned.read_bytes()
+        assert_redumps(data_dir / "seed_run" / "transcript.jsonl")
 
     # U+2028 and \x85, which a JSON line holds raw and str.splitlines would
     # break it at; \x1c and NUL, which it escapes; quotes and backslashes.
     AWKWARD = ("a\u2028b", "c\x85d", "e\x1cf", "nul\x00", 'say "hi"', "back\\slash", "\u6f22\r\n")
 
     def test_awkward_content_round_trips_and_replays(self, tmp_path):
-        store = Transcript()
-        recorder = RecordingBackend(ScriptedBackend(lambda turns, params: turns[0].content[::-1]), store)
+        recorder = Recorder(ScriptedBackend(lambda turns, params: turns[0].content[::-1]))
         requests = [(ChatTurn("system", text), ChatTurn("user", text * 2)) for text in self.AWKWARD]
         for turns in requests:
             recorder.complete(turns, PARAMS)
-        path = tmp_path / "t.jsonl"
-        store.save(path)
-        assert len(path.read_text(encoding="utf-8").split("\n")) == len(self.AWKWARD) + 1
-        loaded = Transcript.load(path)
+        loaded = assert_redumps(recorder.write(tmp_path / "t.jsonl"))  # one line per call
         assert [(record["request"], record["response"]) for record in loaded] == [
             ([turn.to_dict() for turn in turns], turns[0].content[::-1]) for turns in requests
         ]
@@ -411,20 +400,16 @@ class TestRecordedLine:
                 raise answer
             return answer
 
-        store, path = Transcript(), tmp_path / "t.jsonl"
-        backend = RecordingBackend(ScriptedBackend(reply), store)
+        recorder = Recorder(ScriptedBackend(reply))
         with pytest.raises(BackendError) as caught:
-            backend.complete(TURNS, PARAMS)
+            recorder.complete(TURNS, PARAMS)
         assert caught.value is failure
-        assert backend.complete(TURNS, PARAMS) == "after"
-        store.save(path)
-        failed, served, _ = path.read_text(encoding="utf-8").split("\n")  # not splitlines: U+2028 is no break
-        record = json.loads(failed)
-        assert list(record) == ["request_digest", "request", "params", "response", "error", "timestamp"]
-        assert (record["response"], record["error"]) == ("", str(failure))
-        assert failed == json.dumps(record, ensure_ascii=False)
-        assert "error" not in json.loads(served)
-        replay = ReplayBackend(Transcript.load(path))
+        assert recorder.complete(TURNS, PARAMS) == "after"
+        failed, served = loaded = assert_redumps(recorder.write(tmp_path / "t.jsonl"))
+        assert list(failed) == ["request_digest", "request", "params", "response", "error", "timestamp"]
+        assert (failed["response"], failed["error"]) == ("", str(failure))
+        assert "error" not in served
+        replay = ReplayBackend(loaded)
         with pytest.raises(BackendError) as caught:
             replay.complete(TURNS, PARAMS)
         assert str(caught.value) == str(failure)
@@ -439,8 +424,7 @@ class TestRecordedLine:
         with pytest.raises(ValueError, match="content must be a string"):
             ChatTurn("user", content)
         path = tmp_path / "t.jsonl"
-        record = {**transcript_record(), "request": [{"role": "user", "content": content}]}
-        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        path.write_text(line(record(request=[{"role": "user", "content": content}])), encoding="utf-8")
         text = "line 1: request must be a list of turns, each with a role in ('system', 'user', 'assistant') and string content"
         with pytest.raises(ValueError, match=re.escape(text)):
             Transcript.load(path)
@@ -448,19 +432,18 @@ class TestRecordedLine:
     @pytest.mark.parametrize("error", [5, None, ["down"]])
     def test_error_that_is_not_a_string_rejected_at_load(self, tmp_path, error):
         path = tmp_path / "t.jsonl"
-        path.write_text(json.dumps({**transcript_record(""), "error": error}) + "\n", encoding="utf-8")
+        path.write_text(line(record(response="", error=error)), encoding="utf-8")
         with pytest.raises(ValueError, match="line 1: .*error"):
             Transcript.load(path)
 
-    def test_lone_surrogate_fails_after_the_call_and_records_nothing(self, tmp_path):
+    def test_lone_surrogate_fails_after_the_call_and_records_nothing(self):
         # The call is made; encoding its request to UTF-8 for the digest then
         # raises, and no line is kept.
-        calls, store = [], Transcript()
-        backend = RecordingBackend(ScriptedBackend(lambda turns, params: calls.append(turns) or "reply"), store)
+        calls = []
+        recorder = Recorder(ScriptedBackend(lambda turns, params: calls.append(turns) or "reply"))
         with pytest.raises(UnicodeEncodeError):
-            backend.complete((ChatTurn("user", "a\ud800b"),), PARAMS)
-        store.save(tmp_path / "t.jsonl")
-        assert len(calls) == 1 and (tmp_path / "t.jsonl").read_bytes() == b""
+            recorder.complete((ChatTurn("user", "a\ud800b"),), PARAMS)
+        assert len(calls) == 1 and recorder.stream.getvalue() == ""
         with pytest.raises(UnicodeEncodeError):
             request_digest((ChatTurn("user", "a\ud800b"),), PARAMS)
 
@@ -472,8 +455,8 @@ class TestRecordedLine:
             for expected in (1, 2):
                 recorder.complete(TURNS, PARAMS)
                 assert len(Transcript.load(path)) == expected
-            store.append(line_of(transcript_record("built")))
-            assert Transcript.load(path)[-1] == transcript_record("built")
+            store.append(line(record(response="built")))
+            assert Transcript.load(path)[-1] == record(response="built")
 
 
 def fanned(fn, items, width, stop_at=None):

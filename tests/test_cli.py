@@ -10,7 +10,6 @@ import re
 import signal
 import threading
 import tracemalloc
-from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -23,19 +22,20 @@ from mpo import (
     EvalResult,
     GenerationParams,
     OptimizerConfig,
-    RecordingBackend,
     SectionKind,
     Transcript,
     default_template,
     evaluate,
     load_dataset,
     parse_structured_prompt,
-    request_digest,
     step,
 )
 from mpo import cli, optimizer
 from mpo.cli import CLIError, build_parser, build_run_config, main
-from solvers import ScriptedBackend, assert_same_run, fresh_python, gold_solver, hooked_backends, refused, scored_solver
+from solvers import (
+    Recorder, ScriptedBackend, assert_same_run, fresh_python, gold_solver, hooked_backends, jsonl, line, record, refused,
+    reordered, scored_solver,
+)
 
 # ``mpo.cli.main`` on argv[2:], SIGKILLed on its argv[1]-th backend call.
 _KILLED_AT_CALL = """
@@ -118,17 +118,9 @@ def record_eval(solver, prompt_path: Path, dataset_path: Path, out: Path) -> Pat
     """
     state = parse_structured_prompt(prompt_path.read_text(encoding="utf-8"))
     dataset = load_dataset(dataset_path, "generic_jsonl")
-    transcript = Transcript()
-    evaluate(state, dataset, RecordingBackend(solver, transcript))
-    path = out / "recorded.jsonl"
-    transcript.save(path)
-    return path
-
-
-def record_line(**changed) -> str:
-    """A transcript line holding a record, with the given keys changed (``...`` drops one)."""
-    record = {"request_digest": "x", "request": [], "params": {}, "response": "", "timestamp": "", **changed}
-    return json.dumps({key: value for key, value in record.items() if value is not ...})
+    recorder = Recorder(solver)
+    evaluate(state, dataset, recorder)
+    return recorder.write(out / "recorded.jsonl")
 
 
 class TestRunConfig:
@@ -448,7 +440,8 @@ class TestOneBackendPerCommand:
         dataset = load_dataset(dataset_file, "generic_jsonl")
         for name in ("result", "result2"):
             paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(evaluate(tagged_prompt, dataset, gold_solver(dataset)).to_dict()))
+            result = evaluate(tagged_prompt, dataset, gold_solver(dataset))
+            paths[name].write_text(json.dumps(result.to_dict()), encoding="utf-8")
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not paths["fresh"].exists()
@@ -559,17 +552,9 @@ class TestDecompose:
         path = tmp_path / "plain.txt"
         path.write_text(text, encoding="utf-8")
         filled = default_template("decompose").fill(PROMPT=text)
-        turns = (ChatTurn("user", filled),)
-        params = GenerationParams(max_output_tokens=1024)
-        entry = {
-            "request_digest": request_digest(turns, params),
-            "request": [turn.to_dict() for turn in turns],
-            "params": params.to_dict(),
-            "response": "still no structure here",
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
+        entry = record((ChatTurn("user", filled),), GenerationParams(max_output_tokens=1024), response="still no structure here")
         transcript_path = tmp_path / "t.jsonl"
-        transcript_path.write_text(json.dumps(entry, ensure_ascii=False) + "\n", encoding="utf-8")
+        transcript_path.write_text(line(entry), encoding="utf-8")
         code = main(
             [
                 "decompose",
@@ -613,9 +598,9 @@ class TestOptimize:
         )
         assert code == 0
 
-        history_lines = (out / "history.jsonl").read_text(encoding="utf-8").splitlines()
-        assert len(history_lines) == 3
-        first = json.loads(history_lines[0])
+        history = jsonl(out / "history.jsonl")
+        assert len(history) == 3
+        first = history[0]
         assert first["iteration"] == 0
         assert first["parent_digest"] is None
         assert [s["kind"] for s in first["sections"]] == [
@@ -626,9 +611,9 @@ class TestOptimize:
             "output_format",
         ]
 
-        gradient_lines = (out / "gradients.jsonl").read_text(encoding="utf-8").splitlines()
-        assert len(gradient_lines) == 2
-        round_one = json.loads(gradient_lines[0])
+        gradients = jsonl(out / "gradients.jsonl")
+        assert len(gradients) == 2
+        round_one = gradients[0]
         assert round_one["iteration"] == 0
         assert len(round_one["gradients"]) == 5
         assert round_one["failures"] == []
@@ -640,7 +625,7 @@ class TestOptimize:
         assert metrics["growth"]["total_tokens"][0] < metrics["growth"]["total_tokens"][1]
 
         final = parse_structured_prompt((out / "final_prompt.txt").read_text(encoding="utf-8"))
-        assert final.digest == json.loads(history_lines[-1])["digest"]
+        assert final.digest == history[-1]["digest"]
 
         stdout = capsys.readouterr().out
         assert "iterations: 2" in stdout
@@ -678,8 +663,7 @@ class TestOptimize:
         assert "aborted" in err
         assert "partial artifacts" in err
         # One full round completed before the transcript ran dry.
-        history_lines = (out / "history.jsonl").read_text(encoding="utf-8").splitlines()
-        assert len(history_lines) == 2
+        assert len(jsonl(out / "history.jsonl")) == 2
 
     def test_seed_transcript_still_replays(self, data_dir, tmp_path, capsys):
         # Recorded with --mock --record --dedup lexical_then_llm --iterations 2
@@ -695,21 +679,21 @@ class TestOptimize:
         assert_same_run(seed, out)
 
     @pytest.mark.parametrize(
-        "line",
+        "malformed",
         [
-            record_line(request=[{"role": "user"}]),
-            record_line(request=[{"role": "user", "content": None}]),
-            record_line(request=["user"]),
-            record_line(request=[{"role": 1, "content": "x"}]),
-            record_line(request=[{"role": "tool", "content": "x"}]),
-            record_line(request={"role": "user", "content": "x"}),
-            record_line(response=None),
-            record_line(response=7),
-            record_line(params=None),
-            record_line(params=[0.0, 512]),
-            record_line(timestamp=...),
-            '["not", "an", "object"]',
-            "{not json",
+            line(record(request=[{"role": "user"}])),
+            line(record(request=[{"role": "user", "content": None}])),
+            line(record(request=["user"])),
+            line(record(request=[{"role": 1, "content": "x"}])),
+            line(record(request=[{"role": "tool", "content": "x"}])),
+            line(record(request={"role": "user", "content": "x"})),
+            line(record(response=None)),
+            line(record(response=7)),
+            line(record(params=None)),
+            line(record(params=[0.0, 512])),
+            line(record(timestamp=...)),
+            '["not", "an", "object"]\n',
+            "{not json\n",
         ],
         ids=[
             "no-content", "null-content", "not-an-object", "number-role", "unknown-role", "request-not-a-list",
@@ -717,11 +701,11 @@ class TestOptimize:
             "not-json",
         ],
     )
-    def test_malformed_transcript_turn_exits_two(self, tagged_file, tmp_path, capsys, line):
+    def test_malformed_transcript_turn_exits_two(self, tagged_file, tmp_path, capsys, malformed):
         # The transcript is checked when it loads, before the run starts and
         # before any artifact is written. The first line is a good record.
         transcript = tmp_path / "t.jsonl"
-        transcript.write_text(f"{record_line()}\n\n{line}\n", encoding="utf-8")
+        transcript.write_text(f"{line(record())}\n{malformed}", encoding="utf-8")
         out = tmp_path / "o"
         assert main(["optimize", str(tagged_file), "--replay", str(transcript), "--out", str(out)]) == 2
         assert f"malformed transcript {transcript}: line 3: " in capsys.readouterr().err
@@ -729,7 +713,7 @@ class TestOptimize:
 
     def test_non_utf8_transcript_exits_two(self, tagged_file, tmp_path, capsys):
         transcript = tmp_path / "t.jsonl"
-        transcript.write_bytes(f"{record_line()}\n".encode() + b'{"request_digest": "caf\xe9"}\n')
+        transcript.write_bytes(line(record()).encode() + b'{"request_digest": "caf\xe9"}\n')
         assert main(["optimize", str(tagged_file), "--replay", str(transcript), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"malformed transcript {transcript}: 'utf-8' codec can't decode byte 0xe9" in err
@@ -811,7 +795,7 @@ class TestOptimize:
             "section Output Format exceeded 55 tokens, truncated from 66 to 51",
             "section Task Details exceeded 55 tokens, truncated from 61 to 52",
         ]
-        rounds = [json.loads(line) for line in (out / "gradients.jsonl").read_text().splitlines()]
+        rounds = jsonl(out / "gradients.jsonl")
         saturated = [[g["target"] for g in r["gradients"] if g["saturated"]] for r in rounds]
         assert saturated == [
             ["constraints"],
@@ -834,7 +818,7 @@ class TestOptimize:
         args += ["--config", str(config), "--replay", str(pinned / "transcript.jsonl"), *extra, "--out", str(tmp_path / "o")]
         assert main(args) == 0
         assert_same_run(pinned, tmp_path / "o")
-        rounds = [json.loads(line)["gradients"] for line in (pinned / "gradients.jsonl").read_text().splitlines()]
+        rounds = [round_["gradients"] for round_ in jsonl(pinned / "gradients.jsonl")]
         saturated = [sum(g["saturated"] for g in gradients) for gradients in rounds]
         assert saturated == {"lexical": [4, 4, 5, 5, 5, 5], "llm": [4, 5, 5, 5, 5, 5]}[dedup]
         assert len(steps) == saturated.index(5) + 1
@@ -842,7 +826,7 @@ class TestOptimize:
     def test_over_budget_sections_keep_their_own_lines(self, data_dir, tmp_path, capsys, caplog):
         # The budget used to cut 3 of Task Details' and 7 of Constraints'
         # own lines in round 0 of this run.
-        initial = parse_structured_prompt((data_dir / "multi_task_tagged.txt").read_text())
+        initial = parse_structured_prompt((data_dir / "multi_task_tagged.txt").read_text(encoding="utf-8"))
         with caplog.at_level("WARNING", logger="mpo.optimizer"):
             out = optimize_at_budget(data_dir, tmp_path / "run", 40)
         final = parse_structured_prompt((out / "final_prompt.txt").read_text(encoding="utf-8"))
@@ -863,7 +847,7 @@ class TestOptimize:
         assert growth["lines_removed"] == [0, 2, 2]
         assert growth["lines_truncated"] == [2, 0, 0]
         assert growth["sections_saturated"] == [1, 3, 3]
-        rounds = [json.loads(line) for line in (out / "gradients.jsonl").read_text().splitlines()]
+        rounds = jsonl(out / "gradients.jsonl")
         for key, per_round in (
             ("removed", "lines_removed"),
             ("truncated", "lines_truncated"),
@@ -925,7 +909,7 @@ class TestEval:
         recorded = tmp_path / "recorded"
         args = ["eval", str(tagged_file), str(dataset_file)]
         assert main(args + ["--limit", "5", "--seed", "2", "--record", "--out", str(recorded)]) == 0
-        sampled = {record["id"] for record in json.loads((recorded / "eval_result.json").read_text())["records"]}
+        sampled = {record["id"] for record in json.loads((recorded / "eval_result.json").read_text(encoding="utf-8"))["records"]}
         ids = [item.id for item in load_dataset(dataset_file, "generic_jsonl").items]
         missed = next(index for index, item_id in enumerate(ids) if item_id not in sampled)
         for width in ("1", "5"):
@@ -1136,11 +1120,9 @@ class TestRecordedFailures:
 
     @staticmethod
     def _replays(recorded: Path, argv: list[str], tmp_path: Path, code: int):
-        lines = (recorded / "transcript.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
         for width in ("1", "5"):
-            for order, kept in (("recorded", lines), ("reversed", lines[::-1])):
-                transcript = tmp_path / f"{order}.jsonl"
-                transcript.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
+            for order in ("recorded", "reversed"):
+                transcript = reordered(recorded / "transcript.jsonl", order, tmp_path / f"{order}.jsonl")
                 out = tmp_path / f"replay{width}-{order}"
                 assert main([*argv, "--replay", str(transcript), "--concurrency", width, "--out", str(out)]) == code
                 yield out
@@ -1155,11 +1137,8 @@ class TestRecordedFailures:
             assert main([*argv, "--mock", "--record", "--out", str(recorded)]) == 0
         records = Transcript.load(recorded / "transcript.jsonl")
         assert [record["error"] for record in records if "error" in record] == [f"call {n} refused" for n in sorted(fails)]
-        failures = [
-            failure["reason"].split(":")[0]
-            for line in (recorded / "gradients.jsonl").read_text(encoding="utf-8").splitlines()
-            for failure in json.loads(line)["failures"]
-        ]
+        rounds = jsonl(recorded / "gradients.jsonl")
+        failures = [failure["reason"].split(":")[0] for round_ in rounds for failure in round_["failures"]]
         assert failures == ["critique failed", "update failed"][: len(fails)]
         assert_same_run(recorded, *self._replays(recorded, argv, tmp_path, 0), masked=True)
 
@@ -1173,7 +1152,7 @@ class TestRecordedFailures:
         assert [number + 1 for number, note in enumerate(notes) if note] == sorted(fails)
         assert_same_run(recorded, *self._replays(recorded, argv, tmp_path, code))
 
-    def test_readme_transcript_keys(self, tmp_path):
+    def test_readme_transcript_keys(self):
         """The README's key list is, in order, the keys of a failed call's line,
         and without ``error`` those of a successful call's line."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1185,13 +1164,11 @@ class TestRecordedFailures:
                 raise BackendError("refused")
             return "reply"
 
-        store = Transcript()
-        backend = RecordingBackend(ScriptedBackend(reply), store)
-        backend.complete((ChatTurn("user", "pass"),), GenerationParams())
+        recorder = Recorder(ScriptedBackend(reply))
+        recorder.complete((ChatTurn("user", "pass"),), GenerationParams())
         with pytest.raises(BackendError):
-            backend.complete((ChatTurn("user", "fail"),), GenerationParams())
-        store.save(tmp_path / "t.jsonl")
-        succeeded, failed = Transcript.load(tmp_path / "t.jsonl")
+            recorder.complete((ChatTurn("user", "fail"),), GenerationParams())
+        succeeded, failed = recorder.records()
         assert documented == list(failed)
         assert [key for key in documented if key != "error"] == list(succeeded)
 

@@ -49,15 +49,13 @@ strict xfails until ROADMAP item 3 keys each call by its purpose.
 from __future__ import annotations
 
 import json
-import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from mpo import Transcript
 from mpo.cli import main
-from solvers import assert_same_run, counter, fresh_python, hooked_backends, refused
+from solvers import assert_redumps, assert_same_run, counter, fresh_python, hooked_backends, jsonl, refused, reordered
 
 PROMPT = Path(__file__).parent / "data" / "multi_task_tagged.txt"
 ITERATIONS = 5
@@ -135,19 +133,8 @@ def expected_calls(command: str, out: Path) -> int:
     if command.startswith("eval"):
         return json.loads((out / "eval_result.json").read_text(encoding="utf-8"))["total"]
     consolidates = not command.startswith("optimize-lexical-")
-    gradients = [
-        gradient
-        for line in (out / "gradients.jsonl").read_text(encoding="utf-8").splitlines()
-        for gradient in json.loads(line)["gradients"]
-    ]
+    gradients = [gradient for round_ in jsonl(out / "gradients.jsonl") for gradient in round_["gradients"]]
     return sum((not g["saturated"]) + (consolidates and bool(g["directives"])) for g in gradients)
-
-
-def assert_one_line_per_call(transcript: Path, calls: int) -> None:
-    """One line per call, and the loaded records dump back to the file's bytes."""
-    assert len(transcript.read_bytes().splitlines()) == calls
-    redumped = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in Transcript.load(transcript))
-    assert redumped.encode("utf-8") == transcript.read_bytes()
 
 
 def assert_same_artifacts(recorded: Path, out: Path, replayed: bool) -> None:
@@ -178,34 +165,27 @@ def test_run_writes_the_recorded_artifacts(recordings, tmp_path, command, backen
     argv, recorded, recorded_calls = recordings(command, backend)
     transcript = recorded / "transcript.jsonl"
     if run == "record":
-        assert_one_line_per_call(transcript, recorded_calls)
+        assert len(assert_redumps(transcript)) == recorded_calls  # one line per call
         assert recorded_calls == expected_calls(command, recorded)
         if command.endswith("-55"):  # cut back, then saturated, as the budget_run_55 pins show
-            lines = (recorded / "gradients.jsonl").read_text(encoding="utf-8").splitlines()
-            gradients = [json.loads(line)["gradients"] for line in lines]
+            gradients = [round_["gradients"] for round_ in jsonl(recorded / "gradients.jsonl")]
             assert sum(g["truncated"] for round_ in gradients for g in round_) > 0
             assert any(g["saturated"] for round_ in gradients for g in round_)
         if command.endswith("-20") and backend == "counter":  # every section saturated by round 2, then repeated
-            lines = (recorded / "gradients.jsonl").read_text(encoding="utf-8").splitlines()
-            assert [sum(g["saturated"] for g in json.loads(line)["gradients"]) for line in lines][2:] == [5] * 4
+            rounds = jsonl(recorded / "gradients.jsonl")
+            assert [sum(g["saturated"] for g in round_["gradients"]) for round_ in rounds][2:] == [5] * 4
         return
     out = tmp_path / "run"
     if run == "live":
         width = "8" if command == "eval-2000" else "5"
         calls = run_cli([*argv, "--mock", "--record", "--concurrency", width], out, backend)
         assert calls == recorded_calls  # no item or section is called twice, or skipped, when wider
-        assert_one_line_per_call(out / "transcript.jsonl", calls)
+        assert len(assert_redumps(out / "transcript.jsonl")) == calls
         assert_same_artifacts(recorded, out, replayed=False)
         return
     width, order = run.removeprefix("replay").split("-")
-    lines = transcript.read_text(encoding="utf-8").splitlines(keepends=True)
-    if order == "reversed":
-        lines.reverse()
-    elif order == "shuffled":
-        random.Random(0).shuffle(lines)
-    replayed = tmp_path / "transcript.jsonl"
-    replayed.write_text("".join(lines), encoding="utf-8")
-    assert run_cli([*argv, "--replay", str(replayed), "--concurrency", width], out, backend) == len(lines)
+    replayed = reordered(transcript, order, tmp_path / "transcript.jsonl")
+    assert run_cli([*argv, "--replay", str(replayed), "--concurrency", width], out, backend) == len(jsonl(replayed))
     assert_same_artifacts(recorded, out, replayed=True)
 
 
@@ -222,8 +202,7 @@ def test_record_and_replay_in_fresh_processes(recordings, tmp_path):
     # recorded at width 5, each in its own interpreter under a different hash
     # seed; the width-5 recording then replays in this one.
     argv, recorded, calls = recordings("eval-40", "mock")
-    reversed_ = tmp_path / "reversed.jsonl"
-    reversed_.write_text("".join(reversed((recorded / "transcript.jsonl").read_text(encoding="utf-8").splitlines(True))), encoding="utf-8")
+    reversed_ = reordered(recorded / "transcript.jsonl", "reversed", tmp_path / "reversed.jsonl")
     for seed, out, extra in (
         ("1", tmp_path / "record", ["--mock", "--record", "--concurrency", "1"]),
         ("2", tmp_path / "replay", ["--replay", str(reversed_), "--concurrency", "5"]),
@@ -233,7 +212,7 @@ def test_record_and_replay_in_fresh_processes(recordings, tmp_path):
         assert result.returncode == 0, result.stderr
         assert_same_artifacts(recorded, out, replayed=extra[0] == "--replay")
     for run in ("record", "record5"):
-        assert_one_line_per_call(tmp_path / run / "transcript.jsonl", calls)
+        assert len(assert_redumps(tmp_path / run / "transcript.jsonl")) == calls
     replay5 = [*argv, "--replay", str(tmp_path / "record5" / "transcript.jsonl")]
     assert run_cli(replay5, tmp_path / "replay5", "mock") == calls
     assert_same_artifacts(recorded, tmp_path / "replay5", replayed=True)

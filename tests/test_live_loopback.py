@@ -10,7 +10,7 @@ import pytest
 from mpo import SectionKind, parse_structured_prompt
 from mpo.cli import main
 from provider import ok
-from solvers import assert_same_run, fresh_python
+from solvers import assert_same_run, fresh_python, jsonl
 
 
 @pytest.fixture
@@ -102,8 +102,8 @@ def test_cut_optimize_reply_keeps_the_section(script, calls, reason, live, data_
     final = parse_structured_prompt((tmp_path / "live" / "final_prompt.txt").read_text(encoding="utf-8"))
     given = parse_structured_prompt(prompt.read_text(encoding="utf-8"))
     assert final.section(SectionKind.SYSTEM_ROLE).content == given.section(SectionKind.SYSTEM_ROLE).content
-    (line,) = (tmp_path / "live" / "gradients.jsonl").read_text(encoding="utf-8").splitlines()
-    assert json.loads(line)["failures"] == [{"section": "system_role", "reason": reason}]
+    (round_,) = jsonl(tmp_path / "live" / "gradients.jsonl")
+    assert round_["failures"] == [{"section": "system_role", "reason": reason}]
     assert json.loads((tmp_path / "live" / "metrics.json").read_text(encoding="utf-8"))["failure_count"] == 1
     assert main([*run, "--replay", str(tmp_path / "live" / "transcript.jsonl"), "--out", str(tmp_path / "replay")]) == 0
     assert_same_run(tmp_path / "live", tmp_path / "replay", masked=True)

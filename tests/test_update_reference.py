@@ -84,7 +84,7 @@ from mpo.backends import CriticBackend, _params_json
 from mpo.cli import _gradient_lines, _history_lines, _run_artifacts, main
 from mpo.optimizer import SectionUpdate, _truncate_to_token_budget
 from mpo.schema import TAG_STRING_RE, _parse_tag_line
-from solvers import Recorder, ScriptedBackend, assert_same_run
+from solvers import Recorder, ScriptedBackend, assert_same_run, line, record
 
 
 def reference_truncate(section: Section, budget: int) -> tuple[Section, int, tuple | None]:
@@ -400,7 +400,7 @@ class TestHistoryLinesMatchReference:
     @settings(max_examples=200)
     @given(states=states_sharing_sections())
     def test_each_line_is_the_whole_state_encoded(self, states):
-        expected = [json.dumps(reference_state_line(s), ensure_ascii=False) + "\n" for s in states]
+        expected = [line(reference_state_line(s)) for s in states]
         assert list(_history_lines(states)) == expected
 
     def test_shared_and_equal_sections(self):
@@ -414,7 +414,7 @@ class TestHistoryLinesMatchReference:
             )
             for index, parent in enumerate((None, "\x1c\u2028", "d"))
         )
-        expected = [json.dumps(reference_state_line(s), ensure_ascii=False) + "\n" for s in states]
+        expected = [line(reference_state_line(s)) for s in states]
         assert list(_history_lines(states)) == expected
 
 
@@ -454,10 +454,7 @@ class TestGradientLinesMatchReference:
     @settings(max_examples=200)
     @given(history=histories_repeating_rounds())
     def test_each_line_is_the_whole_round_encoded(self, history):
-        expected = [
-            json.dumps(reference_gradient_line(index, updates), ensure_ascii=False) + "\n"
-            for index, updates in enumerate(history.updates)
-        ]
+        expected = [line(reference_gradient_line(index, updates)) for index, updates in enumerate(history.updates)]
         assert list(_gradient_lines(history)) == expected
 
     def test_a_repeated_round_reuses_its_encoding(self):
@@ -471,7 +468,7 @@ class TestGradientLinesMatchReference:
         with mock.patch.object(cli.json, "dumps", wraps=json.dumps) as dumps:
             lines = list(_gradient_lines(history))
         assert dumps.call_count == 1
-        assert lines == [json.dumps(reference_gradient_line(i, updates), ensure_ascii=False) + "\n" for i in range(3)]
+        assert lines == [line(reference_gradient_line(i, updates)) for i in range(3)]
 
 
 def recorded_digest(record: dict) -> str:
@@ -558,10 +555,7 @@ def replay_runs(draw) -> tuple[list[dict], list]:
         raw = json.loads(json.dumps(params.to_dict()))
         if draw(st.integers(0, 5)) == 0:
             del raw[draw(st.sampled_from(sorted(raw)))]
-        entries.append({
-            "request_digest": "label", "request": [turn.to_dict() for turn in request],
-            "params": raw, "response": f"response {index}", "timestamp": "",
-        })
+        entries.append(record(request, request_digest="label", params=raw, response=f"response {index}", timestamp=""))
     split = draw(st.integers(0, len(recorded)))
     live = recorded[:split] + draw(st.permutations(recorded[split:]))
     for _ in range(draw(st.integers(0, 3))):
