@@ -256,7 +256,7 @@ class Transcript:
     call is appended as the line :class:`RecordingBackend` built, written to
     ``stream`` and flushed; appends are serialized internally. Without a
     ``stream`` the lines go to an in-memory buffer, which :meth:`save` writes
-    unchanged (on a given stream it raises AttributeError and writes no file).
+    unchanged (on a file stream it raises AttributeError and writes no file).
     :meth:`load` reads a saved transcript back as its records.
     """
 
@@ -271,10 +271,11 @@ class Transcript:
             self._stream.flush()
 
     def save(self, path: str | Path) -> None:
-        with self._lock, Path(path).open("w", encoding="utf-8") as handle:
-            text = self._stream.getvalue()  # one copy, written in slices, so none is encoded whole
-            for start in range(0, len(text), 65536):
-                handle.write(text[start : start + 65536])
+        with self._lock:
+            text = self._stream.getvalue()  # one copy, taken before the path is opened, written in slices
+            with Path(path).open("w", encoding="utf-8") as handle:
+                for start in range(0, len(text), 65536):
+                    handle.write(text[start : start + 65536])
 
     @classmethod
     def load(cls, path: str | Path) -> list[dict]:

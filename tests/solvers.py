@@ -183,9 +183,11 @@ def line(record: dict) -> str:
 
 
 def _lines(text: str) -> list[str]:
-    """The lines of JSON Lines text, split at "\\n" only: a line may hold a raw
-    U+2028 or \\x85, where str.splitlines breaks."""
-    return [each for each in text.split("\n") if each]
+    """The lines of JSON Lines text, each ended by "\\n" and split there only: a
+    line may hold a raw U+2028 or \\x85, where str.splitlines breaks. A blank
+    line is kept, so it fails as a record."""
+    assert text.endswith("\n") or not text, text[-80:]
+    return text.split("\n")[:-1]
 
 
 def jsonl(path: Path) -> list[dict]:
@@ -228,6 +230,6 @@ class Recorder(RecordingBackend):
         return [json.loads(each) for each in _lines(self.stream.getvalue())]
 
     def write(self, path: Path) -> Path:
-        """``path``, written with the lines recorded so far as UTF-8."""
-        Path(path).write_bytes(self.stream.getvalue().encode("utf-8"))
+        """``path``, written by :meth:`Transcript.save`, the one writer of a transcript in memory."""
+        self.store.save(path)
         return Path(path)

@@ -185,6 +185,15 @@ class TestTranscript:
         size = (tmp_path / "t.jsonl").stat().st_size
         assert size >= 2_000_000 and peak < 1.5 * size, (peak, size)
 
+    def test_save_on_a_file_stream_raises_and_leaves_the_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with path.open("a", encoding="utf-8") as stream:
+            store = Transcript(stream)
+            store.append(line(record()))
+            with pytest.raises(AttributeError):
+                store.save(path)  # the stream's own file: its recorded call is kept
+        assert path.read_bytes() == line(record()).encode("utf-8")
+
 
 class TestRecordReplay:
     def test_recording_passes_through_and_stores(self):
