@@ -2,10 +2,9 @@
 
 Every backend exposes one operation, ``complete(turns, params) -> str``.  The
 live backend speaks the common ``/v1/chat/completions`` wire protocol; the
-recording wrapper captures request/response pairs into a transcript and
-the replay backend indexes them once by request and serves each back for the
-same turns and params, in any arrival order, so whole optimization runs can
-be reproduced byte-for-byte without model access.
+recording wrapper logs each call with its purpose (see :func:`call_for`), and
+the replay backend serves each purpose its logged reply, in any arrival order,
+so whole optimization runs can be reproduced byte-for-byte without model access.
 ``fan_out`` is the one way callers spread independent calls across threads:
 they read its results in item order and stop by leaving the loop.
 """
@@ -13,6 +12,7 @@ they read its results in item order and stop by leaving the loop.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import io
 import json
@@ -22,7 +22,6 @@ import threading
 import time
 import weakref
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -34,6 +33,7 @@ BASE_URL_ENV = "MPO_BASE_URL"
 
 _ROLES = ("system", "user", "assistant")
 MAX_ATTEMPTS = 3  # tries per live call; see HTTPBackend
+_PURPOSE: contextvars.ContextVar[str | None] = contextvars.ContextVar("purpose", default=None)  # see call_for
 
 
 class BackendError(Exception):
@@ -41,7 +41,7 @@ class BackendError(Exception):
 
 
 class ReplayMiss(Exception):
-    """No unconsumed recorded response matches the request digest.
+    """A call's purpose has no record left, or its record holds another request.
 
     Deliberately not a :class:`BackendError`: a miss means the run diverged
     from its recording, which must abort rather than be absorbed by
@@ -132,6 +132,14 @@ def _params_json(params: dict) -> str:
     return json.dumps(params, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
+def call_for(purpose: str | None, call: Callable, /, *args, **kwargs):
+    """``call(*args, **kwargs)`` with every backend call in it made for ``purpose``, the key, one call's in a run,
+    that the call is logged and replayed by. It runs in a copy of the caller's context, so the purpose ends with it."""
+    context = contextvars.copy_context()
+    context.run(_PURPOSE.set, purpose)
+    return context.run(call, *args, **kwargs)
+
+
 @contextlib.contextmanager
 def fan_out(fn: Callable, items: Iterable, width: int) -> Iterator[Iterator]:
     """Gives the block an iterator over ``fn`` of every item, in item order, at
@@ -212,8 +220,10 @@ class CriticBackend(ABC):
 
 def _checked_record(line: str) -> dict:
     """A transcript line decoded into its record, or ValueError saying why it is not one."""
-    keys = ("request_digest", "request", "params", "response", "timestamp")
+    keys = ("request_digest", "request", "params", "response", "timestamp", "purpose", "identity")
     record = json.loads(line)
+    if isinstance(record, dict) and not isinstance(record.get("purpose", 0), (str, type(None))):
+        raise ValueError("purpose must be a string or null; a line without one predates purposes: re-record the transcript")
     if not isinstance(record, dict) or not all(key in record for key in keys):
         raise ValueError(f"a record is an object with the keys {', '.join(keys)}")
     try:
@@ -223,8 +233,9 @@ def _checked_record(line: str) -> dict:
             ChatTurn(turn["role"], turn["content"])  # the one turn check
     except (LookupError, TypeError, ValueError):
         raise ValueError(f"request must be a list of turns, each with a role in {_ROLES} and string content") from None
-    if not isinstance(record["params"], dict) or not all(isinstance(record.get(key, ""), str) for key in ("response", "error")):
-        raise ValueError("params must be an object, and response and any error strings")
+    strings = ("response", "error", "identity")  # error only on a failed call
+    if not isinstance(record["params"], dict) or not all(isinstance(record.get(key, ""), str) for key in strings):
+        raise ValueError("params must be an object, and response, identity and any error strings")
     return record
 
 
@@ -250,9 +261,9 @@ def open_utf8(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
 class Transcript:
     """Append-only writer of recorded backend calls, as JSON Lines.
 
-    A call is one record, the object on one line: ``request_digest`` (a
-    label), ``request`` (the turns as role and content objects), ``params``,
-    ``response``, ``error`` (on a failed call only) and ``timestamp``. Each
+    A call is one record, the object on one line: ``request_digest`` (a label), ``request``
+    (the turns as role and content objects), ``params``, ``response``, ``error`` (on a failed
+    call only), ``timestamp``, ``purpose`` (null outside :func:`call_for`) and ``identity``. Each
     call is appended as the line :class:`RecordingBackend` built, written to
     ``stream`` and flushed; appends are serialized internally. Without a
     ``stream`` the lines go to an in-memory buffer, which :meth:`save` writes
@@ -319,8 +330,8 @@ class RecordingBackend(CriticBackend):
             response, error = "", exc
         digest, escaped = _encoded_request(turns, params)
         request = ", ".join(f'{{"role": {role}, "content": {content}}}' for role, content in escaped)
-        failed = {} if error is None else {"error": str(error)}
-        tail = {"params": params.to_dict(), "response": response, **failed, "timestamp": datetime.now(timezone.utc).isoformat()}
+        tail = {"params": params.to_dict(), "response": response, **({} if error is None else {"error": str(error)}),
+                "timestamp": datetime.now(timezone.utc).isoformat(), "purpose": _PURPOSE.get(), "identity": self.identity}
         self.store.append(f'{{"request_digest": "{digest}", "request": [{request}], {json.dumps(tail, ensure_ascii=False)[1:]}\n')
         if error is not None:
             raise error
@@ -328,44 +339,32 @@ class RecordingBackend(CriticBackend):
 
 
 class ReplayBackend(CriticBackend):
-    """Serves recorded responses to requests with the same turns and params.
-
-    A request matches a record when their (role, content) turns and canonical
-    params JSON (:func:`_params_json`) are equal; the stored
-    ``request_digest`` is a label only. Every record is indexed once, when the
-    backend is built, by the request it holds; a request gets its earliest
-    unconsumed match, whatever order requests arrive in. Duplicates are
-    consumed in recorded order, serialized, and a key leaves the index with
-    its last record, releasing its request text. A record with an ``error``
-    is served by raising it as :class:`BackendError`. No digest is computed unless
-    a request has no unconsumed match, which raises :class:`ReplayMiss`: the
-    run diverged from the recording.
-    """
+    """Serves each call, once, the record logged for its purpose if the turns and canonical params JSON are
+    equal (with no digest: ``request_digest`` is a label), raising one with an ``error`` as :class:`BackendError`;
+    any other call consumes nothing and raises :class:`ReplayMiss`. It names itself by the logged ``identity``."""
 
     name = "replay"
     model = "transcript"
 
     def __init__(self, records: Iterable[dict]) -> None:
-        self._index: dict[tuple, deque[str | BackendError]] = {}
+        self._records: dict[str | None, dict] = {}  # by purpose, each until it is served
         for record in records:
-            turns = tuple((turn["role"], turn["content"]) for turn in record["request"])
-            served = BackendError(record["error"]) if "error" in record else record["response"]
-            self._index.setdefault((turns, _params_json(record["params"])), deque()).append(served)
+            if self._records.setdefault(record["purpose"], record) is not record:
+                raise ValueError(f"the purpose {record['purpose']!r} is logged twice")
+            self.name, _, self.model = record["identity"].partition(":")
         self._lock = threading.Lock()
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
-        request = (tuple((turn.role, turn.content) for turn in turns), params.canonical_json)
         with self._lock:
-            if queue := self._index.get(request):
-                if len(queue) == 1:  # the key holds the request text: drop it with its last record
-                    del self._index[request]
-                if isinstance(served := queue.popleft(), BackendError):
-                    raise served
-                return served
-        raise ReplayMiss(
-            f"no unconsumed recorded response for request digest "
-            f"{request_digest(turns, params)}; the run diverged from the recording"
-        )
+            record = self._records.get(purpose := _PURPOSE.get())
+            same = record and record["request"] == [turn.to_dict() for turn in turns]
+            if same and _params_json(record["params"]) == params.canonical_json:
+                del self._records[purpose]
+                if "error" in record:
+                    raise BackendError(record["error"])
+                return record["response"]
+        raise ReplayMiss(f"no recorded call for purpose {purpose} with request digest {request_digest(turns, params)}; "
+                         "the run diverged from the recording")
 
 
 def _retry_after_seconds(value: str) -> float | None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import re
 
-from .backends import DECOMPOSE_PARAMS, ChatTurn, CriticBackend
+from .backends import DECOMPOSE_PARAMS, ChatTurn, CriticBackend, call_for
 from .schema import (
     TAG_STRING_RE,
     PromptState,
@@ -93,7 +93,7 @@ def decompose_unstructured(
 
     template = template or default_template("decompose")
     filled = template.fill(PROMPT=text)
-    response = extractor.complete((ChatTurn("user", filled),), DECOMPOSE_PARAMS)
+    response = call_for("decompose", extractor.complete, (ChatTurn("user", filled),), DECOMPOSE_PARAMS)
     try:
         parsed = parse_structured_prompt(strip_code_fences(response))
     except SchemaError as exc:

@@ -18,7 +18,7 @@ from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .backends import SOLVER_PARAMS, BackendError, ChatTurn, CriticBackend, fan_out, open_utf8, sha256
+from .backends import SOLVER_PARAMS, BackendError, ChatTurn, CriticBackend, call_for, fan_out, open_utf8, sha256
 from .schema import PromptState, render_prompt
 from .templating import PromptTemplate, default_template
 
@@ -465,7 +465,7 @@ def evaluate(
         item = items[index]
         turn = ChatTurn("user", pose_question(prompt, item, template))
         try:
-            response, note = solver.complete((turn,), SOLVER_PARAMS), ""
+            response, note = call_for(f"solve:{item.id}", solver.complete, (turn,), SOLVER_PARAMS), ""
         except BackendError as exc:
             with lock:
                 finished_failures += 1

@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass
 from typing import AbstractSet, NamedTuple
 
-from .backends import CONSOLIDATION_PARAMS, BackendError, ChatTurn, CriticBackend, fan_out
+from .backends import CONSOLIDATION_PARAMS, BackendError, ChatTurn, CriticBackend, call_for, fan_out
 from .critic import (
     ConsolidationRejected,
     LIST_MARKER,
@@ -259,12 +259,13 @@ def step(
 
     def update(kind: SectionKind) -> tuple[Section, SectionUpdate]:
         section = landed = state.section(kind)
+        at = f"{kind.value}@{state.iteration}"  # the section and round its calls' purposes name
         grown = _line_pass(section)
         gradient, failure, truncated = TextualGradient.empty(kind, critic_identity=critic.identity), None, 0
         if kind not in saturated:
             try:
-                gradient = request_gradient(
-                    critic, section, section_context(state, kind), template=gradient_template
+                gradient = call_for(
+                    f"critique:{at}", request_gradient, critic, section, section_context(state, kind), template=gradient_template
                 )
             except BackendError as exc:
                 logger.warning("critique failed for %s: %s", kind.display_name, exc)
@@ -274,7 +275,7 @@ def step(
                 expanded = apply_gradient(section, gradient)
                 # Only the lines past the incoming section's own are new to scan.
                 grown = grown.then(expanded.content[len(section.content) + bool(section.content):])
-                cleaned = _dedup(expanded, grown, critic, config, consolidate_template)
+                cleaned = call_for(f"consolidate:{at}", _dedup, expanded, grown, critic, config, consolidate_template)
                 landed, truncated = _truncate_to_token_budget(cleaned, budget)
                 if landed.content == section.content:  # every new line was dropped
                     landed = section

@@ -137,7 +137,7 @@ def refused(numbers: Container[int]) -> Callable[..., str]:
 
 
 def masked_identity(data: bytes) -> bytes:
-    """``data`` with every ``critic_identity`` blanked: a replay names itself as the critic."""
+    """``data`` with every ``critic_identity`` blanked: a live run and a mock run name different critics."""
     return re.sub(rb'"critic_identity": "[^"]*"', b'"critic_identity": ""', data)
 
 
@@ -164,14 +164,17 @@ def record(
 ) -> dict:
     """A valid transcript record of ``turns`` and ``params`` (by default one user
     turn "hello" and the default params) in the layout :class:`RecordingBackend`
-    writes, with ``"response": "out"`` and a fixed timestamp. Each of ``keys``,
-    ``params`` too, replaces or adds its key; the value ``...`` drops it."""
+    writes, with ``"response": "out"``, a fixed timestamp, no purpose, as a call
+    made outside :func:`mpo.backends.call_for` logs, and a scripted identity. Each
+    of ``keys``, ``params`` too, replaces or adds its key; the value ``...`` drops it."""
     built = {
         "request_digest": request_digest(turns, params),
         "request": [turn.to_dict() for turn in turns],
         "params": params.to_dict(),
         "response": "out",
         "timestamp": "2024-01-01T00:00:00+00:00",
+        "purpose": None,
+        "identity": "scripted:script",
         **keys,
     }
     return {key: value for key, value in built.items() if value is not ...}

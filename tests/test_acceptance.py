@@ -160,7 +160,7 @@ def test_06_replay_determinism(clock, tmp_path, data_dir):
         main(base + ["--out", str(replayed), "--replay", str(recorded / "transcript.jsonl")])
         == 0
     )
-    assert_same_run(recorded, replayed, masked=True)
+    assert_same_run(recorded, replayed)
     elapsed = clock()
     assert elapsed < 5.0, f"took {elapsed:.2f}s, bound is 5s"
     print("ACCEPTANCE 6 PASS")

@@ -40,6 +40,7 @@ from mpo.backends import (
     CONSOLIDATION_PARAMS,
     GRADIENT_PARAMS,
     SOLVER_PARAMS,
+    call_for,
     fan_out,
     open_utf8,
 )
@@ -133,7 +134,7 @@ class TestTranscript:
 
     def test_jsonl_layout(self, tmp_path):
         (saved_record,) = jsonl(saved(tmp_path / "t.jsonl", [record()]))
-        assert list(saved_record) == ["request_digest", "request", "params", "response", "timestamp"]
+        assert list(saved_record) == ["request_digest", "request", "params", "response", "timestamp", "purpose", "identity"]
 
     def test_non_utf8_byte_named_by_line_and_file_offset(self, tmp_path):
         path = saved(tmp_path / "t.jsonl", [record(response=f"out {n}") for n in range(100)])
@@ -211,21 +212,38 @@ class TestRecordReplay:
         recorder.complete(TURNS, PARAMS)
         assert ReplayBackend(recorder.records()).complete(TURNS, PARAMS) == "reply"
 
-    def test_duplicate_digests_consumed_in_order(self):
+    def test_equal_requests_are_served_by_purpose_in_any_order(self):
         other = (ChatTurn("user", "other"),)
         calls = iter(["first", "middle", "second"])
         recorder = Recorder(ScriptedBackend(lambda t, p: next(calls)))
-        for turns in (TURNS, other, TURNS):
-            recorder.complete(turns, PARAMS)
+        for purpose, turns in (("a", TURNS), ("b", other), ("c", TURNS)):
+            call_for(purpose, recorder.complete, turns, PARAMS)
         replay = ReplayBackend(recorder.records())
-        assert replay.complete(TURNS, PARAMS) == "first"
-        assert replay.complete(TURNS, PARAMS) == "second"
-        assert replay.complete(other, PARAMS) == "middle"
+        for purpose, turns, served in (("c", TURNS, "second"), ("b", other, "middle"), ("a", TURNS, "first")):
+            assert call_for(purpose, replay.complete, turns, PARAMS) == served
 
-    def test_miss_raises(self):
-        replay = ReplayBackend([])
-        with pytest.raises(ReplayMiss, match=request_digest(TURNS, PARAMS)):
+    def test_miss_names_the_purpose_and_the_digest(self):
+        replay = ReplayBackend([record(purpose="critique:task_details@2")])
+        with pytest.raises(ReplayMiss, match=f"purpose solve:q1 with request digest {request_digest(TURNS, PARAMS)};"):
+            call_for("solve:q1", replay.complete, TURNS, PARAMS)
+
+    def test_a_request_that_is_not_the_purposes_record_misses_and_consumes_nothing(self):
+        replay = ReplayBackend([record(purpose="p")])
+        with pytest.raises(ReplayMiss, match="purpose p with request digest"):
+            call_for("p", replay.complete, (ChatTurn("user", "other"),), PARAMS)
+        with pytest.raises(ReplayMiss, match="purpose None with"):  # a call with no purpose
             replay.complete(TURNS, PARAMS)
+        assert call_for("p", replay.complete, TURNS, PARAMS) == "out"
+
+    def test_a_purpose_logged_twice_is_refused(self):
+        with pytest.raises(ValueError, match="the purpose 'solve:q1' is logged twice"):
+            ReplayBackend([record(purpose="solve:q1"), record(purpose="solve:q2"), record(purpose="solve:q1")])
+        with pytest.raises(ValueError, match="the purpose None is logged twice"):
+            ReplayBackend([record(), record()])
+
+    def test_replay_names_itself_by_the_logged_identity(self):
+        assert ReplayBackend([record(identity="http:model:v2")]).identity == "http:model:v2"
+        assert ReplayBackend([]).identity == "replay:transcript"
 
     def test_exhausted_entries_raise(self):
         recorder = Recorder(ScriptedBackend("only"))
@@ -284,15 +302,16 @@ class TestRecordReplay:
             replay.complete(TURNS, GenerationParams(**changed))
         assert replay.complete(TURNS, PARAMS) == "reply"
 
-    def test_request_side_encodes_params_once_per_instance(self, monkeypatch):
-        replay = self._replay_of(TURNS)  # the index reads record dicts, before counting starts
+    def test_params_are_encoded_once_per_instance_and_once_per_served_record(self, monkeypatch):
+        replay = self._replay_of(TURNS)
+        (logged,) = replay._records.values()
         encoded, params_json = [], mpo.backends._params_json
         monkeypatch.setattr(mpo.backends, "_params_json", lambda params: encoded.append(params) or params_json(params))
         params = GenerationParams()
         Recorder(ScriptedBackend("reply")).complete(TURNS, params)
         request_digest(TURNS, params)
         assert replay.complete(TURNS, params) == "reply"
-        assert encoded == [params.to_dict()]
+        assert encoded == [params.to_dict(), logged["params"]] and encoded[1] is logged["params"]
 
     def test_stored_digest_is_a_label_not_the_lookup(self):
         entry = record(request_digest="label", response="reply")
@@ -320,16 +339,16 @@ class TestRecordReplay:
 
     def test_seed_run_entries_serve_their_own_requests(self, data_dir):
         # The pinned transcript's labels agree with its requests, and each
-        # request is served its own recorded response, in recorded order.
+        # purpose is served its own recorded response, once.
         records = Transcript.load(data_dir / "seed_run" / "transcript.jsonl")
         replay = ReplayBackend(records)
         for entry in records:
             turns = tuple(ChatTurn(turn["role"], turn["content"]) for turn in entry["request"])
             params = GenerationParams(**entry["params"])
             assert entry["request_digest"] == request_digest(turns, params)
-            assert replay.complete(turns, params) == entry["response"]
+            assert call_for(entry["purpose"], replay.complete, turns, params) == entry["response"]
         with pytest.raises(ReplayMiss):  # each record is served once
-            replay.complete(turns, params)
+            call_for(entry["purpose"], replay.complete, turns, params)
 
     def test_seed_run_records_redump_to_the_file_bytes(self, data_dir):
         assert_redumps(data_dir / "seed_run" / "transcript.jsonl")
@@ -341,18 +360,17 @@ class TestRecordReplay:
     def test_awkward_content_round_trips_and_replays(self, tmp_path):
         recorder = Recorder(ScriptedBackend(lambda turns, params: turns[0].content[::-1]))
         requests = [(ChatTurn("system", text), ChatTurn("user", text * 2)) for text in self.AWKWARD]
-        for turns in requests:
-            recorder.complete(turns, PARAMS)
+        for purpose, turns in zip(self.AWKWARD, requests):
+            call_for(purpose, recorder.complete, turns, PARAMS)
         loaded = assert_redumps(recorder.write(tmp_path / "t.jsonl"))  # one line per call
-        assert [(record["request"], record["response"]) for record in loaded] == [
-            ([turn.to_dict() for turn in turns], turns[0].content[::-1]) for turns in requests
+        assert [(record["request"], record["purpose"], record["response"]) for record in loaded] == [
+            ([turn.to_dict() for turn in turns], turns[0].content, turns[0].content[::-1]) for turns in requests
         ]
-        replay = ReplayBackend(loaded)
-        assert [replay.complete(turns, PARAMS) for turns in requests] == [text[::-1] for text in self.AWKWARD]
-        # And out of recorded order.
-        replay = ReplayBackend(loaded)
-        served = [replay.complete(turns, PARAMS) for turns in requests[::-1]]
-        assert served == [text[::-1] for text in self.AWKWARD[::-1]]
+        for order in (slice(None), slice(None, None, -1)):  # and out of recorded order
+            replay = ReplayBackend(loaded)
+            calls = zip(self.AWKWARD[order], requests[order])
+            served = [call_for(purpose, replay.complete, turns, PARAMS) for purpose, turns in calls]
+            assert served == [text[::-1] for text in self.AWKWARD[order]]
 
 
 def reference_digest(turns, params: GenerationParams) -> str:
@@ -400,7 +418,8 @@ class TestRecordedLine:
 
     def test_failed_call_records_its_error_and_replays_as_that_failure(self, tmp_path):
         # The line holds an empty response and the error's text, between
-        # response and timestamp; the error still reaches the caller.
+        # response and timestamp; the error still reaches the caller. The same
+        # request asked again for another purpose replays its own reply, in any order.
         failure = BackendError("down: \u2028 \u00e9 \"quoted\"")
         replies = iter([failure, "after"])
 
@@ -411,20 +430,20 @@ class TestRecordedLine:
 
         recorder = Recorder(ScriptedBackend(reply))
         with pytest.raises(BackendError) as caught:
-            recorder.complete(TURNS, PARAMS)
+            call_for("critique:task_details@0", recorder.complete, TURNS, PARAMS)
         assert caught.value is failure
-        assert recorder.complete(TURNS, PARAMS) == "after"
+        assert call_for("critique:task_details@1", recorder.complete, TURNS, PARAMS) == "after"
         failed, served = loaded = assert_redumps(recorder.write(tmp_path / "t.jsonl"))
-        assert list(failed) == ["request_digest", "request", "params", "response", "error", "timestamp"]
+        assert list(failed) == ["request_digest", "request", "params", "response", "error", "timestamp", "purpose", "identity"]
         assert (failed["response"], failed["error"]) == ("", str(failure))
         assert "error" not in served
         replay = ReplayBackend(loaded)
+        assert call_for("critique:task_details@1", replay.complete, TURNS, PARAMS) == "after"  # the later call first
         with pytest.raises(BackendError) as caught:
-            replay.complete(TURNS, PARAMS)
+            call_for("critique:task_details@0", replay.complete, TURNS, PARAMS)
         assert str(caught.value) == str(failure)
-        assert replay.complete(TURNS, PARAMS) == "after"
         with pytest.raises(ReplayMiss):
-            replay.complete(TURNS, PARAMS)
+            call_for("critique:task_details@0", replay.complete, TURNS, PARAMS)
 
     @pytest.mark.parametrize("content", [5, None, ["x"]], ids=["int", "none", "list"])
     def test_turn_content_that_is_not_a_string_fails_load_with_the_request_text(self, tmp_path, content):

@@ -552,7 +552,8 @@ class TestDecompose:
         path = tmp_path / "plain.txt"
         path.write_text(text, encoding="utf-8")
         filled = default_template("decompose").fill(PROMPT=text)
-        entry = record((ChatTurn("user", filled),), GenerationParams(max_output_tokens=1024), response="still no structure here")
+        params, reply = GenerationParams(max_output_tokens=1024), "still no structure here"
+        entry = record((ChatTurn("user", filled),), params, response=reply, purpose="decompose")
         transcript_path = tmp_path / "t.jsonl"
         transcript_path.write_text(line(entry), encoding="utf-8")
         code = main(
@@ -692,13 +693,16 @@ class TestOptimize:
             line(record(params=None)),
             line(record(params=[0.0, 512])),
             line(record(timestamp=...)),
+            line(record(purpose=3)),
+            line(record(identity=...)),
+            line(record(identity=None)),
             '["not", "an", "object"]\n',
             "{not json\n",
         ],
         ids=[
             "no-content", "null-content", "not-an-object", "number-role", "unknown-role", "request-not-a-list",
-            "null-response", "number-response", "null-params", "list-params", "no-timestamp", "record-not-an-object",
-            "not-json",
+            "null-response", "number-response", "null-params", "list-params", "no-timestamp", "number-purpose",
+            "no-identity", "null-identity", "record-not-an-object", "not-json",
         ],
     )
     def test_malformed_transcript_turn_exits_two(self, tagged_file, tmp_path, capsys, malformed):
@@ -709,6 +713,24 @@ class TestOptimize:
         out = tmp_path / "o"
         assert main(["optimize", str(tagged_file), "--replay", str(transcript), "--out", str(out)]) == 2
         assert f"malformed transcript {transcript}: line 3: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "purposes, error",
+        [
+            (["critique:system_role@0", ...],
+             "line 2: purpose must be a string or null; a line without one predates purposes: re-record the transcript"),
+            (["critique:system_role@0", "consolidate:system_role@0", "critique:system_role@0"],
+             "the purpose 'critique:system_role@0' is logged twice"),
+        ],
+        ids=["no-purpose", "purpose-logged-twice"],
+    )
+    def test_transcript_without_one_purpose_per_line_exits_two(self, tagged_file, tmp_path, capsys, purposes, error):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text("".join(line(record(purpose=purpose)) for purpose in purposes), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["optimize", str(tagged_file), "--replay", str(transcript), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: malformed transcript {transcript}: {error}\n"
         assert not out.exists()
 
     def test_non_utf8_transcript_exits_two(self, tagged_file, tmp_path, capsys):
@@ -1129,8 +1151,8 @@ class TestRecordedFailures:
 
     @pytest.mark.parametrize("dedup, fails", [("lexical", {3}), ("llm", {3, 5})])
     def test_optimize_with_failed_calls_replays(self, dedup, fails, tagged_file, tmp_path):
-        # One round: in a later one a failed call's request can come again and
-        # succeed, and which twin gets the failure follows transcript order (ROADMAP item 3).
+        # A failed call is replayed as its failure to its own purpose, whatever
+        # order the lines come in and at any width.
         argv = ["optimize", str(tagged_file), "--iterations", "1", "--dedup", dedup]
         recorded = tmp_path / "recorded"
         with hooked_backends(refused(fails)):
@@ -1140,7 +1162,7 @@ class TestRecordedFailures:
         rounds = jsonl(recorded / "gradients.jsonl")
         failures = [failure["reason"].split(":")[0] for round_ in rounds for failure in round_["failures"]]
         assert failures == ["critique failed", "update failed"][: len(fails)]
-        assert_same_run(recorded, *self._replays(recorded, argv, tmp_path, 0), masked=True)
+        assert_same_run(recorded, *self._replays(recorded, argv, tmp_path, 0))
 
     @pytest.mark.parametrize("fails, code, artifact", [({3}, 0, "eval_result.json"), (set(range(1, 7)), 3, "eval_result.partial.json")])
     def test_eval_with_failed_solves_replays(self, fails, code, artifact, tagged_file, dataset_file, tmp_path):
@@ -1186,13 +1208,13 @@ class TestAbortOutput:
         for rounds in ("1", "2"):
             argv = ["optimize", str(tagged_file), "--iterations", rounds, "--record", "--out", str(tmp_path / rounds)]
             assert main(argv) == 0
-        missed = Transcript.load(tmp_path / "2" / "transcript.jsonl")[5]["request_digest"]  # round 2's first call
+        missed = Transcript.load(tmp_path / "2" / "transcript.jsonl")[5]  # round 2's first call
         out, replay = tmp_path / "over", tmp_path / "1" / "transcript.jsonl"
         assert self._mpo("optimize", tagged_file, "--iterations", "2", "--replay", replay, "--out", out) == (
             3,
             "",
-            f"aborted: run aborted at iteration 1: no unconsumed recorded response for request digest {missed}; "
-            f"the run diverged from the recording\npartial artifacts kept in {out}\n",
+            f"aborted: run aborted at iteration 1: no recorded call for purpose {missed['purpose']} with request digest "
+            f"{missed['request_digest']}; the run diverged from the recording\npartial artifacts kept in {out}\n",
         )
 
     def test_eval_majority_failure(self, tagged_file, dataset_file, tmp_path):

@@ -21,11 +21,11 @@ One more cell, ``eval-2000``, records a 2,000-item set of the same kind
 with the mocks at width 1 and at width 8, for the recorded stream of many
 short calls.
 
-Every artifact of a run is compared byte for byte with the recording's; a
-replay's with ``critic_identity`` masked, since replay names itself as the
-critic. Every transcript holds one line per backend call
-the run made, whose loaded records dump back to the file's bytes, and a
-replay serves each of its lines once. A wider run makes as many calls as the recording.
+Every artifact of a run is compared byte for byte with the recording's, a
+replay's too, since a replay names the critic its transcript logged. Every
+transcript holds one line per backend call the run made, whose loaded records
+dump back to the file's bytes, and a replay serves each of its lines once. A
+wider run makes as many calls as the recording.
 
 The matrix runs in one process; :func:`test_record_and_replay_in_fresh_processes`
 records and replays ``eval-40`` in three more, each with its own hash seed and
@@ -33,23 +33,18 @@ cold caches, so output that follows set or dict order, or state one run
 leaves for the next, shows as a difference. One of them records at width 5,
 so the first recorded call, which loads ``datetime``, runs on a worker thread.
 
-``flaky`` is left out at budget 20: which of its reordered replays meet
-the defect below depends on where the refused calls fall, not on the code
-under test. The counter and ``flaky`` are left out where their replies
-follow thread timing: their live runs at width > 1, and the counter's
-``eval`` replays at width 5, where two calls of one question may arrive in
-either order. At width 1 the counter's ``eval`` replays from the reversed
-or shuffled transcript fail: replay serves equal requests their records in
-transcript order, so one id gets its twin's reply. So do ``flaky``'s at both widths: a critique or a
-consolidation that failed is asked again, alike, a round later, and
-succeeds. Those cells, and one comparing a replay's artifacts unmasked, are
-strict xfails until ROADMAP item 3 keys each call by its purpose.
+``flaky`` is left out at budget 20, and the counter and ``flaky`` from live
+runs at width > 1, where which call is refused or numbered follows thread timing.
+A replay serves each call the record logged for its purpose, one critique or
+consolidation of one section in one round or one item's solve, so equal requests,
+a question asked twice or a failed call asked again a round later, each get their own.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -59,7 +54,6 @@ from solvers import assert_redumps, assert_same_run, counter, fresh_python, hook
 
 PROMPT = Path(__file__).parent / "data" / "multi_task_tagged.txt"
 ITERATIONS = 5
-ITEM_3 = pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 
 COMMANDS = [
     *(f"optimize-{dedup}-{budget}" for dedup in ("lexical", "llm", "lexical_then_llm") for budget in (800, 55, 20)),
@@ -67,25 +61,23 @@ COMMANDS = [
 ]
 
 
-def runs(command: str, backend: str):
-    """``(run, marks)`` for each run of one cell."""
-    eval_, counter = command.startswith("eval"), backend == "counter"
-    yield "record", ()
+def runs(backend: str) -> Iterator[str]:
+    """Each run of one cell."""
+    yield "record"
     if backend == "mock":
-        yield "live", ()
-    twins = (eval_ and counter) or backend == "flaky"  # equal requests answered differently in one run
-    for width in (1,) if eval_ and counter else (1, 5):
+        yield "live"
+    for width in (1, 5):
         for order in ("recorded", "reversed", "shuffled"):
-            yield f"replay{width}-{order}", [ITEM_3] if twins and order != "recorded" else ()
+            yield f"replay{width}-{order}"
 
 
 CELLS = [
     *(
-        pytest.param(command, backend, run, id=f"{command}-{backend}-{run}", marks=marks)
+        pytest.param(command, backend, run, id=f"{command}-{backend}-{run}")
         for command in COMMANDS
         for backend in ("mock", "counter", "flaky")
         if backend != "flaky" or command.startswith("optimize") and not command.endswith("-20")
-        for run, marks in runs(command, backend)
+        for run in runs(backend)
     ),
     pytest.param("eval-2000", "mock", "record", id="eval-2000-mock-record"),
     pytest.param("eval-2000", "mock", "live", id="eval-2000-mock-live"),
@@ -137,8 +129,8 @@ def expected_calls(command: str, out: Path) -> int:
     return sum((not g["saturated"]) + (consolidates and bool(g["directives"])) for g in gradients)
 
 
-def assert_same_artifacts(recorded: Path, out: Path, replayed: bool) -> None:
-    assert_same_run(recorded, out, masked=replayed)
+def assert_same_artifacts(recorded: Path, out: Path) -> None:
+    assert_same_run(recorded, out)
     if (out / "eval_result.json").exists():  # compare reads both
         assert main(["compare", str(recorded / "eval_result.json"), str(out / "eval_result.json")]) == 0
 
@@ -181,17 +173,16 @@ def test_run_writes_the_recorded_artifacts(recordings, tmp_path, command, backen
         calls = run_cli([*argv, "--mock", "--record", "--concurrency", width], out, backend)
         assert calls == recorded_calls  # no item or section is called twice, or skipped, when wider
         assert len(assert_redumps(out / "transcript.jsonl")) == calls
-        assert_same_artifacts(recorded, out, replayed=False)
+        assert_same_artifacts(recorded, out)
         return
     width, order = run.removeprefix("replay").split("-")
     replayed = reordered(transcript, order, tmp_path / "transcript.jsonl")
     assert run_cli([*argv, "--replay", str(replayed), "--concurrency", width], out, backend) == len(jsonl(replayed))
-    assert_same_artifacts(recorded, out, replayed=True)
+    assert_same_artifacts(recorded, out)
 
 
-@ITEM_3
 def test_replay_names_the_recorded_critic(recordings, tmp_path):
-    # A replay writes ``replay:transcript`` as each gradient's critic_identity.
+    # A replay writes the recorded critic's identity as each gradient's critic_identity.
     argv, recorded, _ = recordings("optimize-lexical-800", "mock")
     run_cli([*argv, "--replay", str(recorded / "transcript.jsonl")], tmp_path, "mock")
     assert_same_run(recorded, tmp_path)
@@ -210,9 +201,9 @@ def test_record_and_replay_in_fresh_processes(recordings, tmp_path):
     ):
         result = fresh_python("-m", "mpo.cli", *argv, *extra, "--out", str(out), env={"PYTHONHASHSEED": seed})
         assert result.returncode == 0, result.stderr
-        assert_same_artifacts(recorded, out, replayed=extra[0] == "--replay")
+        assert_same_artifacts(recorded, out)
     for run in ("record", "record5"):
         assert len(assert_redumps(tmp_path / run / "transcript.jsonl")) == calls
     replay5 = [*argv, "--replay", str(tmp_path / "record5" / "transcript.jsonl")]
     assert run_cli(replay5, tmp_path / "replay5", "mock") == calls
-    assert_same_artifacts(recorded, tmp_path / "replay5", replayed=True)
+    assert_same_artifacts(recorded, tmp_path / "replay5")

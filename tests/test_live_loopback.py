@@ -31,7 +31,8 @@ def test_live_record_matches_mock_and_replays(throttled, data_dir, tmp_path, mon
     assert main([*run, "--replay", str(tmp_path / "live" / "transcript.jsonl"), "--out", str(tmp_path / "replay")]) == 0
     # Three rounds of five critiques, and the throttled first call asked again.
     assert [request["status"] for request in server.requests] == [429] + [200] * 15
-    assert_same_run(tmp_path / "mock", tmp_path / "live", tmp_path / "replay", masked=True)
+    assert_same_run(tmp_path / "mock", tmp_path / "live", masked=True)
+    assert_same_run(tmp_path / "live", tmp_path / "replay")
 
 
 def test_live_eval_matches_mock_replays_and_compares(throttled, data_dir, tmp_path, monkeypatch):
@@ -70,7 +71,8 @@ def test_live_run_and_replay_need_no_requests(throttled, data_dir, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert [request["status"] for request in server.requests] == [429] + [200] * 15
-    assert_same_run(tmp_path / "mock", tmp_path / "live", tmp_path / "replay", masked=True)
+    assert_same_run(tmp_path / "mock", tmp_path / "live", masked=True)
+    assert_same_run(tmp_path / "live", tmp_path / "replay")
 
 
 # A reply the provider cut short (``finish_reason`` ``length``) is never applied: the call
@@ -106,7 +108,7 @@ def test_cut_optimize_reply_keeps_the_section(script, calls, reason, live, data_
     assert round_["failures"] == [{"section": "system_role", "reason": reason}]
     assert json.loads((tmp_path / "live" / "metrics.json").read_text(encoding="utf-8"))["failure_count"] == 1
     assert main([*run, "--replay", str(tmp_path / "live" / "transcript.jsonl"), "--out", str(tmp_path / "replay")]) == 0
-    assert_same_run(tmp_path / "live", tmp_path / "replay", masked=True)
+    assert_same_run(tmp_path / "live", tmp_path / "replay")
 
 
 def test_cut_solver_reply_fails_its_item(live, data_dir, tmp_path):

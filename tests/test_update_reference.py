@@ -21,11 +21,11 @@ replaced, which rebuilt and rescanned the whole section.
 
 ``PromptState.digest`` is computed once per state, and a state whose sections
 all carry over takes its parent's; ``history.jsonl`` encodes each distinct
-section once and splices it into the state's line. Replay matches requests
-by equality of their turns and params, with no digest, in recorded order or
-through an index keyed by the request; it is checked against a replay keyed
-by ``request_digest``, the documented match rule. The others are each
-checked against the code they replaced.
+section once and splices it into the state's line. Replay serves a call its
+purpose's record when their turns and params are equal, with no digest; it is
+checked against a replay that compares their ``request_digest``, the
+documented match rule. The others are each checked against the code they
+replaced.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import logging
 import pickle
 import random
 import sys
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -80,7 +80,7 @@ from mpo import (
     token_count,
 )
 from mpo import backends, cli, optimizer, schema
-from mpo.backends import CriticBackend, _params_json
+from mpo.backends import CriticBackend, _params_json, call_for
 from mpo.cli import _gradient_lines, _history_lines, _run_artifacts, main
 from mpo.optimizer import SectionUpdate, _truncate_to_token_budget
 from mpo.schema import TAG_STRING_RE, _parse_tag_line
@@ -511,22 +511,18 @@ class TestReplayKeyMatchesDigest:
 
 
 class ReferenceReplay(CriticBackend):
-    """Replay by the documented match rule: every record indexed at load by
-    the digest of its request, every live request looked up by its digest."""
+    """Replay by the documented match rule: a call is served its purpose's
+    record, once, when the digest of the record's request is the call's."""
 
     def __init__(self, records: list[dict]) -> None:
-        self._queues: dict[str, deque[str]] = {}
-        for record in records:
-            self._queues.setdefault(recorded_digest(record), deque()).append(record["response"])
+        self._records = {record["purpose"]: record for record in records}
 
     def complete(self, turns, params) -> str:
-        queue = self._queues.get(request_digest(turns, params))
-        if queue:
-            return queue.popleft()
-        raise ReplayMiss(
-            f"no unconsumed recorded response for request digest "
-            f"{request_digest(turns, params)}; the run diverged from the recording"
-        )
+        purpose, digest = backends._PURPOSE.get(), request_digest(turns, params)
+        if purpose in self._records and recorded_digest(self._records[purpose]) == digest:
+            return self._records.pop(purpose)["response"]
+        raise ReplayMiss(f"no recorded call for purpose {purpose} with request digest {digest}; "
+                         "the run diverged from the recording")
 
 
 # 0 and 0.0 are distinct params, as they are in a transcript read from disk.
@@ -540,10 +536,10 @@ _LIVE_PARAMS = st.builds(
 
 @st.composite
 def replay_runs(draw) -> tuple[list[dict], list]:
-    """A recording from a small pool of requests, so duplicates come up, with
-    params as raw JSON (some missing a key, so no live request matches), and
-    the live requests: a prefix in recorded order, the rest shuffled, with
-    unrecorded requests and extra copies of recorded ones mixed in."""
+    """A recording from a small pool of requests, so equal requests come up under
+    distinct purposes, with params as raw JSON (some missing a key, so no call
+    matches), and the calls: a prefix in recorded order, the rest shuffled, with
+    calls of the pool's requests for purposes recorded or not, or none, mixed in."""
     turns = st.lists(
         st.builds(ChatTurn, st.sampled_from(("system", "user")), st.sampled_from(("", "a", "b:", "\xe9"))),
         min_size=1, max_size=2,
@@ -555,19 +551,22 @@ def replay_runs(draw) -> tuple[list[dict], list]:
         raw = json.loads(json.dumps(params.to_dict()))
         if draw(st.integers(0, 5)) == 0:
             del raw[draw(st.sampled_from(sorted(raw)))]
-        entries.append(record(request, request_digest="label", params=raw, response=f"response {index}", timestamp=""))
-    split = draw(st.integers(0, len(recorded)))
-    live = recorded[:split] + draw(st.permutations(recorded[split:]))
+        response, purpose = f"response {index}", f"p{index}"
+        entries.append(record(request, request_digest="label", params=raw, response=response, timestamp="", purpose=purpose))
+    calls = [(f"p{index}", *request) for index, request in enumerate(recorded)]
+    split = draw(st.integers(0, len(calls)))
+    live = calls[:split] + draw(st.permutations(calls[split:]))
     for _ in range(draw(st.integers(0, 3))):
-        live.insert(draw(st.integers(0, len(live))), draw(st.sampled_from(pool)))
+        purpose = draw(st.none() | st.sampled_from([f"p{index}" for index in range(10)]))
+        live.insert(draw(st.integers(0, len(live))), (purpose, *draw(st.sampled_from(pool))))
     return entries, live
 
 
 def replay_outcomes(backend, live: list) -> list:
     outcomes = []
-    for turns, params in live:
+    for purpose, turns, params in live:
         try:
-            outcomes.append(backend.complete(turns, params))
+            outcomes.append(call_for(purpose, backend.complete, turns, params))
         except ReplayMiss as exc:
             outcomes.append(("miss", str(exc)))
     return outcomes
@@ -595,8 +594,8 @@ class TestReplayInOrderMatchesReference:
         monkeypatch.setattr(cli, "ReplayBackend", build)
         assert main(args) == 0
         assert_same_run(seed, out)
-        # Every record was served, and each key left once its queue emptied.
-        assert built[0]._index == {}
+        # Every record was served, and none is kept once served.
+        assert built[0]._records == {}
         return built[0]
 
     def test_in_order_seed_replay_hashes_nothing(self, data_dir, tmp_path, capsys, monkeypatch):
@@ -609,48 +608,42 @@ class TestReplayInOrderMatchesReference:
         self.replay_seed_run(data_dir, tmp_path / "o", monkeypatch)
 
     def test_threads_consume_each_entry_once(self):
-        # Each of 4 requests recorded 25 times with its own responses, asked
-        # for by 8 threads under forced switches: every response is served
-        # exactly once, none twice and none lost.
+        # Each of 4 requests recorded 25 times, for 100 purposes, with their own
+        # responses, asked for by 8 threads under forced switches: every purpose is
+        # served its own response exactly once, none twice and none lost.
         responses = iter(range(100))
         recorder = Recorder(ScriptedBackend(lambda turns, params: str(next(responses))))
-        requests = [((ChatTurn("user", str(i % 4)),), GenerationParams()) for i in range(100)]
-        for request in requests:
-            recorder.complete(*request)
+        requests = [(str(i), (ChatTurn("user", str(i % 4)),), GenerationParams()) for i in range(100)]
+        for purpose, turns, params in requests:
+            call_for(purpose, recorder.complete, turns, params)
         replay = ReplayBackend(recorder.records())
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                served = list(pool.map(lambda request: replay.complete(*request), requests, timeout=60))
+                served = list(pool.map(lambda call: call_for(call[0], replay.complete, *call[1:]), requests, timeout=60))
         finally:
             sys.setswitchinterval(previous)
-        assert sorted(served, key=int) == [record["response"] for record in recorder.records()]
-        # Response n was recorded for request n, so it answers that request's turns.
-        assert all(int(response) % 4 == i % 4 for i, response in enumerate(served))
+        assert served == [record["response"] for record in recorder.records()] == [str(i) for i in range(100)]
 
-    def test_every_record_is_indexed_at_build(self):
+    def test_each_record_is_held_by_its_purpose_until_served(self):
         served = itertools.count()
         recorder = Recorder(ScriptedBackend(lambda turns, params: turns[0].content.upper() + str(next(served))))
         requests = [((ChatTurn("user", text),), GenerationParams()) for text in ("a", "b", "a", "c")]
-        for request in requests:
-            recorder.complete(*request)
+        for number, request in enumerate(requests):
+            call_for(f"p{number}", recorder.complete, *request)
         replay = ReplayBackend(recorder.records())
-
-        def key(text: str) -> tuple:
-            return (("user", text),), _params_json(GenerationParams().to_dict())
-
-        assert replay._index == {key("a"): deque(["A0", "A2"]), key("b"): deque(["B1"]), key("c"): deque(["C3"])}
-        assert replay.complete(*requests[3]) == "C3"
-        assert key("c") not in replay._index  # a key goes once its queue is empty
-        assert replay.complete(*requests[0]) == "A0"
+        assert replay._records == {record["purpose"]: record for record in recorder.records()}
+        assert call_for("p3", replay.complete, *requests[3]) == "C3"
+        assert "p3" not in replay._records  # a record goes once it is served
+        assert call_for("p2", replay.complete, *requests[0]) == "A2"  # an equal request, for its own purpose
+        with pytest.raises(ReplayMiss):  # another request consumes nothing
+            call_for("p0", replay.complete, *requests[1])
+        assert list(replay._records) == ["p0", "p1"]
+        assert [call_for(f"p{number}", replay.complete, *requests[number]) for number in (1, 0)] == ["B1", "A0"]
+        assert replay._records == {}
         with pytest.raises(ReplayMiss):
-            replay.complete((ChatTurn("user", "z"),), GenerationParams())
-        assert replay._index == {key("a"): deque(["A2"]), key("b"): deque(["B1"])}
-        assert [replay.complete(*requests[i]) for i in (2, 1)] == ["A2", "B1"]
-        assert replay._index == {}
-        with pytest.raises(ReplayMiss):
-            replay.complete(*requests[0])
+            call_for("p0", replay.complete, *requests[0])
 
 
 def reference_optimize(initial: PromptState, critic, config: OptimizerConfig) -> list:
