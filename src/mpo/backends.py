@@ -261,14 +261,14 @@ def open_utf8(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
 class Transcript:
     """Append-only writer of recorded backend calls, as JSON Lines.
 
-    A call is one record, the object on one line: ``request_digest`` (a label), ``request``
-    (the turns as role and content objects), ``params``, ``response``, ``error`` (on a failed
-    call only), ``timestamp``, ``purpose`` (null outside :func:`call_for`) and ``identity``. Each
-    call is appended as the line :class:`RecordingBackend` built, written to
-    ``stream`` and flushed; appends are serialized internally. Without a
-    ``stream`` the lines go to an in-memory buffer, which :meth:`save` writes
-    unchanged (on a file stream it raises AttributeError and writes no file).
-    :meth:`load` reads a saved transcript back as its records.
+    A call is one record, the object on one line: ``request_digest`` (a label), ``request`` (the turns as
+    role and content objects), ``params``, ``response``, ``error`` (on a failed call only), ``timestamp``,
+    ``purpose`` (``critique:<kind>@<iteration>``, ``consolidate:<kind>@<iteration>``, ``solve:<item id>``,
+    ``decompose`` or ``rewrite@<iteration>``; null outside :func:`call_for`) and ``identity``. Each call is
+    appended as the line :class:`RecordingBackend` built, written to ``stream`` and flushed; appends are
+    serialized internally. Without a ``stream`` the lines go to an in-memory buffer, which :meth:`save`
+    writes unchanged (on a file stream it raises AttributeError and writes no file). :meth:`load` reads a
+    saved transcript back as its records.
     """
 
     def __init__(self, stream: TextIO | None = None) -> None:
@@ -443,7 +443,10 @@ class HTTPBackend(CriticBackend):
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
         import http.client
+        from urllib.parse import quote
 
+        purpose = _PURPOSE.get()  # for a provider that logs or routes by it; a header holds only latin-1 and no line break
+        headers = self._headers if purpose is None else {**self._headers, "X-MPO-Purpose": quote(purpose, safe="")}
         body: dict = {
             "model": self.model,
             "messages": [turn.to_dict() for turn in turns],
@@ -460,7 +463,7 @@ class HTTPBackend(CriticBackend):
                 self._sleep(delay)
             delay = self.backoff_base * 2**attempt
             try:
-                status, retry_after, payload = self._post(data)
+                status, retry_after, payload = self._post(data, headers)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport error: {exc}"
                 logger.warning("attempt %d/%d failed: %s", attempt + 1, MAX_ATTEMPTS, last_error)
@@ -486,15 +489,15 @@ class HTTPBackend(CriticBackend):
             f"request failed after {MAX_ATTEMPTS} attempts: {last_error}"
         )
 
-    def _post(self, data: bytes) -> tuple[int, str, bytes]:
-        """The status, Retry-After and body that ``data`` POSTed on an idle or a new connection gets."""
+    def _post(self, data: bytes, headers: dict[str, str]) -> tuple[int, str, bytes]:
+        """The status, Retry-After and body that ``data`` POSTed with ``headers`` on an idle or a new connection gets."""
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         conn = conn or self._connect()
         try:
             for stale_ok in (conn.sock is not None, False):  # a reused socket the server may have closed while idle
                 try:
-                    conn.request("POST", self._path, data, self._headers)
+                    conn.request("POST", self._path, data, headers)
                     response = conn.getresponse()
                     return response.status, response.getheader("Retry-After", ""), response.read()
                 except BaseException as exc:

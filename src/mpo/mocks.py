@@ -1,9 +1,9 @@
 """Deterministic stand-ins for the critic, solver, and extractor roles.
 
 These run the full pipeline offline: same input text, same reply, every
-time. The critic recognizes which template it was called through by marker
-phrases, the solver hash-picks among the offered choices, and the extractor
-routes lines to sections with plain heading rules.
+time. The critic answers by the purpose a call is made for, whatever the
+template says, the solver hash-picks among the offered choices, and the
+extractor routes lines to sections with plain heading rules.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ from __future__ import annotations
 import re
 from typing import Mapping, Sequence
 
-from .backends import ChatTurn, CriticBackend, GenerationParams, sha256
+from .backends import _PURPOSE, ChatTurn, CriticBackend, GenerationParams, sha256
 from .schema import SectionKind
 
-_SECTION_NAME_RE = re.compile(r"^Section name: (.+)$", re.MULTILINE)
 _CHOICE_LINE_RE = re.compile(r"^([A-Z])\. ", re.MULTILINE)
 _LIST_PREFIX_RE = re.compile(r"^\s*(?:[-*]|\d+[.)])\s")
 
@@ -28,46 +27,33 @@ _DEFAULT_DIRECTIVES: dict[SectionKind, tuple[str, ...]] = {
     ),
 }
 
-_BY_DISPLAY_NAME = {kind.display_name: kind for kind in SectionKind}
-
 
 class MockCritic(CriticBackend):
-    """Fixed-rule critic covering critique, consolidation, and rewrite calls.
+    """Fixed-rule critic that tells its calls apart by purpose (see :func:`~mpo.backends.call_for`).
 
-    Critique calls get one bulleted directive per section kind (override per
-    kind via ``directives``; an empty tuple means "reply nothing", which the
-    loop reads as no change). Consolidation calls get the section content
-    with exact duplicate lines dropped. Rewrite calls echo the prompt back
-    unchanged.
+    ``critique:<kind>@i`` gets one bulleted directive per section kind (override
+    per kind via ``directives``; an empty tuple means "reply nothing", which the
+    loop reads as no change). ``consolidate:<kind>@i`` gets the section content
+    with exact duplicate lines dropped. ``rewrite@i`` echoes the prompt back
+    unchanged. Any other call, or one made with no purpose, gets ``""``.
     """
 
     name = "mock"
     model = "fixed-rules"
 
     def __init__(self, directives: Mapping[SectionKind, tuple[str, ...]] | None = None) -> None:
-        table = dict(_DEFAULT_DIRECTIVES)
-        if directives:
-            table.update(directives)
-        self._directives = table
+        table = {**_DEFAULT_DIRECTIVES, **(directives or {})}
+        self._directives = {kind.value: lines for kind, lines in table.items()}  # by the name a purpose gives
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
-        text = turns[-1].content
-        if "Propose concrete improvements" in text:
-            return self._critique(text)
-        if "Remove duplicated" in text:
-            return self._consolidate(text)
-        if "Critique and rewrite the prompt below" in text:
-            return _between_markers(text)
+        task, _, kind = (_PURPOSE.get() or "").partition("@")[0].partition(":")
+        if task == "rewrite":
+            return _between_markers(turns[-1].content)
+        if task == "critique" and kind in self._directives:
+            return "\n".join(f"- {directive}" for directive in self._directives[kind])
+        if task == "consolidate" and kind in self._directives:
+            return self._consolidate(turns[-1].content)
         return ""
-
-    def _critique(self, text: str) -> str:
-        match = _SECTION_NAME_RE.search(text)
-        if not match:
-            return ""
-        kind = _BY_DISPLAY_NAME.get(match.group(1).strip())
-        if kind is None:
-            return ""
-        return "\n".join(f"- {directive}" for directive in self._directives[kind])
 
     @staticmethod
     def _consolidate(text: str) -> str:

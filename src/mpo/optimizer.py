@@ -431,7 +431,7 @@ def baseline_global_step(
     """
     template = template or default_template("rewrite")
     filled = template.fill(PROMPT=render_prompt(state))
-    response = critic.complete((ChatTurn("user", filled),), CONSOLIDATION_PARAMS)
+    response = call_for(f"rewrite@{state.iteration}", critic.complete, (ChatTurn("user", filled),), CONSOLIDATION_PARAMS)
     text = strip_code_fences(response)
     try:
         parsed = parse_structured_prompt(text)

@@ -4,7 +4,8 @@ It answers ``POST .../v1/chat/completions`` over keep-alive HTTP/1.1 from its ``
 ``(status, payload[, headers])`` entries, in order. Once the script is empty it answers with
 the mock the posted model names, as ``build_backend`` does in mock mode: ``critic`` runs
 ``MockCritic``, ``solver`` ``MockSolver``, ``extractor`` ``HeadingRuleExtractor``, and any other
-model gets ``ok()``. Every request lands in ``requests``.
+model gets ``ok()``. A mock answers for the purpose the ``X-MPO-Purpose`` header names, as it
+would in the client's process. Every request lands in ``requests``, with that purpose decoded.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import unquote
 
 from mpo import ChatTurn, GenerationParams, HeadingRuleExtractor, MockCritic, MockSolver
+from mpo.backends import call_for
 
 MOCKS = {"critic": MockCritic(), "solver": MockSolver(), "extractor": HeadingRuleExtractor()}
 
@@ -27,12 +30,12 @@ def ok(content: str = "fine", finish_reason: str | None = None) -> tuple[int, di
     return 200, {"choices": [{"message": {"role": "assistant", "content": content}, **reason}]}
 
 
-def _mock_answer(body: dict) -> tuple[int, dict]:
+def _mock_answer(body: dict, purpose: str | None) -> tuple[int, dict]:
     mock = MOCKS.get(body["model"])
     if mock is None:
         return ok()
     turns = [ChatTurn(**message) for message in body["messages"]]
-    return ok(mock.complete(turns, GenerationParams(body["temperature"], body["max_tokens"], body.get("seed"))))
+    return ok(call_for(purpose, mock.complete, turns, GenerationParams(body["temperature"], body["max_tokens"], body.get("seed"))))
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -44,11 +47,12 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         server = self.server
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        purpose = None if (sent := self.headers.get("X-MPO-Purpose")) is None else unquote(sent)
         time.sleep(server.delay)
         with server.lock:  # the log keeps the script's order
-            status, payload, *headers = server.script.pop(0) if server.script else _mock_answer(body)
+            status, payload, *headers = server.script.pop(0) if server.script else _mock_answer(body, purpose)
             auth, port = self.headers.get("Authorization"), self.client_address[1]
-            server.requests.append({"path": self.path, "body": body, "auth": auth, "port": port, "status": status})
+            server.requests.append({"path": self.path, "body": body, "auth": auth, "port": port, "status": status, "purpose": purpose})
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         for name, value in (headers[0] if headers else {}).items():

@@ -1,8 +1,9 @@
 """Scripted backends: the stand-in that answers from a constant or a callable,
-solvers keyed on the question text inside the posed prompt, the call hook
-that stands in for every backend a command builds, the runner for a fresh
-interpreter, the comparison of the artifacts two runs wrote, and the one way
-a test builds, records, reorders or reads JSON Lines."""
+the purpose a stand-in routes by, solvers keyed on the question text inside
+the posed prompt, the call hook that stands in for every backend a command
+builds, the runner for a fresh interpreter, the comparison of the artifacts
+two runs wrote, and the one way a test builds, records, reorders or reads
+JSON Lines."""
 
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ import threading
 from collections.abc import Callable, Container, Iterator, Sequence
 from pathlib import Path
 
-from mpo import BackendError, ChatTurn, CriticBackend, Dataset, GenerationParams, RecordingBackend, Transcript, request_digest
-from mpo import cli
+from mpo import BackendError, ChatTurn, CriticBackend, Dataset, GenerationParams, RecordingBackend, SectionKind, Transcript
+from mpo import cli, request_digest
+from mpo.backends import _PURPOSE
 
 
 class ScriptedBackend(CriticBackend):
@@ -43,6 +45,15 @@ class ScriptedBackend(CriticBackend):
         if callable(self._script):
             return self._script(turns, params)
         return self._script
+
+
+def called_for() -> tuple[str, SectionKind | None]:
+    """The task and the section kind that the purpose of the call being made names, read as
+    :class:`mpo.MockCritic` reads them: ``("critique", SectionKind.CONSTRAINTS)`` for
+    ``critique:constraints@0``, ``("rewrite", None)`` for ``rewrite@0``, and ``("", None)`` with
+    no purpose. A stand-in that picks its reply by the call asks this, not the request's wording."""
+    task, _, kind = (_PURPOSE.get() or "").partition("@")[0].partition(":")
+    return task, next((each for each in SectionKind if each.value == kind), None)
 
 
 def gold_solver(dataset: Dataset) -> ScriptedBackend:

@@ -659,6 +659,15 @@ class TestHTTPBackend:
         assert request["body"]["max_tokens"] == 512
         assert request["body"]["seed"] == 3
 
+    def test_purpose_is_sent_percent_encoded_and_only_inside_call_for(self, provider):
+        # An item id is dataset text: sent raw, one that is not latin-1 or holds a line break fails in http.client.
+        base_url, server = provider
+        server.script.extend([ok(), ok()])
+        backend = self._backend(base_url)
+        assert call_for("solve:\u043a\u043b\u044e\u0447\r\n1", backend.complete, TURNS, PARAMS) == "fine"
+        assert backend.complete(TURNS, PARAMS) == "fine"
+        assert [request["purpose"] for request in server.requests] == ["solve:\u043a\u043b\u044e\u0447\r\n1", None]
+
     @pytest.mark.parametrize(
         "prefix, path", [("/proxy", "/proxy"), ("/proxy/", "/proxy"), ("/a b/\u00e9", "/a%20b/%C3%A9"), ("/a%20b", "/a%20b")]
     )

@@ -897,6 +897,21 @@ class TestOptimize:
         assert b'"saturated": true' in (outs[0] / "gradients.jsonl").read_bytes()
         assert_same_run(*outs)
 
+    @pytest.mark.parametrize("width", [1, 5])
+    @pytest.mark.parametrize("dedup", ["lexical", "llm"])
+    def test_mock_serves_a_gradient_template_in_its_own_words(self, data_dir, tmp_path, capsys, dedup, width):
+        # The mock critic answers by the call's purpose, so a template that keeps the
+        # placeholders and none of the built-in wording grows the prompt alike.
+        template, config = tmp_path / "gradient.txt", tmp_path / "mpo.ini"
+        template.write_text("Section {SECTION_KIND} reads:\n{SECTION_CONTENT}\nAround it:\n{CONTEXT}\nList fixes.\n", encoding="utf-8")
+        config.write_text(f"[templates]\ngradient = {template}\n", encoding="utf-8")
+        argv = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--mock", "--record", "--iterations", "2",
+                "--dedup", dedup, "--concurrency", str(width)]
+        assert main(argv + ["--out", str(tmp_path / "builtin")]) == 0
+        assert main(argv + ["--config", str(config), "--out", str(tmp_path / "custom")]) == 0
+        assert "List fixes." in (tmp_path / "custom" / "transcript.jsonl").read_text(encoding="utf-8")
+        assert_same_run(tmp_path / "builtin", tmp_path / "custom")
+
 
 class TestEval:
     def test_recorded_eval_holds_no_calls_in_memory(self, tagged_prompt_text, tmp_path):

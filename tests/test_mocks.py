@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from mpo import (
     ChatTurn,
     GenerationParams,
@@ -11,69 +13,67 @@ from mpo import (
     SectionKind,
     parse_structured_prompt,
 )
+from mpo.backends import call_for
 from mpo.mocks import _between_markers
+from mpo.templating import default_template
 
 PARAMS = GenerationParams()
 
 
-def ask(backend, text: str) -> str:
-    return backend.complete((ChatTurn("user", text),), PARAMS)
+def ask(backend, text: str, purpose: str | None = None) -> str:
+    return call_for(purpose, backend.complete, (ChatTurn("user", text),), PARAMS)
 
 
 class TestMockCritic:
-    def _critique_prompt(self, name: str) -> str:
-        return (
-            "Section name: "
-            + name
-            + "\n\nCurrent section content:\nstuff\n\nPropose concrete improvements"
-        )
+    # The built-in gradient template, filled: a request that names its section in the text.
+    CRITIQUE = default_template("gradient").fill(SECTION_KIND="Constraints", SECTION_CONTENT="stuff", CONTEXT="")
 
     def test_critique_reply_is_per_kind(self):
         critic = MockCritic()
         for kind in SectionKind:
-            reply = ask(critic, self._critique_prompt(kind.display_name))
+            reply = ask(critic, "stuff", f"critique:{kind.value}@0")
             assert reply.startswith("- ")
-            assert reply != ask(critic, self._critique_prompt("Constraints")) or (
-                kind is SectionKind.CONSTRAINTS
-            )
+            assert reply != ask(critic, "stuff", "critique:constraints@0") or kind is SectionKind.CONSTRAINTS
+
+    def test_critique_reply_reads_the_purpose_not_the_text(self):
+        critic = MockCritic()
+        assert ask(critic, self.CRITIQUE, "critique:task_details@3") == ask(critic, "", "critique:task_details@0")
+        assert ask(critic, self.CRITIQUE) == ""
 
     def test_critique_deterministic(self):
-        prompt = self._critique_prompt("Task Details")
-        assert ask(MockCritic(), prompt) == ask(MockCritic(), prompt)
+        assert ask(MockCritic(), "stuff", "critique:task_details@0") == ask(MockCritic(), "stuff", "critique:task_details@0")
 
     def test_directive_override(self):
         critic = MockCritic({SectionKind.TASK_DETAILS: ("Custom directive.",)})
-        assert ask(critic, self._critique_prompt("Task Details")) == "- Custom directive."
+        assert ask(critic, "stuff", "critique:task_details@0") == "- Custom directive."
         # Other kinds keep their defaults.
-        assert "letter" in ask(critic, self._critique_prompt("Constraints"))
+        assert "letter" in ask(critic, "stuff", "critique:constraints@0")
 
     def test_empty_override_means_no_change(self):
         critic = MockCritic({SectionKind.TASK_DETAILS: ()})
-        assert ask(critic, self._critique_prompt("Task Details")) == ""
+        assert ask(critic, "stuff", "critique:task_details@0") == ""
 
-    def test_unknown_section_name_yields_nothing(self):
-        assert ask(MockCritic(), self._critique_prompt("Mystery")) == ""
-
-    def test_critique_naming_no_section_yields_nothing(self):
-        assert ask(MockCritic(), "Current section content:\nstuff\n\nPropose concrete improvements") == ""
+    @pytest.mark.parametrize("purpose", ["critique:mystery@0", "critique:Constraints@0", "critique@0", "consolidate:mystery@0"])
+    def test_unknown_or_missing_kind_yields_nothing(self, purpose):
+        assert ask(MockCritic(), self.CRITIQUE, purpose) == ""
 
     def test_consolidation_without_section_content_yields_nothing(self):
         prompt = "Section name: Constraints\n\nkeep\nkeep\n\nRemove duplicated or overlapping instructions"
-        assert ask(MockCritic(), prompt) == ""
+        assert ask(MockCritic(), prompt, "consolidate:constraints@0") == ""
 
     def test_consolidation_drops_exact_duplicates_only(self):
-        prompt = (
-            "Section name: Constraints\n\nSection content:\nkeep\nkeep\nKeep\n\n"
-            "Remove duplicated or overlapping instructions"
-        )
-        assert ask(MockCritic(), prompt) == "keep\nKeep"
+        prompt = default_template("consolidate").fill(SECTION_KIND="Constraints", SECTION_CONTENT="keep\nkeep\nKeep")
+        assert ask(MockCritic(), prompt, "consolidate:constraints@0") == "keep\nKeep"
+        assert ask(MockCritic(), prompt) == ""
 
     def test_rewrite_echoes_prompt(self):
-        prompt = "Critique and rewrite the prompt below\n\nPROMPT START\nline a\nline b\nPROMPT END\n"
-        assert ask(MockCritic(), prompt) == "line a\nline b"
+        prompt = "Any wording at all\n\nPROMPT START\nline a\nline b\nPROMPT END\n"
+        assert ask(MockCritic(), prompt, "rewrite@0") == "line a\nline b"
+        assert ask(MockCritic(), prompt) == ""
 
-    def test_unrecognized_request_yields_nothing(self):
-        assert ask(MockCritic(), "What is the capital of France?") == ""
+    @pytest.mark.parametrize("purpose", [None, "solve:q1", "decompose", "tidy:constraints@0"])
+    def test_unrecognized_call_yields_nothing(self, purpose):
+        assert ask(MockCritic(), "What is the capital of France?", purpose) == ""
 
     def test_identity(self):
         assert MockCritic().identity == "mock:fixed-rules"

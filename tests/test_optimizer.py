@@ -36,7 +36,7 @@ from mpo import (
     step,
 )
 from mpo.schema import CANONICAL_ORDER
-from solvers import Recorder, ScriptedBackend
+from solvers import Recorder, ScriptedBackend, called_for
 
 
 def _repeats(text: str) -> int:
@@ -55,22 +55,16 @@ def _gradient(kind: SectionKind, *directives: str) -> TextualGradient:
 
 
 def section_critic(replies: dict[SectionKind, str]) -> ScriptedBackend:
-    """Critic whose gradient reply depends on which section is shown.
+    """Critic whose gradient reply depends on which section is critiqued.
 
-    Dispatches on the ``Section name:`` line the gradient template renders;
-    consolidation requests get exact-duplicate removal like the mock critic.
+    Dispatches on the call's purpose; any call but a critique fails the test.
     """
 
     def reply(turns, params):
-        prompt = turns[-1].content
-        match = re.search(r"^Section name: (.+)$", prompt, re.MULTILINE)
-        name = match.group(1) if match else ""
-        kind = next(
-            (k for k in SectionKind if k.display_name == name), None
-        )
-        if "Propose concrete improvements" in prompt:
+        task, kind = called_for()
+        if task == "critique":
             return replies.get(kind, "")
-        raise AssertionError(f"unexpected request: {prompt[:80]}")
+        raise AssertionError(f"unexpected request: {turns[-1].content[:80]}")
 
     return ScriptedBackend(reply, name="sectioned", model="script")
 
@@ -222,8 +216,7 @@ class TestStep:
         state = build_state(task_details="Answer.", constraints="Be brief.")
 
         def reply(turns, params):
-            prompt = turns[-1].content
-            if "Section name: Constraints" in prompt:
+            if called_for()[1] is SectionKind.CONSTRAINTS:
                 raise BackendError("critic offline")
             return "Extra line."
 
@@ -359,7 +352,7 @@ class TestStep:
         state = build_state(task_details="Answer.")
 
         def reply(turns, params):
-            if "Section name: Task Details" in turns[-1].content:
+            if called_for()[1] is SectionKind.TASK_DETAILS:
                 raise BackendError("down")
             return ""
 
@@ -378,13 +371,12 @@ class TestStep:
 
         def critic(barrier: threading.Barrier | None) -> ScriptedBackend:
             def reply(turns, params):
-                prompt = turns[-1].content
-                name = re.search(r"^Section name: (.+)$", prompt, re.MULTILINE).group(1)
-                if "Propose concrete improvements" in prompt:
-                    return f"Keep the {name} short."
+                task, kind = called_for()
+                if task == "critique":
+                    return f"Keep the {kind.display_name} short."
                 if barrier is not None:
                     barrier.wait()  # passes only once all five consolidations are in flight
-                return re.search(r"Section content:\n(.*?)\n\nRemove", prompt, re.S).group(1)
+                return re.search(r"Section content:\n(.*?)\n\nRemove", turns[-1].content, re.S).group(1)
 
             return ScriptedBackend(reply)
 
@@ -403,12 +395,12 @@ class TestStep:
         state = build_state(task_details="Answer.", constraints="Be brief.")
 
         def reply(turns, params):
-            prompt = turns[-1].content
-            if "Propose concrete improvements" not in prompt:
+            task, kind = called_for()
+            if task != "critique":
                 return "<Constraints>"  # tagged consolidation reply is rejected
-            if "Section name: Task Details" in prompt:
+            if kind is SectionKind.TASK_DETAILS:
                 raise BackendError("down")
-            return "Add a rule." if "Section name: Constraints" in prompt else ""
+            return "Add a rule." if kind is SectionKind.CONSTRAINTS else ""
 
         config = OptimizerConfig(dedup_mode=DedupMode.LLM, concurrency_width=5)
         for order in (CANONICAL_ORDER, tuple(reversed(CANONICAL_ORDER))):
@@ -422,7 +414,7 @@ class TestStep:
         state = build_state(task_details="Answer.")
 
         def reply(turns, params):
-            if "Section name: Constraints" in turns[-1].content:
+            if called_for()[1] is SectionKind.CONSTRAINTS:
                 raise ReplayMiss("diverged")
             return ""
 
@@ -592,6 +584,15 @@ class TestBaselineGlobalStep:
             if kind is not SectionKind.TASK_DETAILS:
                 assert result.section(kind).is_empty
         assert any("did not parse" in message for message in caplog.messages)
+
+    def test_rewrites_are_logged_and_replayed_by_purpose(self, tagged_prompt):
+        recorder = Recorder(MockCritic())
+        states = [tagged_prompt]
+        for _ in range(2):
+            states.append(baseline_global_step(states[-1], recorder))
+        assert [each["purpose"] for each in recorder.records()] == ["rewrite@0", "rewrite@1"]
+        replay = ReplayBackend(recorder.records())
+        assert [baseline_global_step(state, replay) for state in states[:2]] == states[1:]
 
 
 class TestGrowthMetrics:
