@@ -223,8 +223,11 @@ def build_backend(config: RunConfig, role: str) -> CriticBackend:
             raise CLIError(f"cannot read transcript: {exc}") from exc
         except ValueError as exc:  # not JSON, not a record, or not UTF-8
             raise CLIError(f"malformed transcript {config.replay_path}: {exc}") from exc
-    if config.mode == "mock":
-        return {"critic": MockCritic, "solver": MockSolver, "extractor": HeadingRuleExtractor}[role]()
+    if config.mode == "mock":  # the critic and the extractor read requests through the run's templates
+        if role == "solver":
+            return MockSolver()
+        mock, name = (MockCritic, "consolidate") if role == "critic" else (HeadingRuleExtractor, "decompose")
+        return mock(templates={name: config.template(name) or default_template(name)})
     try:
         return HTTPBackend(getattr(config, f"{role}_model"), config.base_url, timeout=config.timeout)
     except ValueError as exc:

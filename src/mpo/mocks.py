@@ -3,7 +3,8 @@
 These run the full pipeline offline: same input text, same reply, every
 time. The critic answers by the purpose a call is made for, whatever the
 template says, the solver hash-picks among the offered choices, and the
-extractor routes lines to sections with plain heading rules.
+extractor routes lines to sections with plain heading rules. A request's
+text is read through the template that wrote it, the built-in or a given one.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Mapping, Sequence
 
 from .backends import _PURPOSE, ChatTurn, CriticBackend, GenerationParams, sha256
 from .schema import SectionKind
+from .templating import PromptTemplate, default_template
 
 _CHOICE_LINE_RE = re.compile(r"^([A-Z])\. ", re.MULTILINE)
 _LIST_PREFIX_RE = re.compile(r"^\s*(?:[-*]|\d+[.)])\s")
@@ -35,48 +37,32 @@ class MockCritic(CriticBackend):
     per kind via ``directives``; an empty tuple means "reply nothing", which the
     loop reads as no change). ``consolidate:<kind>@i`` gets the section content
     with exact duplicate lines dropped. ``rewrite@i`` echoes the prompt back
-    unchanged. Any other call, or one made with no purpose, gets ``""``.
+    unchanged. Any other call, one with no purpose, or a request that its
+    template (``templates[name]`` or the built-in) did not fill, gets ``""``.
     """
 
     name = "mock"
     model = "fixed-rules"
 
-    def __init__(self, directives: Mapping[SectionKind, tuple[str, ...]] | None = None) -> None:
+    def __init__(
+        self,
+        directives: Mapping[SectionKind, tuple[str, ...]] | None = None,
+        templates: Mapping[str, PromptTemplate] | None = None,
+    ) -> None:
         table = {**_DEFAULT_DIRECTIVES, **(directives or {})}
         self._directives = {kind.value: lines for kind, lines in table.items()}  # by the name a purpose gives
+        self._templates = {name: (templates or {}).get(name) or default_template(name) for name in ("consolidate", "rewrite")}
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
         task, _, kind = (_PURPOSE.get() or "").partition("@")[0].partition(":")
-        if task == "rewrite":
-            return _between_markers(turns[-1].content)
         if task == "critique" and kind in self._directives:
             return "\n".join(f"- {directive}" for directive in self._directives[kind])
-        if task == "consolidate" and kind in self._directives:
-            return self._consolidate(turns[-1].content)
+        if task == "consolidate" and kind in self._directives and (values := self._templates[task].values(turns[-1].content)):
+            lines = values["SECTION_CONTENT"].splitlines()  # each non-blank line once, where it first shows
+            return "\n".join(line for i, line in enumerate(lines) if not line.strip() or line not in lines[:i])
+        if task == "rewrite" and (values := self._templates[task].values(turns[-1].content)):
+            return values["PROMPT"]
         return ""
-
-    @staticmethod
-    def _consolidate(text: str) -> str:
-        lines = text.splitlines()
-        try:
-            start = lines.index("Section content:") + 1
-        except ValueError:
-            return ""
-        end = next(
-            (i for i, line in enumerate(lines) if line.startswith("Remove duplicated")),
-            len(lines),
-        )
-        content = lines[start:end]
-        while content and not content[-1].strip():
-            content.pop()
-        kept: list[str] = []
-        seen: set[str] = set()
-        for line in content:
-            if line.strip() and line in seen:
-                continue
-            seen.add(line)
-            kept.append(line)
-        return "\n".join(kept)
 
 
 class MockSolver(CriticBackend):
@@ -118,15 +104,20 @@ class HeadingRuleExtractor(CriticBackend):
     every following line lands in the matched section. Text before the first
     heading is treated as context. Blank lines are dropped, so each section
     comes out as one contiguous block even when its lines were gathered from
-    separate parts of the source. Output is the tagged wire format, so the
-    result always parses.
+    separate parts of the source: the prompt the decompose template filled in,
+    or the whole request if that template did not fill it. Output is the tagged
+    wire format, so the result always parses.
     """
 
     name = "mock"
     model = "heading-rules"
 
+    def __init__(self, templates: Mapping[str, PromptTemplate] | None = None) -> None:
+        self._template = (templates or {}).get("decompose") or default_template("decompose")
+
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> str:
-        source = _between_markers(turns[-1].content)
+        values = self._template.values(turns[-1].content)
+        source = values["PROMPT"] if values else turns[-1].content
         buckets: dict[SectionKind, list[str]] = {kind: [] for kind in SectionKind}
         target = SectionKind.RELEVANT_CONTEXT
         for line in source.splitlines():
@@ -158,12 +149,3 @@ def _route_heading(line: str) -> tuple[SectionKind, str] | None:
             return kind, rest.strip()
     return None
 
-
-def _between_markers(text: str) -> str:
-    """Text between the PROMPT START and PROMPT END marker lines, if present."""
-    lines = text.splitlines()
-    starts = [i for i, line in enumerate(lines) if line.strip() == "PROMPT START"]
-    ends = [i for i, line in enumerate(lines) if line.strip() == "PROMPT END"]
-    if starts and ends and starts[0] + 1 <= ends[-1]:
-        return "\n".join(lines[starts[0] + 1 : ends[-1]])
-    return text

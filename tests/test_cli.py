@@ -897,19 +897,29 @@ class TestOptimize:
         assert b'"saturated": true' in (outs[0] / "gradients.jsonl").read_bytes()
         assert_same_run(*outs)
 
-    @pytest.mark.parametrize("width", [1, 5])
-    @pytest.mark.parametrize("dedup", ["lexical", "llm"])
-    def test_mock_serves_a_gradient_template_in_its_own_words(self, data_dir, tmp_path, capsys, dedup, width):
-        # The mock critic answers by the call's purpose, so a template that keeps the
-        # placeholders and none of the built-in wording grows the prompt alike.
-        template, config = tmp_path / "gradient.txt", tmp_path / "mpo.ini"
-        template.write_text("Section {SECTION_KIND} reads:\n{SECTION_CONTENT}\nAround it:\n{CONTEXT}\nList fixes.\n", encoding="utf-8")
-        config.write_text(f"[templates]\ngradient = {template}\n", encoding="utf-8")
-        argv = ["optimize", str(data_dir / "multi_task_tagged.txt"), "--mock", "--record", "--iterations", "2",
-                "--dedup", dedup, "--concurrency", str(width)]
+    @pytest.mark.parametrize("name, argv", [
+        *(pytest.param("gradient", ["optimize", "multi_task_tagged.txt", "--iterations", "2", "--dedup", dedup,
+                                    "--concurrency", width], id=f"gradient-{dedup}-{width}")
+          for dedup in ("lexical", "llm") for width in ("1", "5")),
+        pytest.param("consolidate", ["optimize", "multi_task_tagged.txt", "--iterations", "2", "--dedup", "llm",
+                                     "--concurrency", "5"], id="consolidate-llm-5"),
+        pytest.param("decompose", ["decompose", "multi_task_raw.txt"], id="decompose"),
+    ])
+    def test_mock_serves_a_template_in_its_own_words(self, data_dir, tmp_path, name, argv):
+        # The mocks answer by the call's purpose and read a request through the run's own template, so
+        # one that keeps the placeholders and none of the built-in wording writes the built-in run's artifacts.
+        reworded = {
+            "gradient": "Section {SECTION_KIND} reads:\n{SECTION_CONTENT}\nAround it:\n{CONTEXT}\nList fixes.\n",
+            "consolidate": "Tidy section {SECTION_KIND}:\n{SECTION_CONTENT}\nDrop repeats.\n",
+            "decompose": "Split into the five tagged sections:\n{PROMPT}\nTags only.\n",
+        }[name]
+        template, config = tmp_path / f"{name}.txt", tmp_path / "mpo.ini"
+        template.write_text(reworded, encoding="utf-8")
+        config.write_text(f"[templates]\n{name} = {template}\n", encoding="utf-8")
+        argv = [argv[0], str(data_dir / argv[1]), *argv[2:], "--mock", "--record"]
         assert main(argv + ["--out", str(tmp_path / "builtin")]) == 0
         assert main(argv + ["--config", str(config), "--out", str(tmp_path / "custom")]) == 0
-        assert "List fixes." in (tmp_path / "custom" / "transcript.jsonl").read_text(encoding="utf-8")
+        assert reworded.splitlines()[-1] in (tmp_path / "custom" / "transcript.jsonl").read_text(encoding="utf-8")
         assert_same_run(tmp_path / "builtin", tmp_path / "custom")
 
 

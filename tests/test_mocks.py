@@ -14,8 +14,7 @@ from mpo import (
     parse_structured_prompt,
 )
 from mpo.backends import call_for
-from mpo.mocks import _between_markers
-from mpo.templating import default_template
+from mpo.templating import PromptTemplate, default_template
 
 PARAMS = GenerationParams()
 
@@ -67,9 +66,19 @@ class TestMockCritic:
         assert ask(MockCritic(), prompt) == ""
 
     def test_rewrite_echoes_prompt(self):
-        prompt = "Any wording at all\n\nPROMPT START\nline a\nline b\nPROMPT END\n"
-        assert ask(MockCritic(), prompt, "rewrite@0") == "line a\nline b"
+        prompt = default_template("rewrite").fill(PROMPT="line a\nline b\n")
+        assert ask(MockCritic(), prompt, "rewrite@0") == "line a\nline b\n"
         assert ask(MockCritic(), prompt) == ""
+
+    def test_requests_are_read_through_the_given_templates(self):
+        templates = {"consolidate": PromptTemplate("Tidy {SECTION_KIND}:\n{SECTION_CONTENT}\n"),
+                     "rewrite": PromptTemplate("{PROMPT}")}
+        critic = MockCritic(templates=templates)
+        tidy = templates["consolidate"].fill(SECTION_KIND="Constraints", SECTION_CONTENT="keep\nkeep")
+        assert ask(critic, tidy, "consolidate:constraints@0") == "keep"
+        assert ask(critic, "any text", "rewrite@0") == "any text"
+        builtin = default_template("consolidate").fill(SECTION_KIND="Constraints", SECTION_CONTENT="keep")
+        assert ask(critic, builtin, "consolidate:constraints@0") == ""
 
     @pytest.mark.parametrize("purpose", [None, "solve:q1", "decompose", "tidy:constraints@0"])
     def test_unrecognized_call_yields_nothing(self, purpose):
@@ -103,9 +112,16 @@ class TestMockSolver:
 
 class TestHeadingRuleExtractor:
     def test_output_always_parses(self, raw_prompt_text):
-        reply = ask(HeadingRuleExtractor(), f"PROMPT START\n{raw_prompt_text}\nPROMPT END")
+        reply = ask(HeadingRuleExtractor(), default_template("decompose").fill(PROMPT=raw_prompt_text))
         state = parse_structured_prompt(reply)
         assert state.section(SectionKind.TASK_DETAILS).content
+
+    def test_reads_the_prompt_through_the_given_template(self):
+        template = PromptTemplate("Split this:\n{PROMPT}\nTags only.\n")
+        request = template.fill(PROMPT="Task: do the thing")
+        extractor = HeadingRuleExtractor(templates={"decompose": template})
+        assert ask(extractor, request) == ask(HeadingRuleExtractor(), "Task: do the thing")
+        assert "Tags only." in ask(HeadingRuleExtractor(), request)
 
     def test_routes_by_heading_keyword(self):
         source = (
@@ -161,14 +177,3 @@ class TestHeadingRuleExtractor:
         state = parse_structured_prompt(reply)
         assert state.section(SectionKind.CONSTRAINTS).content == "first rule\nsecond rule"
 
-
-class TestBetweenMarkers:
-    def test_extracts_between_markers(self):
-        assert _between_markers("head\nPROMPT START\nbody\nPROMPT END\ntail") == "body"
-
-    def test_without_markers_returns_whole_text(self):
-        assert _between_markers("just text") == "just text"
-
-    def test_outermost_markers_win(self):
-        text = "PROMPT START\na\nPROMPT START\nb\nPROMPT END\nc\nPROMPT END"
-        assert _between_markers(text) == "a\nPROMPT START\nb\nPROMPT END\nc"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import re
 import threading
 
 import pytest
@@ -29,6 +28,7 @@ from mpo import (
     TextualGradient,
     apply_gradient,
     baseline_global_step,
+    default_template,
     growth_metrics,
     lexical_dedup,
     normalize_line,
@@ -376,7 +376,7 @@ class TestStep:
                     return f"Keep the {kind.display_name} short."
                 if barrier is not None:
                     barrier.wait()  # passes only once all five consolidations are in flight
-                return re.search(r"Section content:\n(.*?)\n\nRemove", turns[-1].content, re.S).group(1)
+                return default_template("consolidate").values(turns[-1].content)["SECTION_CONTENT"]
 
             return ScriptedBackend(reply)
 
@@ -430,8 +430,7 @@ class TestSaturation:
         inner = section_critic(replies)
 
         def reply(turns, params):
-            match = re.search(r"^Section name: (.+)$", turns[-1].content, re.MULTILINE)
-            shown.append(match.group(1))
+            shown.append(default_template("gradient").values(turns[-1].content)["SECTION_KIND"])
             return inner.complete(turns, params)
 
         return ScriptedBackend(reply), shown

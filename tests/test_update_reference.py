@@ -70,6 +70,7 @@ from mpo import (
     TextualGradient,
     apply_gradient,
     consolidate,
+    default_template,
     normalize_line,
     optimize,
     render_prompt,
@@ -84,7 +85,7 @@ from mpo.backends import CriticBackend, _params_json, call_for
 from mpo.cli import _gradient_lines, _history_lines, _run_artifacts, main
 from mpo.optimizer import SectionUpdate, _truncate_to_token_budget
 from mpo.schema import TAG_STRING_RE, _parse_tag_line
-from solvers import Recorder, ScriptedBackend, assert_same_run, line, record
+from solvers import Recorder, ScriptedBackend, assert_same_run, called_for, line, record
 
 
 def reference_truncate(section: Section, budget: int) -> tuple[Section, int, tuple | None]:
@@ -910,10 +911,9 @@ def unique_rule_critic() -> ScriptedBackend:
     calls = itertools.count()
 
     def reply(turns, params) -> str:
-        request = turns[-1].content
-        if "Current section content:\n" not in request:
-            return request.split("Section content:\n", 1)[1].split("\n\nRemove duplicated", 1)[0]
-        first = request.split("Current section content:\n", 1)[1].splitlines()[0]
+        if called_for()[0] == "consolidate":
+            return default_template("consolidate").values(turns[-1].content)["SECTION_CONTENT"]
+        first = default_template("gradient").values(turns[-1].content)["SECTION_CONTENT"].splitlines()[0]
         call = next(calls)
         return f"- rule {call} a stays.\n- rule {call} b stays.\n- {first.upper()}{'!' * (call + 1)}"
 
